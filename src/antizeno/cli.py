@@ -77,7 +77,7 @@ def _load_model(config, diagnostics=None):
         d["removed_edges"] = tuple(tuple(e) for e in d.get("removed_edges", ()))
         try:
             return build_graph(DisorderSpec(**d))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RuntimeError) as exc:
             diag.append(f"invalid disorder spec: {exc}")
             return None
     diag.append("scenario requires a model, model_file, or disorder entry")
@@ -106,6 +106,18 @@ def _tau_grid(config, diagnostics=None):
     return grid
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_sites(what, sites, n_sites, diag):
+    """Site lists from the config must name sites 1..n_sites of the model."""
+    if not isinstance(sites, list) or not all(isinstance(i, int) and not isinstance(i, bool) for i in sites):
+        diag.append(f"{what} must be a list of site numbers, got {sites!r}")
+    elif any(not 1 <= i <= n_sites for i in sites):
+        diag.append(f"{what} {sites} outside the model's sites 1..{n_sites}")
+
+
 def validate(config) -> list:
     """Diagnostics list; empty iff run() would pass validation.  Never executes engines."""
     diag: list = []
@@ -113,8 +125,9 @@ def validate(config) -> list:
     if scenario not in SCENARIOS:
         diag.append(f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIOS)}")
         return diag
+    model = None
     if scenario in ("efficiency-scan", "evolve", "concurrence", "crossover"):
-        _load_model(config, diag)
+        model = _load_model(config, diag)
     if scenario in ("figure2", "efficiency-scan", "sweep"):
         if scenario != "figure2" or "tau_grid" in config or "tau_range" in config:
             _tau_grid(config, diag)
@@ -126,18 +139,24 @@ def validate(config) -> list:
     if scenario == "crossover":
         tau = config.get("tau")
         horizon = config.get("horizon")
-        if tau is None or tau <= 0:
-            diag.append("crossover requires tau > 0")
-        if horizon is None or (tau is not None and tau > 0 and horizon < tau):
-            diag.append("crossover requires horizon >= tau")
+        tau_ok = _is_number(tau) and tau > 0
+        if not tau_ok:
+            diag.append(f"crossover requires a number tau > 0, got {tau!r}")
+        if not _is_number(horizon) or (tau_ok and horizon < tau):
+            diag.append(f"crossover requires a number horizon >= tau, got {horizon!r}")
     if scenario == "evolve":
         tau = config.get("tau")
-        if tau is not None and tau <= 0:
-            diag.append("evolve: the measurement interval tau must be > 0")
+        if tau is not None and not (_is_number(tau) and tau > 0):
+            diag.append(f"evolve: the measurement interval tau must be a number > 0, got {tau!r}")
+        for key in ("measured_sites", "dephased_sites"):
+            if config.get(key) and model is not None:
+                _check_sites(key, config[key], model.n_sites, diag)
     if scenario == "concurrence":
         pair = config.get("pair", [1, 3])
         if len(pair) != 2 or pair[0] == pair[1]:
             diag.append("concurrence requires a pair of two distinct sites")
+        elif model is not None:
+            _check_sites("pair", pair, model.n_sites, diag)
     return diag
 
 

@@ -3,26 +3,34 @@
 The generator is
     drho/dt = -i (H_eff rho - rho H_eff^dag)
               + 2 gamma (sum_{i in D} P_i rho P_i + Q rho Q - rho),
-with Q = I - sum_{i in D} P_i.  Integration uses fixed-step classical RK4; the
+with Q = I - sum_{i in D} P_i.  Time series use fixed-step classical RK4; the
 generator is linear, so one RK4 step is a fixed matrix on the vectorized state
-and long horizons are covered by matrix powers of that exact step.
+and long horizons are covered by matrix powers of that exact step.  The
+transfer efficiency needs only the time integral of the state, which is one
+linear solve on the generator.
 
-In the quantum-jump picture, jumps apply the same channel at rate 2 gamma
-(poisson mode) or exactly every tau = 1/(2 gamma) (periodic mode), which
-reproduces the repeated-measurement dynamics by construction.
+In the quantum-jump picture (poisson mode), jumps apply the same channel at
+rate 2 gamma, so tau = 1/(2 gamma) is the mean interval between channel
+applications.  Periodic mode applies the channel exactly every 1/(2 gamma),
+which reproduces repeated measurement at that interval by construction.  The
+two differ at equal mean interval: E[s^2] = 2 E[s]^2 for exponential
+intervals, so the periodic interval with the same Zeno hop rate as dephasing
+at rate 2 gamma is 2/(2 gamma).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .dynamics import DensityMatrix, eig_system, evolve, populations, propagator
 from .measurement import MeasurementChannel, apply_channel
 from .model import LatticeModel, effective_hamiltonian
-from .transfer import EfficiencyResult
+from .transfer import EfficiencyResult, _integrated_result
 
 _COND_CUTOFF = 1e8
 
@@ -75,14 +83,9 @@ def _liouvillian(spec: DephasingSpec) -> np.ndarray:
     eye = np.eye(n)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
     if spec.gamma > 0:
-        measured, _ = _channel_masks(n, spec.dephased_sites)
-        q = np.diag((~measured).astype(float))
-        chan = np.kron(q, q)
-        for i in np.flatnonzero(measured):
-            p = np.zeros((n, n))
-            p[i, i] = 1.0
-            chan += np.kron(p, p)
-        lv = lv + 2.0 * spec.gamma * (chan - np.eye(n * n))
+        # the channel keeps rho_ab iff a == b or neither site is dephased
+        _, keep = _channel_masks(n, spec.dephased_sites)
+        lv[np.diag_indices(n * n)] -= 2.0 * spec.gamma * ~keep.ravel()
     return lv
 
 
@@ -150,12 +153,16 @@ def integrate_master(spec: DephasingSpec, rho0, times, dt: float | None = None):
     return out
 
 
-def efficiency_dephasing(spec: DephasingSpec, dt: float | None = None) -> EfficiencyResult:
+def efficiency_dephasing(spec: DephasingSpec) -> EfficiencyResult:
     """eta = 2 kappa int p_trap dt under dephasing on all sites.
 
-    Integrates the RK4 step matrix (with population accumulators carried as
-    extra state) out to 20 half-lives of the slowest decaying generator mode,
-    and reports the equivalent measurement interval tau = 1/(2 gamma).
+    The time integral of the state is exact: int_0^inf rho dt = -L^-1 rho(0),
+    one dense solve on the generator.  A singular or ill-conditioned generator
+    means some mode never decays (a dark state, or sites cut off from every
+    loss channel) and raises ValueError.  tau = 1/(2 gamma) is reported: the
+    mean interval between the Poisson-timed channel applications.  Periodic
+    measurement with the same Zeno hop rate has interval 2/(2 gamma), since
+    E[s^2] = 2 E[s]^2 for exponential intervals.
     """
     model = spec.model
     if not (np.any(model.trap_rates > 0) or model.decay_rate > 0):
@@ -163,40 +170,16 @@ def efficiency_dephasing(spec: DephasingSpec, dt: float | None = None) -> Effici
     if spec.gamma > 0 and spec.dephased_sites != frozenset(range(1, model.n_sites + 1)):
         raise ValueError("transport efficiency is defined for dephasing on all sites")
     n = model.n_sites
-    lv = _liouvillian(spec)
-    rates = -np.real(np.linalg.eigvals(lv))
-    rates = rates[rates > 1e-9]
-    if rates.size == 0:
-        raise ValueError("internal-consistency error: no decaying generator mode")
-    horizon = 20.0 * math.log(2.0) / float(rates.min())
-    if dt is None:
-        dt = default_step(spec)
-    # augmented linear system: vec(rho) plus one integral accumulator per site
-    m_dim = n * n + n
-    lv_aug = np.zeros((m_dim, m_dim), dtype=complex)
-    lv_aug[: n * n, : n * n] = lv
-    for i in range(n):
-        lv_aug[n * n + i, i * n + i] = 1.0
-    n_steps = int(math.ceil(horizon / dt))
-    step = _rk4_step_matrix(lv_aug, horizon / n_steps)
-    z = np.zeros(m_dim, dtype=complex)
-    rho0 = np.zeros((n, n), dtype=complex)
-    rho0[model.initial_site - 1, model.initial_site - 1] = 1.0
-    z[: n * n] = rho0.reshape(-1)
-    z = np.linalg.matrix_power(step, n_steps) @ z
-    integrals = np.real(z[n * n :])
-    trapped = float(2.0 * model.trap_rates @ integrals)
-    dissipated = float(2.0 * model.decay_rate * integrals.sum())
-    residual = float(np.real(z[: n * n].reshape(n, n).trace()))
+    rho0 = np.zeros(n * n, dtype=complex)
+    rho0[(model.initial_site - 1) * (n + 1)] = 1.0
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            x = scipy.linalg.solve(_liouvillian(spec), -rho0, check_finite=False)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
+        raise ValueError(f"non-decaying mode: singular generator ({exc})") from None
     tau = 1.0 / (2.0 * spec.gamma) if spec.gamma > 0 else None
-    return EfficiencyResult(
-        eta=trapped,
-        trapped=trapped,
-        dissipated=dissipated,
-        residual=residual,
-        tau=tau,
-        method="master",
-    )
+    return _integrated_result(model, np.real(x[:: n + 1]), tau, "master")
 
 
 def _pure_initial(rho0) -> np.ndarray:
@@ -212,11 +195,14 @@ def quantum_jump_ensemble(
 ) -> EnsembleResult:
     """Stochastic unraveling of the dephasing master equation.
 
-    poisson mode draws exponential waiting times at rate 2 gamma; periodic mode
-    applies the non-selective channel deterministically every tau = 1/(2 gamma)
+    poisson mode draws exponential waiting times at rate 2 gamma, so
+    tau = 1/(2 gamma) is the mean interval between jumps.  periodic mode
+    applies the non-selective channel deterministically every 1/(2 gamma)
     through the measurement module, so it reproduces repeated-measurement
-    trajectories exactly.  Trajectories carry sub-normalized states under
-    dissipation; per-trajectory RNG streams are derived from (seed, index).
+    trajectories at that interval exactly.  It is not the periodic counterpart
+    of poisson mode: the periodic interval with the same Zeno hop rate is
+    2/(2 gamma).  Trajectories carry sub-normalized states under dissipation;
+    per-trajectory RNG streams are derived from (seed, index).
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

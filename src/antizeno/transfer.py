@@ -1,7 +1,7 @@
 """Energy-transfer efficiency with and without repeated measurements.
 
 The efficiency is eta = 2 kappa int p_trap(t) dt.  Without measurements the
-integral is evaluated in closed form from the eigendecomposition of H_eff.
+time-integrated state solves a Lyapunov equation in H_eff.
 Under repeated full-site measurements the trapped probability accrues interval
 by interval, and the infinite sum collapses to the geometric series
 w . (I - T)^-1 p(0), where w_j is the per-interval trapped weight and T the
@@ -33,7 +33,7 @@ class EfficiencyResult:
     dissipated: float
     residual: float
     tau: float | None
-    method: str  # "series" | "quadrature" | "master"
+    method: str  # "series" | "lyapunov" | "master"
 
     def __post_init__(self):
         if abs(self.eta - self.trapped) > 1e-12:
@@ -61,20 +61,12 @@ class TauScan:
 
 
 def _interval_integrals_eigen(w, v, vinv, tau):
-    """A[i,j] = int_0^tau |<i|U(s)|j>|^2 ds from the eigendecomposition.
-
-    tau=None integrates to infinity (requires every Im(lambda) < 0).
-    """
+    """A[i,j] = int_0^tau |<i|U(s)|j>|^2 ds from the eigendecomposition."""
     c = v.T[:, :, None] * vinv[:, None, :]  # c[a, i, j] = V[i,a] Vinv[a,j]
     delta = w[:, None] - w.conj()[None, :]
-    if tau is None:
-        if np.any(w.imag >= 0):
-            raise ValueError("internal-consistency error: eigenvalue with nonnegative imaginary part")
-        e = 1.0 / (1j * delta)
-    else:
-        small = np.abs(delta) * tau < 1e-10
-        safe = np.where(small, 1.0, delta)
-        e = np.where(small, tau, (1.0 - np.exp(-1j * safe * tau)) / (1j * safe))
+    small = np.abs(delta) * tau < 1e-10
+    safe = np.where(small, 1.0, delta)
+    e = np.where(small, tau, (1.0 - np.exp(-1j * safe * tau)) / (1j * safe))
     return np.real(np.einsum("aij,bij,ab->ij", c, c.conj(), e))
 
 
@@ -106,51 +98,33 @@ def _require_lossy(model):
 
 
 def efficiency_no_measurement(model: LatticeModel) -> EfficiencyResult:
-    """eta = 2 kappa int_0^inf p_trap(t) dt under free (non-Hermitian) evolution."""
+    """eta = 2 kappa int_0^inf p_trap(t) dt under free (non-Hermitian) evolution.
+
+    X = int_0^inf rho(t) dt solves the Lyapunov equation
+    (-i H_eff) X + X (-i H_eff)^dag = -rho(0), and eta = 2 kappa . diag(X).
+    """
     _require_lossy(model)
     h = effective_hamiltonian(model).matrix
-    w, v, vinv, cond = eig_system(h)
-    p0 = np.zeros(model.n_sites)
-    p0[model.initial_site - 1] = 1.0
-    if cond < _COND_CUTOFF:
-        a = _interval_integrals_eigen(w, v, vinv, None)
-        trapped_w, dissipated_w = _loss_weights(model, a)
-        return EfficiencyResult(
-            eta=float(trapped_w @ p0),
-            trapped=float(trapped_w @ p0),
-            dissipated=float(dissipated_w @ p0),
-            residual=0.0,
-            tau=None,
-            method="series",
-        )
-    # ill-conditioned eigenvectors: trapezoid out to 20 half-lives of the slowest mode
-    rates = -2.0 * w.imag
-    rates = rates[rates > 1e-14]
-    if rates.size == 0:
-        raise ValueError("internal-consistency error: no decaying mode despite loss rates")
-    horizon = 20.0 * math.log(2.0) / float(rates.min())
-    h_norm = float(np.abs(h).max())
-    dt = 0.02 / max(h_norm, 1.0)
-    n_steps = int(math.ceil(horizon / dt))
-    u_step = scipy.linalg.expm(-1j * h * dt)
-    psi = p0.astype(complex)
-    pops = np.empty((n_steps + 1, model.n_sites))
-    pops[0] = np.abs(psi) ** 2
-    for k in range(1, n_steps + 1):
-        psi = u_step @ psi
-        pops[k] = np.abs(psi) ** 2
-    times = np.arange(n_steps + 1) * dt
-    integrals = np.trapezoid(pops, times, axis=0)
+    if np.any(np.linalg.eigvals(h).imag >= 0):
+        raise ValueError("non-decaying mode: eigenvalue of H_eff with nonnegative imaginary part")
+    rho0 = np.zeros((model.n_sites, model.n_sites), dtype=complex)
+    rho0[model.initial_site - 1, model.initial_site - 1] = 1.0
+    x = scipy.linalg.solve_continuous_lyapunov(-1j * h, -rho0)
+    return _integrated_result(model, np.real(np.diag(x)), None, "lyapunov")
+
+
+def _integrated_result(model, integrals, tau, method) -> EfficiencyResult:
+    """Trapped and dissipated probability from int_0^inf p_i(t) dt.
+
+    The system empties completely, so residual is 0 and the sum rule
+    trapped + dissipated = 1 can fail only if some mode never decays.
+    """
     trapped = float(2.0 * model.trap_rates @ integrals)
     dissipated = float(2.0 * model.decay_rate * integrals.sum())
-    residual = float((np.abs(psi) ** 2).sum())
+    if not abs(trapped + dissipated - 1.0) <= 1e-8:
+        raise ValueError(f"non-decaying mode: trapped + dissipated = {trapped + dissipated:.12g}")
     return EfficiencyResult(
-        eta=trapped,
-        trapped=trapped,
-        dissipated=dissipated,
-        residual=residual,
-        tau=None,
-        method="quadrature",
+        eta=trapped, trapped=trapped, dissipated=dissipated, residual=0.0, tau=tau, method=method
     )
 
 

@@ -194,6 +194,14 @@ def test_criterion_02_no_measurement_baseline(capsys, baselines):
     )
 
 
+def test_no_measurement_near_exceptional_point():
+    # the resonant dimer with kappa = 2v sits at the exceptional point of H_eff;
+    # at Gamma = 1e-3 its eigenvector condition number is about 2e8
+    m = build_chain(2, [0.0, 0.0], v=V, trap_rate=2.0 * V, decay_rate=GAMMA)
+    eta = efficiency_no_measurement(m).eta
+    assert abs(eta - dimer_baseline(0.0, V, 2.0 * V, GAMMA)) <= 1e-10
+
+
 def test_criterion_03a_zeno_suppression_at_small_tau(capsys, zeno_scans):
     # For tau << tau_Z = 2 Gamma / v^2 the initial site loses v^2 tau^2 per
     # interval to hopping and 2 Gamma tau to decay; site 2, decaying at

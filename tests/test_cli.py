@@ -56,6 +56,33 @@ def test_run_invalid_config_exits_2(capsys, tmp_path):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenario": "crossover", "model": inline_two_site(), "tau": "0.1", "horizon": 50.0},
+        {
+            # the minimum-gap disorder sampler cannot draw a 30-site chain
+            "scenario": "efficiency-scan",
+            "disorder": {
+                "n_sites": 30,
+                "topology": "chain",
+                "mean_disorder": 10.0,
+                "coupling_scale": 1.0,
+                "trap_rate": 0.5,
+                "decay_rate": 0.001,
+            },
+            "tau_grid": [0.1],
+        },
+        {"scenario": "concurrence", "model": inline_two_site(), "pair": [1, 5], "times": [0.0, 1.0]},
+        {"scenario": "evolve", "model": inline_two_site(), "tau": 0.3, "measured_sites": [7]},
+    ],
+    ids=["crossover-string-tau", "disorder-draw-fails", "concurrence-pair-range", "evolve-sites-range"],
+)
+def test_run_bad_config_exits_2(config, capsys, tmp_path):
+    assert run({**config, "out": str(tmp_path)}) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_run_efficiency_scan(tmp_path):
     config = {
         "scenario": "efficiency-scan",

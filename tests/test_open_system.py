@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from antizeno import (
     DephasingSpec,
@@ -13,8 +14,8 @@ from antizeno import (
     repeated_measurement_trajectory,
 )
 from antizeno.dynamics import evolve, populations, propagator, pure_site_state
-from antizeno.model import effective_hamiltonian
-from antizeno.open_system import default_step, ensemble_to_csv
+from antizeno.model import LatticeModel, effective_hamiltonian
+from antizeno.open_system import _liouvillian, default_step, ensemble_to_csv
 
 
 def fig3_spec(two_gamma, sites=frozenset({2})):
@@ -140,9 +141,48 @@ def test_jump_validation(two_site_disordered):
 def test_efficiency_dephasing_gamma_zero(two_site_disordered):
     spec = DephasingSpec(model=two_site_disordered, gamma=0.0, dephased_sites=frozenset())
     r = efficiency_dephasing(spec)
-    assert abs(r.eta - efficiency_no_measurement(two_site_disordered).eta) < 1e-4
+    # both sides are exact linear solves of the same integral
+    assert abs(r.eta - efficiency_no_measurement(two_site_disordered).eta) < 1e-10
     assert r.tau is None
-    assert abs(r.trapped + r.dissipated + r.residual - 1.0) < 1e-6
+    assert abs(r.trapped + r.dissipated + r.residual - 1.0) < 1e-12
+
+
+def test_efficiency_dephasing_against_expm_oracle(rng):
+    # eta - eta(T) = 2 kappa int_T^inf p_trap dt lies in [0, tr rho(T)]: what is
+    # still in the system at T is later trapped or dissipated.  eta(T) comes
+    # from expm of the generator augmented with one integral accumulator per site.
+    t_final = 100.0
+    for _ in range(8):
+        n = int(rng.integers(2, 9))
+        m = build_chain(
+            n,
+            rng.uniform(0.0, 10.0, n),
+            v=1.0,
+            trap_rate=float(rng.uniform(0.2, 0.8)),
+            decay_rate=float(rng.uniform(0.005, 0.02)),
+        )
+        spec = DephasingSpec(model=m, gamma=float(rng.uniform(0.5, 5.0)), dephased_sites=frozenset(range(1, n + 1)))
+        r = efficiency_dephasing(spec)
+        aug = np.zeros((n * n + n, n * n + n), dtype=complex)
+        aug[: n * n, : n * n] = _liouvillian(spec)
+        aug[n * n + np.arange(n), np.arange(n) * (n + 1)] = 1.0
+        z0 = np.zeros(n * n + n, dtype=complex)
+        z0[0] = 1.0  # rho(0) = |1><1|
+        z = scipy.linalg.expm(t_final * aug) @ z0
+        eta_t = float(2.0 * m.trap_rates @ np.real(z[n * n :]))
+        remaining = float(np.real(np.trace(z[: n * n].reshape(n, n))))
+        assert 0.0 <= r.eta - eta_t <= remaining + 1e-12
+        assert abs(r.trapped + r.dissipated + r.residual - 1.0) <= 1e-12
+
+
+def test_efficiency_dephasing_dark_state_raises():
+    # equal energies and a trap on the middle site: (|1> - |3>)/sqrt(2) never
+    # reaches the trap, so half the initial population stays forever
+    c = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    m = LatticeModel(np.zeros(3), c, np.array([0.0, 0.5, 0.0]), 0.0, 1)
+    spec = DephasingSpec(model=m, gamma=0.0, dephased_sites=frozenset())
+    with pytest.raises(ValueError, match="non-decaying mode"):
+        efficiency_dephasing(spec)
 
 
 def test_efficiency_dephasing_correspondence(two_site_disordered):
