@@ -25,7 +25,7 @@ from .entanglement import series_to_csv, simulate_concurrence
 from .measurement import MeasurementChannel, crossover_time, repeated_measurement_trajectory, trajectory_to_csv
 from .model import DisorderSpec, LatticeModel, build_chain, build_graph
 from .open_system import DephasingSpec, integrate_master
-from .dynamics import DensityMatrix, populations, pure_site_state
+from .dynamics import populations, pure_site_state
 from .transfer import scan_to_csv, tau_scan
 
 SCENARIOS = ("figure2", "figure3", "efficiency-scan", "evolve", "concurrence", "crossover", "sweep")
@@ -112,14 +112,16 @@ def _is_number(x) -> bool:
 
 def _check_sites(what, sites, n_sites, diag):
     """Site lists from the config must name sites 1..n_sites of the model."""
-    if not isinstance(sites, list) or not all(isinstance(i, int) and not isinstance(i, bool) for i in sites):
-        diag.append(f"{what} must be a list of site numbers, got {sites!r}")
+    if not isinstance(sites, list) or not sites or not all(isinstance(i, int) and not isinstance(i, bool) for i in sites):
+        diag.append(f"{what} must be a nonempty list of site numbers, got {sites!r}")
     elif any(not 1 <= i <= n_sites for i in sites):
         diag.append(f"{what} {sites} outside the model's sites 1..{n_sites}")
 
 
 def validate(config) -> list:
     """Diagnostics list; empty iff run() would pass validation.  Never executes engines."""
+    if not isinstance(config, dict):
+        return [f"the configuration must be a JSON object, got {type(config).__name__}"]
     diag: list = []
     scenario = config.get("scenario")
     if scenario not in SCENARIOS:
@@ -131,6 +133,10 @@ def validate(config) -> list:
     if scenario in ("figure2", "efficiency-scan", "sweep"):
         if scenario != "figure2" or "tau_grid" in config or "tau_range" in config:
             _tau_grid(config, diag)
+    if scenario == "figure3":
+        two_gammas = config.get("two_gammas", FIG3_TWO_GAMMAS)
+        if not isinstance(two_gammas, (list, tuple)) or not all(_is_number(g) and g >= 0 for g in two_gammas):
+            diag.append(f"figure3 two_gammas must be a list of numbers >= 0, got {two_gammas!r}")
     if scenario == "sweep":
         if "disorder" not in config:
             diag.append("sweep requires a disorder entry")
@@ -153,11 +159,34 @@ def validate(config) -> list:
                 _check_sites(key, config[key], model.n_sites, diag)
     if scenario == "concurrence":
         pair = config.get("pair", [1, 3])
-        if len(pair) != 2 or pair[0] == pair[1]:
-            diag.append("concurrence requires a pair of two distinct sites")
+        if not isinstance(pair, list) or len(pair) != 2 or pair[0] == pair[1]:
+            diag.append(f"concurrence requires a pair of two distinct sites, got {pair!r}")
         elif model is not None:
             _check_sites("pair", pair, model.n_sites, diag)
+        _check_concurrence_dynamics(config.get("dynamics", {"kind": "unitary"}), model, diag)
     return diag
+
+
+def _check_concurrence_dynamics(dyn, model, diag):
+    """The concurrence dynamics entry: its kind and the parameters that kind reads."""
+    kind = dyn.get("kind", "unitary") if isinstance(dyn, dict) else None
+    if kind == "unitary":
+        return
+    if kind == "measurement":
+        tau = dyn.get("tau")
+        if not (_is_number(tau) and tau > 0):
+            diag.append(f"measurement dynamics requires a number tau > 0, got {tau!r}")
+        sites_key = "measured_sites"
+    elif kind == "dephasing":
+        two_gamma = dyn.get("two_gamma")
+        if not (_is_number(two_gamma) and two_gamma >= 0):
+            diag.append(f"dephasing dynamics requires a number two_gamma >= 0, got {two_gamma!r}")
+        sites_key = "dephased_sites"
+    else:
+        diag.append(f"dynamics must be an object with kind unitary, measurement or dephasing, got {dyn!r}")
+        return
+    if model is not None:
+        _check_sites(f"dynamics.{sites_key}", dyn.get(sites_key, [2]), model.n_sites, diag)
 
 
 def _times(config, default_t_max=20.0, default_n=2000):
@@ -343,12 +372,13 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.scenario:
-        config["scenario"] = args.scenario
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.out:
-        config["out"] = args.out
+    if isinstance(config, dict):  # anything else fails validation in run()
+        if args.scenario:
+            config["scenario"] = args.scenario
+        if args.seed is not None:
+            config["seed"] = args.seed
+        if args.out:
+            config["out"] = args.out
     return run(config)
 
 

@@ -77,36 +77,31 @@ def _h_matrix(h_eff) -> np.ndarray:
 
 
 def eig_system(h_eff):
-    """Eigendecomposition (w, V, Vinv, cond) of a possibly non-normal matrix."""
+    """Eigendecomposition (w, V, Vinv, cond) of a possibly non-normal matrix.
+
+    Vinv is None when cond(V) >= 1e8 (or is not finite): the eigenbasis is
+    then too ill-conditioned to work in, and callers take a path without it.
+    """
     h = _h_matrix(h_eff)
     w, v = np.linalg.eig(h)
     cond = np.linalg.cond(v)
-    vinv = np.linalg.inv(v) if np.isfinite(cond) and cond < 1e14 else None
+    vinv = np.linalg.inv(v) if cond < _COND_CUTOFF else None
     return w, v, vinv, cond
 
 
-def propagator(h_eff, t: float, method: str | None = None) -> Propagator:
-    """exp(-i H_eff t) via eigendecomposition, or scaling-and-squaring when the
-    eigenvector matrix is ill-conditioned (cond >= 1e8)."""
+def propagator(h_eff, t: float) -> Propagator:
+    """exp(-i H_eff t) via eigendecomposition, or scaling-and-squaring when
+    eig_system finds the eigenvectors ill-conditioned."""
     h = _h_matrix(h_eff)
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    eig = None
-    if method is None:
-        eig = eig_system(h)
-        method = "eigendecomposition" if eig[3] < _COND_CUTOFF else "series"
-    if method == "eigendecomposition":
-        if eig is None:
-            eig = eig_system(h)
-        w, v, vinv, _ = eig
-        u = (v * np.exp(-1j * w * t)) @ vinv
-    elif method == "series":
-        u = scipy.linalg.expm(-1j * h * t)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Propagator(duration=float(t), matrix=u, method=method)
+    w, v, vinv, _ = eig_system(h)
+    if vinv is None:
+        return Propagator(duration=float(t), matrix=scipy.linalg.expm(-1j * h * t), method="series")
+    u = (v * np.exp(-1j * w * t)) @ vinv
+    return Propagator(duration=float(t), matrix=u, method="eigendecomposition")
 
 
 def evolve(u, rho) -> DensityMatrix:
@@ -125,28 +120,20 @@ def populations(rho) -> np.ndarray:
     return np.real(np.diag(rm)).copy()
 
 
-def _unitary_population_series(model: LatticeModel, site: int, times: np.ndarray) -> np.ndarray:
-    """p_site(t) on a time grid under the Hermitian part (kappa = Gamma = 0)."""
-    herm = effective_hamiltonian(model).hermitian_part
-    w, v = np.linalg.eigh(herm)
-    a = v.conj().T[:, model.initial_site - 1]  # overlaps <a|init>
-    b = v[site - 1, :]  # <site|a>
-    # amplitude(t) = sum_a b_a exp(-i w_a t) a_a
-    phases = np.exp(-1j * np.outer(times, w))
-    amp = phases @ (b * a)
-    return np.abs(amp) ** 2
+def time_averaged_population(model: LatticeModel, site: int, T: float) -> float:
+    """(1/T) int_0^T p_site(t) dt under unitary dynamics (kappa = Gamma = 0).
 
-
-def time_averaged_population(model: LatticeModel, site: int, T: float, dt: float) -> float:
-    """(1/T) int_0^T p_site(t) dt under unitary dynamics, trapezoidal rule."""
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
+    With c_a = <site|a><a|init> on the eigenbasis of the Hermitian part,
+    p_site(t) = sum_ab c_a c_b cos((w_a - w_b) t), whose average over [0, T]
+    is exact: c . sinc((w_a - w_b) T / pi) . c.
+    """
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError("T must be positive and finite")
     if not 1 <= site <= model.n_sites:
         raise ValueError(f"site {site} out of range")
-    n_steps = max(2, int(round(T / dt)))
-    times = np.linspace(0.0, T, n_steps + 1)
-    p = _unitary_population_series(model, site, times)
-    return float(np.trapezoid(p, times) / T)
+    w, v = np.linalg.eigh(effective_hamiltonian(model).hermitian_part)
+    c = v[site - 1, :] * v[model.initial_site - 1, :]
+    return float(c @ np.sinc(np.subtract.outer(w, w) * (T / np.pi)) @ c)
 
 
 def perturbative_average(model: LatticeModel) -> float:

@@ -3,13 +3,12 @@ under repeated measurement of the middle site of a degenerate three-site chain."
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import DensityMatrix, eig_system, evolve, propagator, pure_site_state
-from .measurement import MeasurementChannel, apply_channel
+from .measurement import MeasurementChannel, measured_states
 from .model import LatticeModel, effective_hamiltonian
 
 # sigma_y (x) sigma_y in the {gg, ge, eg, ee} basis
@@ -152,37 +151,21 @@ def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> Con
     n = model.n_sites
     rho0 = pure_site_state(n, model.initial_site)
     h = effective_hamiltonian(model)
-    values = np.empty(times.shape[0])
     if dynamics_spec == "unitary":
-        w, v, vinv, cond = eig_system(h.matrix)
-        if cond < 1e8:
+        w, v, vinv, _ = eig_system(h.matrix)
+        if vinv is not None:
             psi0 = vinv @ rho0.matrix.diagonal() ** 0.5  # initial amplitude in eigenbasis
-            for i, t in enumerate(times):
-                psi = v @ (np.exp(-1j * w * t) * psi0)
-                values[i] = concurrence(reduce_to_pair(np.outer(psi, psi.conj()), a, b))
+            psis = (v @ (np.exp(-1j * w * t) * psi0) for t in times)
+            states = (np.outer(psi, psi.conj()) for psi in psis)
         else:
-            for i, t in enumerate(times):
-                rho = evolve(propagator(h, t), rho0)
-                values[i] = concurrence(reduce_to_pair(rho, a, b))
+            states = (evolve(propagator(h, t), rho0) for t in times)
     elif isinstance(dynamics_spec, MeasurementChannel):
-        tau = dynamics_spec.interval
-        u_tau = propagator(h, tau)
-        rho = rho0
-        k_done = 0
-        for i, t in enumerate(times):
-            k_target = int(np.floor(t / tau + 1e-12))
-            while k_done < k_target:
-                rho = apply_channel(dynamics_spec, evolve(u_tau, rho))
-                k_done += 1
-            rem = t - k_done * tau
-            at_t = evolve(propagator(h, rem), rho) if rem > 1e-15 else rho
-            values[i] = concurrence(reduce_to_pair(at_t, a, b))
+        states = measured_states(h, dynamics_spec, rho0, times)
     elif isinstance(dynamics_spec, DephasingSpec):
         states = integrate_master(dynamics_spec, rho0, times)
-        for i, s in enumerate(states):
-            values[i] = concurrence(reduce_to_pair(s, a, b))
     else:
         raise ValueError(f"unknown dynamics spec {dynamics_spec!r}")
+    values = np.array([concurrence(reduce_to_pair(s, a, b)) for s in states])
     return ConcurrenceSeries(times=times, values=np.clip(values, 0.0, 1.0), provenance="simulated")
 
 

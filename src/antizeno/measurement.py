@@ -15,7 +15,6 @@ from scipy.special import gammaln
 
 from .dynamics import (
     DensityMatrix,
-    Propagator,
     evolve,
     populations,
     propagator,
@@ -76,6 +75,19 @@ class MeasuredTrajectory:
         return self.populations.sum(axis=1)
 
 
+def channel_masks(n: int, sites) -> tuple[np.ndarray, np.ndarray]:
+    """(measured, keep) for a channel on the 1-based site set of an n-site state:
+    measured[i] marks site i + 1, keep[a, b] whether rho_ab survives."""
+    measured = np.zeros(n, dtype=bool)
+    for i in sites:
+        if i > n:
+            raise ValueError(f"measured site {i} out of range for {n} sites")
+        measured[i - 1] = True
+    keep = np.outer(~measured, ~measured)
+    np.fill_diagonal(keep, True)
+    return measured, keep
+
+
 def apply_channel(channel: MeasurementChannel, rho) -> DensityMatrix:
     """rho -> sum_{i in S} P_i rho P_i + Q rho Q (trace preserved exactly).
 
@@ -83,15 +95,29 @@ def apply_channel(channel: MeasurementChannel, rho) -> DensityMatrix:
     site collapses to its diagonal.
     """
     rm = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    n = rm.shape[0]
-    measured = np.zeros(n, dtype=bool)
-    for i in channel.measured_sites:
-        if i > n:
-            raise ValueError(f"measured site {i} out of range for {n} sites")
-        measured[i - 1] = True
-    keep = np.outer(~measured, ~measured)
-    np.fill_diagonal(keep, True)
+    _, keep = channel_masks(rm.shape[0], channel.measured_sites)
     return DensityMatrix(np.where(keep, rm, 0.0))
+
+
+def measured_states(h_eff, channel: MeasurementChannel, rho0, times) -> list:
+    """States at the sorted times under free evolution with the channel applied
+    at every multiple of channel.interval (a time on a multiple is taken just
+    after that measurement)."""
+    tau = channel.interval
+    u_tau = propagator(h_eff, tau)
+    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
+    states = []
+    k_done = 0
+    for t in times:
+        # fl(k tau) / tau can fall an ulp below k, and from k = 2^13 on that ulp
+        # exceeds an absolute 1e-12 slack, so the slack is relative
+        k_target = int(np.floor(t / tau * (1 + 1e-12)))
+        while k_done < k_target:
+            rho = apply_channel(channel, evolve(u_tau, rho))
+            k_done += 1
+        rem = t - k_done * tau
+        states.append(evolve(propagator(h_eff, rem), rho) if rem > 1e-15 else rho)
+    return states
 
 
 def transition_matrix(h_eff, tau: float) -> TransitionMatrix:
@@ -128,15 +154,8 @@ def repeated_measurement_trajectory(
             p = t @ p
             traj[k] = p
         return MeasuredTrajectory(times=times, populations=traj)
-    u = propagator(h, tau)
-    rho = pure_site_state(n, model.initial_site)
-    states = [rho]
-    traj = np.empty((n_steps + 1, n))
-    traj[0] = populations(rho)
-    for k in range(1, n_steps + 1):
-        rho = apply_channel(channel, evolve(u, rho))
-        states.append(rho)
-        traj[k] = populations(rho)
+    states = measured_states(h, channel, pure_site_state(n, model.initial_site), times)
+    traj = np.array([populations(s) for s in states])
     return MeasuredTrajectory(times=times, populations=traj, states=tuple(states))
 
 
@@ -187,12 +206,11 @@ def crossover_time(
     tau: float,
     horizon: float,
     average_T: float | None = None,
-    average_dt: float | None = None,
 ) -> dict:
     """First t_n = n tau at which the measured terminal population exceeds the
     no-measurement time average (Zeno -> anti-Zeno crossover).
 
-    Returns a dict with t_c, n_c, p_bar (numerical time average) and, for
+    Returns a dict with t_c, n_c, p_bar (exact time average over average_T) and, for
     chains, the leading-order p_bar alongside.  t_c is None when no crossover
     occurs within the horizon.
     """
@@ -204,13 +222,10 @@ def crossover_time(
     e = model.site_energies
     gaps = np.abs(e[:, None] - e[None, :])
     max_gap = float(gaps.max())
-    h_scale = max(max_gap, float(np.abs(model.couplings).max()), 1.0)
     if average_T is None:
         # well past 1/eps for any disordered model; generous for near-resonant ones
         average_T = 200.0 if max_gap == 0 else max(100.0, 2000.0 / max_gap)
-    if average_dt is None:
-        average_dt = 0.05 / h_scale
-    p_bar = time_averaged_population(model, n, average_T, average_dt)
+    p_bar = time_averaged_population(model, n, average_T)
     try:
         from .dynamics import perturbative_average
 

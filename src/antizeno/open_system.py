@@ -28,11 +28,9 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import DensityMatrix, eig_system, evolve, populations, propagator
-from .measurement import MeasurementChannel, apply_channel
+from .measurement import MeasurementChannel, channel_masks, measured_states
 from .model import LatticeModel, effective_hamiltonian
-from .transfer import EfficiencyResult, _integrated_result
-
-_COND_CUTOFF = 1e8
+from .transfer import EfficiencyResult, _integrated_result, _require_lossy
 
 
 @dataclass(frozen=True)
@@ -67,15 +65,6 @@ class EnsembleResult:
     mode: str
 
 
-def _channel_masks(n, dephased_sites):
-    measured = np.zeros(n, dtype=bool)
-    for i in dephased_sites:
-        measured[i - 1] = True
-    keep = np.outer(~measured, ~measured)
-    np.fill_diagonal(keep, True)
-    return measured, keep
-
-
 def _liouvillian(spec: DephasingSpec) -> np.ndarray:
     """The generator as a matrix on row-major vec(rho)."""
     h = effective_hamiltonian(spec.model).matrix
@@ -84,7 +73,7 @@ def _liouvillian(spec: DephasingSpec) -> np.ndarray:
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
     if spec.gamma > 0:
         # the channel keeps rho_ab iff a == b or neither site is dephased
-        _, keep = _channel_masks(n, spec.dephased_sites)
+        _, keep = channel_masks(n, spec.dephased_sites)
         lv[np.diag_indices(n * n)] -= 2.0 * spec.gamma * ~keep.ravel()
     return lv
 
@@ -105,8 +94,9 @@ def default_step(spec: DephasingSpec) -> float:
     return 0.02 / max(float(np.abs(h).max()), 2.0 * spec.gamma, 1e-12)
 
 
-def integrate_master(spec: DephasingSpec, rho0, times, dt: float | None = None):
-    """Fixed-step RK4 integration of the dephasing master equation.
+def integrate_master(spec: DephasingSpec, rho0, times):
+    """Fixed-step RK4 integration of the dephasing master equation, with steps
+    no longer than default_step(spec).
 
     Returns a list of DensityMatrix, one per requested time (times sorted,
     starting at or after 0).  The state is re-symmetrized at each output time.
@@ -114,13 +104,7 @@ def integrate_master(spec: DephasingSpec, rho0, times, dt: float | None = None):
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted")
-    dt_max = default_step(spec)
-    if dt is None:
-        dt = dt_max
-    elif dt > dt_max * (1 + 1e-12):
-        raise ValueError(f"step-size violation: dt = {dt} exceeds bound {dt_max:.3g}")
-    elif dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = default_step(spec)
     rm = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     n = rm.shape[0]
     if n != spec.model.n_sites:
@@ -165,8 +149,7 @@ def efficiency_dephasing(spec: DephasingSpec) -> EfficiencyResult:
     E[s^2] = 2 E[s]^2 for exponential intervals.
     """
     model = spec.model
-    if not (np.any(model.trap_rates > 0) or model.decay_rate > 0):
-        raise ValueError("efficiency undefined: no trapping or decay channel")
+    _require_lossy(model)
     if spec.gamma > 0 and spec.dephased_sites != frozenset(range(1, model.n_sites + 1)):
         raise ValueError("transport efficiency is defined for dephasing on all sites")
     n = model.n_sites
@@ -215,33 +198,13 @@ def quantum_jump_ensemble(
     n = model.n_sites
     h = effective_hamiltonian(model).matrix
 
-    if spec.gamma == 0:
-        states = [evolve(propagator(h, t), rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)) for t in times]
-        pops = np.array([populations(s) for s in states])
-        return EnsembleResult(
-            n_traj=n_traj,
-            seed=seed,
-            times=times,
-            mean_states=tuple(states),
-            mean_populations=pops,
-            se_populations=np.zeros_like(pops),
-            mode=mode,
-        )
-
-    if mode == "periodic":
-        tau = 1.0 / (2.0 * spec.gamma)
-        channel = MeasurementChannel(spec.dephased_sites, tau)
-        u_tau = propagator(h, tau)
+    if spec.gamma == 0 or mode == "periodic":
         rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
-        states = []
-        k_done = 0
-        for t in times:
-            k_target = int(np.floor(t / tau + 1e-12))
-            while k_done < k_target:
-                rho = apply_channel(channel, evolve(u_tau, rho))
-                k_done += 1
-            rem = t - k_done * tau
-            states.append(evolve(propagator(h, rem), rho) if rem > 1e-15 else rho)
+        if spec.gamma == 0:
+            states = [evolve(propagator(h, t), rho) for t in times]
+        else:
+            channel = MeasurementChannel(spec.dephased_sites, 1.0 / (2.0 * spec.gamma))
+            states = measured_states(h, channel, rho, times)
         pops = np.array([populations(s) for s in states])
         return EnsembleResult(
             n_traj=n_traj,
@@ -254,11 +217,11 @@ def quantum_jump_ensemble(
         )
 
     # poisson mode: per-trajectory jump process in the eigenbasis of H_eff
-    w, v, vinv, cond = eig_system(h)
-    if cond >= _COND_CUTOFF:
+    w, v, vinv, _ = eig_system(h)
+    if vinv is None:
         raise ValueError("defective effective Hamiltonian; poisson unraveling unsupported here")
     psi0 = _pure_initial(rho0)
-    measured, _ = _channel_masks(n, spec.dephased_sites)
+    measured, _ = channel_masks(n, spec.dephased_sites)
     d_idx = np.flatnonzero(measured)
     rate = 2.0 * spec.gamma
     n_times = times.shape[0]

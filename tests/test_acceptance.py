@@ -432,7 +432,7 @@ def test_criterion_10_localization_formula(capsys):
     ok = True
     for L, energies in fixtures.items():
         m = build_chain(L + 1, energies, v=1.0, trap_rate=0.0, decay_rate=0.0)
-        ratio = time_averaged_population(m, L + 1, 600.0, 0.004) / perturbative_average(m)
+        ratio = time_averaged_population(m, L + 1, 600.0) / perturbative_average(m)
         ratios.append(f"L={L}:{ratio:.2f}")
         ok = ok and 0.5 <= ratio <= 2.0
     report(capsys, "10", ok, "time-average / formula " + ", ".join(ratios))

@@ -8,6 +8,17 @@ import pytest
 from antizeno.cli import main, run, validate
 
 
+def inline_three_site():
+    return {
+        "n_sites": 3,
+        "site_energies": [1.0, 10.0, 1.0],
+        "couplings": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+        "trap_rates": [0.0, 0.0, 0.0],
+        "decay_rate": 0.0,
+        "initial_site": 2,
+    }
+
+
 def inline_two_site():
     return {
         "n_sites": 2,
@@ -21,6 +32,10 @@ def inline_two_site():
 
 def test_validate_figure2_preset():
     assert validate({"scenario": "figure2"}) == []
+
+
+def test_validate_figure3_preset():
+    assert validate({"scenario": "figure3"}) == []
 
 
 def test_validate_unknown_scenario():
@@ -75,11 +90,37 @@ def test_run_invalid_config_exits_2(capsys, tmp_path):
         },
         {"scenario": "concurrence", "model": inline_two_site(), "pair": [1, 5], "times": [0.0, 1.0]},
         {"scenario": "evolve", "model": inline_two_site(), "tau": 0.3, "measured_sites": [7]},
+        {"scenario": "concurrence", "model": inline_three_site(), "dynamics": {"kind": "measurement"}},
+        {"scenario": "concurrence", "model": inline_three_site(), "dynamics": {"kind": "dephasing"}},
+        {"scenario": "concurrence", "model": inline_three_site(), "dynamics": {"kind": "coherent"}},
+        {
+            "scenario": "concurrence",
+            "model": inline_three_site(),
+            "dynamics": {"kind": "measurement", "tau": 0.1, "measured_sites": [9]},
+        },
+        {"scenario": "concurrence", "model": inline_three_site(), "pair": 5},
+        {"scenario": "figure3", "two_gammas": ["a"]},
+        [{"scenario": "figure2"}],
     ],
-    ids=["crossover-string-tau", "disorder-draw-fails", "concurrence-pair-range", "evolve-sites-range"],
+    ids=[
+        "crossover-string-tau",
+        "disorder-draw-fails",
+        "concurrence-pair-range",
+        "evolve-sites-range",
+        "measurement-without-tau",
+        "dephasing-without-two-gamma",
+        "unknown-dynamics-kind",
+        "dynamics-sites-range",
+        "pair-not-a-list",
+        "figure3-string-two-gamma",
+        "config-is-a-list",
+    ],
 )
 def test_run_bad_config_exits_2(config, capsys, tmp_path):
-    assert run({**config, "out": str(tmp_path)}) == 2
+    # through main, so the --out override meets every config shape
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config error: " in capsys.readouterr().err
 
 

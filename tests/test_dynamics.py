@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from antizeno import (
     DensityMatrix,
@@ -12,6 +13,7 @@ from antizeno import (
     pure_site_state,
     time_averaged_population,
 )
+from antizeno.dynamics import eig_system
 from antizeno.model import effective_hamiltonian
 
 
@@ -58,7 +60,7 @@ def test_propagator_contractive_with_loss(two_site_disordered):
 
 
 def test_propagator_methods_agree(rng):
-    # eigendecomposition vs scaling-and-squaring on random 8-site models
+    # propagator vs a scaling-and-squaring oracle on random 8-site models
     for _ in range(5):
         e = rng.uniform(0, 10, 8)
         c = rng.uniform(-1, 1, (8, 8))
@@ -69,9 +71,21 @@ def test_propagator_methods_agree(rng):
         h = effective_hamiltonian(m).matrix + 0j
         h += c - m.couplings  # replace chain couplings with the random graph
         np.fill_diagonal(h, e - 1j * k)
-        a = propagator(h, 1.3, method="eigendecomposition").matrix
-        b = propagator(h, 1.3, method="series").matrix
+        a = propagator(h, 1.3).matrix
+        b = scipy.linalg.expm(-1j * h * 1.3)
         assert np.max(np.abs(a - b)) < 1e-8
+
+
+def test_propagator_jordan_block_takes_the_series_path():
+    # a defective H: eig_system declines the eigenbasis, and
+    # exp(-i H t) = e^{-t} [[1, -i t], [0, 1]] exactly
+    h = np.array([[-1j, 1.0], [0.0, -1j]])
+    assert eig_system(h)[2] is None
+    for t in (0.0, 0.4, 2.5):
+        u = propagator(h, t)
+        assert u.method == "series"
+        exact = np.exp(-t) * np.array([[1.0, -1j * t], [0.0, 1.0]])
+        assert np.max(np.abs(u.matrix - exact)) < 1e-13
 
 
 def test_propagator_rejects_bad_input():
@@ -79,8 +93,6 @@ def test_propagator_rejects_bad_input():
         propagator(np.array([[np.nan, 0], [0, 0]]), 1.0)
     with pytest.raises(ValueError):
         propagator(np.eye(2), -1.0)
-    with pytest.raises(ValueError):
-        propagator(np.eye(2), 1.0, method="pade")
 
 
 def test_evolve_identity(two_site_disordered):
@@ -131,27 +143,32 @@ def test_populations_after_half_rabi(resonant_dimer):
 
 def test_time_averaged_population_two_site():
     m = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
-    avg = time_averaged_population(m, 2, 200.0, 0.01)
+    avg = time_averaged_population(m, 2, 200.0)
     assert abs(avg - 2.0 / 104.0) < 0.002
 
 
 def test_time_averaged_population_resonant(resonant_dimer):
-    assert abs(time_averaged_population(resonant_dimer, 2, 200.0, 0.01) - 0.5) < 0.01
+    assert abs(time_averaged_population(resonant_dimer, 2, 200.0) - 0.5) < 0.01
+
+
+def test_time_averaged_population_resonant_closed_form(resonant_dimer):
+    # p_2(t) = sin^2(v t), whose average over [0, T] is 1/2 - sin(2 v T) / (4 v T)
+    for T in (10.0, 37.3, 200.0):
+        exact = 0.5 - np.sin(2 * T) / (4 * T)
+        assert abs(time_averaged_population(resonant_dimer, 2, T) - exact) < 1e-12
 
 
 def test_time_averaged_population_localized_chain():
     m = build_chain(3, [10.0, 17.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
-    avg = time_averaged_population(m, 3, 400.0, 0.004)
+    avg = time_averaged_population(m, 3, 400.0)
     assert 0.5 <= avg / perturbative_average(m) <= 2.0
 
 
 def test_time_averaged_population_validation(resonant_dimer):
     with pytest.raises(ValueError):
-        time_averaged_population(resonant_dimer, 2, -1.0, 0.01)
+        time_averaged_population(resonant_dimer, 2, -1.0)
     with pytest.raises(ValueError):
-        time_averaged_population(resonant_dimer, 2, 10.0, 0.0)
-    with pytest.raises(ValueError):
-        time_averaged_population(resonant_dimer, 5, 10.0, 0.01)
+        time_averaged_population(resonant_dimer, 5, 10.0)
 
 
 def test_perturbative_average_values():

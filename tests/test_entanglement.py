@@ -10,6 +10,7 @@ from antizeno import (
     concurrence,
     measured_concurrence,
     reduce_to_pair,
+    repeated_measurement_trajectory,
     simulate_concurrence,
 )
 from antizeno.dynamics import pure_site_state
@@ -148,6 +149,10 @@ def test_simulated_measurement_matches_closed_form(three_site_degenerate):
     series = simulate_concurrence(three_site_degenerate, channel, (1, 3), times)
     ref = measured_concurrence(9.0, 1.0, tau, times)
     assert np.max(np.abs(series.values - ref)) < 1e-8
+    # the same stepping as the measured trajectory, bit for bit
+    traj = repeated_measurement_trajectory(three_site_degenerate, channel, 200)
+    stepped = [concurrence(reduce_to_pair(s, 1, 3)) for s in traj.states[1:]]
+    assert np.array_equal(series.values, np.clip(stepped, 0.0, 1.0))
 
 
 def test_simulated_dephasing_long_time(three_site_degenerate):

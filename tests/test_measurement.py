@@ -15,7 +15,7 @@ from antizeno import (
     transition_matrix,
 )
 from antizeno.dynamics import DensityMatrix, evolve, propagator, pure_site_state
-from antizeno.measurement import trajectory_to_csv
+from antizeno.measurement import measured_states, trajectory_to_csv
 from antizeno.model import effective_hamiltonian
 
 
@@ -113,6 +113,16 @@ def test_trajectory_fast_path_matches_density_path():
     for k in range(1, 11):
         rho = apply_channel(ch, evolve(u, rho))
         assert np.max(np.abs(np.diag(rho.matrix).real - traj.populations[k])) < 1e-12
+
+
+def test_measured_states_step_count_on_a_long_grid(two_site_disordered):
+    # fl(k tau) / tau lands an ulp below k = 20481 at tau = 0.1; the state
+    # there must still be taken just after the k-th measurement (diagonal)
+    tau, k = 0.1, 20481
+    channel = MeasurementChannel(frozenset({1, 2}), tau)
+    h = effective_hamiltonian(two_site_disordered)
+    (rho,) = measured_states(h, channel, pure_site_state(2, 1), [k * tau])
+    assert rho.matrix[0, 1] == 0.0
 
 
 def test_trajectory_column_sums_contract():

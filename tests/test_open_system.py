@@ -15,7 +15,7 @@ from antizeno import (
 )
 from antizeno.dynamics import evolve, populations, propagator, pure_site_state
 from antizeno.model import LatticeModel, effective_hamiltonian
-from antizeno.open_system import _liouvillian, default_step, ensemble_to_csv
+from antizeno.open_system import _liouvillian, ensemble_to_csv
 
 
 def fig3_spec(two_gamma, sites=frozenset({2})):
@@ -57,10 +57,6 @@ def test_master_conserves_trace_and_positivity():
 
 def test_master_step_size_validation():
     spec = fig3_spec(10.0)
-    with pytest.raises(ValueError, match="step-size violation"):
-        integrate_master(spec, pure_site_state(3, 2), [1.0], dt=10 * default_step(spec))
-    with pytest.raises(ValueError):
-        integrate_master(spec, pure_site_state(3, 2), [1.0], dt=-0.1)
     with pytest.raises(ValueError):
         integrate_master(spec, pure_site_state(3, 2), [2.0, 1.0])
 
