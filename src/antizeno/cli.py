@@ -48,20 +48,27 @@ def _load_model(config, diagnostics=None):
     diag = diagnostics if diagnostics is not None else []
     if "model" in config:
         d = config["model"]
-        c = np.asarray(d.get("couplings", []), dtype=float)
-        if c.ndim == 2 and c.shape[0] == c.shape[1]:
-            bad = np.argwhere(np.abs(c - c.T) > 1e-12)
-            if bad.size:
-                i, j = bad[0]
-                diag.append(f"couplings[{i + 1}][{j + 1}] != couplings[{j + 1}][{i + 1}]")
-                return None
+        if not isinstance(d, dict):
+            diag.append(f"model must be an object, got {d!r}")
+            return None
         try:
+            c = np.asarray(d.get("couplings", []), dtype=float)
+            if c.ndim == 2 and c.shape[0] == c.shape[1]:
+                bad = np.argwhere(np.abs(c - c.T) > 1e-12)
+                if bad.size:
+                    i, j = bad[0]
+                    diag.append(f"couplings[{i + 1}][{j + 1}] != couplings[{j + 1}][{i + 1}]")
+                    return None
             return LatticeModel.from_dict(d)
-        except (ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError) as exc:
             diag.append(f"invalid inline model: {exc}")
             return None
     if "model_file" in config:
         path = config["model_file"]
+        if not isinstance(path, str):
+            # an integer would pass os.path.exists as a file descriptor
+            diag.append(f"model_file must be a path string, got {path!r}")
+            return None
         if not os.path.exists(path):
             diag.append(f"model_file not found: {path}")
             return None
@@ -72,11 +79,8 @@ def _load_model(config, diagnostics=None):
             diag.append(f"invalid model file {path}: {exc}")
             return None
     if "disorder" in config:
-        d = dict(config["disorder"])
-        d.setdefault("seed", config.get("seed", 0))
-        d["removed_edges"] = tuple(tuple(e) for e in d.get("removed_edges", ()))
         try:
-            return build_graph(DisorderSpec(**d))
+            return build_graph(_disorder_spec(config))
         except (TypeError, ValueError, RuntimeError) as exc:
             diag.append(f"invalid disorder spec: {exc}")
             return None
@@ -84,21 +88,38 @@ def _load_model(config, diagnostics=None):
     return None
 
 
+def _disorder_spec(config, seed=None) -> DisorderSpec:
+    """The config's disorder object as a DisorderSpec.  A given seed overrides
+    the object's own, which defaults to the config's.  Raises TypeError or
+    ValueError for a malformed object."""
+    d = config["disorder"]
+    if not isinstance(d, dict):
+        raise TypeError(f"disorder must be an object, got {d!r}")
+    if seed is None:
+        seed = d.get("seed", config.get("seed", 0))
+    edges = tuple(tuple(e) for e in d.get("removed_edges", ()))
+    return DisorderSpec(**{**d, "seed": seed, "removed_edges": edges})
+
+
 def _tau_grid(config, diagnostics=None):
     diag = diagnostics if diagnostics is not None else []
-    if "tau_grid" in config:
-        grid = np.asarray(config["tau_grid"], dtype=float)
-    else:
-        g = config.get("tau_range", {})
-        lo = float(g.get("min", 0.005))
-        hi = float(g.get("max", 2.0))
-        n = int(g.get("n", 60))
-        grid = np.linspace(lo, hi, n)
-    if grid.size == 0:
-        diag.append("tau grid is empty")
+    try:
+        if "tau_grid" in config:
+            grid = np.asarray(config["tau_grid"], dtype=float)
+        else:
+            g = config.get("tau_range", {})
+            if not isinstance(g, dict):
+                raise TypeError(f"tau_range must be an object, got {g!r}")
+            grid = np.linspace(float(g.get("min", 0.005)), float(g.get("max", 2.0)), int(g.get("n", 60)))
+    except (TypeError, ValueError) as exc:
+        diag.append(f"invalid tau grid: {exc}")
         return None
-    if np.any(grid <= 0):
-        diag.append(f"tau grid contains {grid.min():.3g}; the measurement interval tau must be > 0")
+    if grid.ndim != 1 or grid.size == 0:
+        diag.append("tau grid must be a nonempty list of numbers")
+        return None
+    ok = np.isfinite(grid) & (grid > 0)
+    if not np.all(ok):
+        diag.append(f"tau grid contains {grid[~ok][0]:.3g}; the measurement interval tau must be > 0 and finite")
         return None
     if np.any(np.diff(grid) <= 0):
         diag.append("tau grid must be strictly increasing")
@@ -110,9 +131,13 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_sites(what, sites, n_sites, diag):
     """Site lists from the config must name sites 1..n_sites of the model."""
-    if not isinstance(sites, list) or not sites or not all(isinstance(i, int) and not isinstance(i, bool) for i in sites):
+    if not isinstance(sites, list) or not sites or not all(_is_int(i) for i in sites):
         diag.append(f"{what} must be a nonempty list of site numbers, got {sites!r}")
     elif any(not 1 <= i <= n_sites for i in sites):
         diag.append(f"{what} {sites} outside the model's sites 1..{n_sites}")
@@ -133,6 +158,14 @@ def validate(config) -> list:
     if scenario in ("figure2", "efficiency-scan", "sweep"):
         if scenario != "figure2" or "tau_grid" in config or "tau_range" in config:
             _tau_grid(config, diag)
+    if scenario in ("figure3", "concurrence"):
+        _times(config, diagnostics=diag)
+    if scenario == "evolve" and config.get("tau") is None:
+        _times(config, config.get("t_max", 10.0), 200, diag)
+    if scenario == "figure2":
+        eps_list = config.get("eps_list", FIG2_EPS)
+        if not isinstance(eps_list, (list, tuple)) or not all(_is_number(e) and e > 0 for e in eps_list):
+            diag.append(f"figure2 eps_list must be a list of numbers > 0, got {eps_list!r}")
     if scenario == "figure3":
         two_gammas = config.get("two_gammas", FIG3_TWO_GAMMAS)
         if not isinstance(two_gammas, (list, tuple)) or not all(_is_number(g) and g >= 0 for g in two_gammas):
@@ -140,8 +173,14 @@ def validate(config) -> list:
     if scenario == "sweep":
         if "disorder" not in config:
             diag.append("sweep requires a disorder entry")
-        if not config.get("seeds"):
-            diag.append("sweep requires a nonempty seeds list")
+        else:
+            try:
+                _disorder_spec(config, seed=0)  # the draw itself happens per seed at run time
+            except (TypeError, ValueError) as exc:
+                diag.append(f"invalid disorder spec: {exc}")
+        seeds = config.get("seeds")
+        if not (isinstance(seeds, list) and seeds and all(_is_int(x) for x in seeds)):
+            diag.append(f"sweep requires a nonempty list of integer seeds, got {seeds!r}")
     if scenario == "crossover":
         tau = config.get("tau")
         horizon = config.get("horizon")
@@ -189,12 +228,24 @@ def _check_concurrence_dynamics(dyn, model, diag):
         _check_sites(f"dynamics.{sites_key}", dyn.get(sites_key, [2]), model.n_sites, diag)
 
 
-def _times(config, default_t_max=20.0, default_n=2000):
+def _times(config, default_t_max=20.0, default_n=2000, diagnostics=None):
+    """The config's output times: a list, or {"max", "n"} for n + 1 even steps from 0."""
+    diag = diagnostics if diagnostics is not None else []
     t = config.get("times")
-    if isinstance(t, list):
-        return np.asarray(t, dtype=float)
-    t = t or {}
-    return np.linspace(0.0, float(t.get("max", default_t_max)), int(t.get("n", default_n)) + 1)
+    if t is None:
+        t = {}
+    t_max, n = (t.get("max", default_t_max), t.get("n", default_n)) if isinstance(t, dict) else (None, None)
+    if isinstance(t, list) and all(_is_number(x) for x in t):
+        times = np.asarray(t, dtype=float)
+    elif _is_number(t_max) and _is_number(n) and n >= 0:
+        times = np.linspace(0.0, float(t_max), int(n) + 1)
+    else:
+        diag.append(f"times must be a list of numbers or an object with numbers max and n, got {t!r}")
+        return None
+    if np.any(times < 0) or np.any(np.diff(times) < 0):
+        diag.append(f"times must be sorted and nonnegative, got {t!r}")
+        return None
+    return times
 
 
 def _run_figure2(config, out_dir):
@@ -257,7 +308,7 @@ def _run_evolve(config, out_dir):
         trajectory_to_csv(traj, os.path.join(out_dir, "trajectory.csv"))
         return ["trajectory.csv"]
     gamma2 = float(config.get("two_gamma", 0.0))
-    times = _times(config, default_t_max=float(config.get("t_max", 10.0)), default_n=200)
+    times = _times(config, config.get("t_max", 10.0), 200)
     sites = config.get("dephased_sites")
     spec = DephasingSpec(
         model=model,
@@ -305,13 +356,10 @@ def _run_crossover(config, out_dir):
 def _run_sweep(config, out_dir):
     seeds = config["seeds"]
     grid = _tau_grid(config)
-    base = dict(config["disorder"])
-    base["removed_edges"] = tuple(tuple(e) for e in base.get("removed_edges", ()))
     outputs = []
 
     def one(seed):
-        spec = DisorderSpec(**{**base, "seed": int(seed)})
-        scan = tau_scan(build_graph(spec), grid)
+        scan = tau_scan(build_graph(_disorder_spec(config, seed=seed)), grid)
         name = f"sweep_seed{seed}.csv"
         scan_to_csv(scan, os.path.join(out_dir, name))
         return name

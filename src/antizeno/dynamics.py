@@ -49,11 +49,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Propagator:
-    """U(t) = exp(-i H_eff t), with the construction method recorded."""
+    """U(t) = exp(-i H_eff t)."""
 
     duration: float
     matrix: np.ndarray
-    method: str  # "eigendecomposition" | "series"
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -90,18 +89,22 @@ def eig_system(h_eff):
 
 
 def propagator(h_eff, t: float) -> Propagator:
-    """exp(-i H_eff t) via eigendecomposition, or scaling-and-squaring when
-    eig_system finds the eigenvectors ill-conditioned."""
+    """exp(-i H_eff t) by scaling and squaring, exact to roundoff also where
+    H_eff is defective (an exceptional point)."""
     h = _h_matrix(h_eff)
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    w, v, vinv, _ = eig_system(h)
-    if vinv is None:
-        return Propagator(duration=float(t), matrix=scipy.linalg.expm(-1j * h * t), method="series")
-    u = (v * np.exp(-1j * w * t)) @ vinv
-    return Propagator(duration=float(t), matrix=u, method="eigendecomposition")
+    return Propagator(duration=float(t), matrix=scipy.linalg.expm(-1j * h * t))
+
+
+def _time_grid(times) -> np.ndarray:
+    """The requested output times as a float array, checked sorted and nonnegative."""
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) < 0) or np.any(times < 0):
+        raise ValueError("times must be sorted and nonnegative")
+    return times
 
 
 def evolve(u, rho) -> DensityMatrix:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, eig_system, evolve, propagator, pure_site_state
+from .dynamics import DensityMatrix, _time_grid, eig_system, evolve, propagator, pure_site_state
 from .measurement import MeasurementChannel, measured_states
 from .model import LatticeModel, effective_hamiltonian
 
@@ -144,9 +144,7 @@ def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> Con
     """
     from .open_system import DephasingSpec, integrate_master
 
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0) or np.any(times < 0):
-        raise ValueError("times must be sorted and nonnegative")
+    times = _time_grid(times)
     a, b = int(pair[0]), int(pair[1])
     n = model.n_sites
     rho0 = pure_site_state(n, model.initial_site)

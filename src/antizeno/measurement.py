@@ -201,18 +201,14 @@ def binomial_population(L: int, n: int, tau: float, v: float) -> float:
     return float(math.comb(n, n - L) * (1 - 2 * w) ** (n - L) * w**L)
 
 
-def crossover_time(
-    model: LatticeModel,
-    tau: float,
-    horizon: float,
-    average_T: float | None = None,
-) -> dict:
+def crossover_time(model: LatticeModel, tau: float, horizon: float) -> dict:
     """First t_n = n tau at which the measured terminal population exceeds the
     no-measurement time average (Zeno -> anti-Zeno crossover).
 
-    Returns a dict with t_c, n_c, p_bar (exact time average over average_T) and, for
-    chains, the leading-order p_bar alongside.  t_c is None when no crossover
-    occurs within the horizon.
+    Returns a dict with t_c, n_c, p_bar (exact time average over
+    T = max(100, 2000 / largest energy gap), or 200 for a resonant model) and,
+    for chains, the leading-order p_bar alongside.  t_c is None when no
+    crossover occurs within the horizon.
     """
     if horizon < tau:
         raise ValueError("horizon must be at least one interval")
@@ -222,10 +218,9 @@ def crossover_time(
     e = model.site_energies
     gaps = np.abs(e[:, None] - e[None, :])
     max_gap = float(gaps.max())
-    if average_T is None:
-        # well past 1/eps for any disordered model; generous for near-resonant ones
-        average_T = 200.0 if max_gap == 0 else max(100.0, 2000.0 / max_gap)
-    p_bar = time_averaged_population(model, n, average_T)
+    # well past 1/eps for any disordered model; generous for near-resonant ones
+    t_avg = 200.0 if max_gap == 0 else max(100.0, 2000.0 / max_gap)
+    p_bar = time_averaged_population(model, n, t_avg)
     try:
         from .dynamics import perturbative_average
 

@@ -3,11 +3,11 @@
 The generator is
     drho/dt = -i (H_eff rho - rho H_eff^dag)
               + 2 gamma (sum_{i in D} P_i rho P_i + Q rho Q - rho),
-with Q = I - sum_{i in D} P_i.  Time series use fixed-step classical RK4; the
-generator is linear, so one RK4 step is a fixed matrix on the vectorized state
-and long horizons are covered by matrix powers of that exact step.  The
-transfer efficiency needs only the time integral of the state, which is one
-linear solve on the generator.
+with Q = I - sum_{i in D} P_i.  The generator L is linear and time
+independent, so time series are exact: the vectorized state advances by the
+matrix exponential exp(L dt) (scaling and squaring) between requested times.
+The transfer efficiency needs only the time integral of the state, which is
+one linear solve on the generator.
 
 In the quantum-jump picture (poisson mode), jumps apply the same channel at
 rate 2 gamma, so tau = 1/(2 gamma) is the mean interval between channel
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import DensityMatrix, eig_system, evolve, populations, propagator
+from .dynamics import DensityMatrix, _time_grid, eig_system, evolve, populations, propagator
 from .measurement import MeasurementChannel, channel_masks, measured_states
 from .model import LatticeModel, effective_hamiltonian
 from .transfer import EfficiencyResult, _integrated_result, _require_lossy
@@ -78,33 +78,16 @@ def _liouvillian(spec: DephasingSpec) -> np.ndarray:
     return lv
 
 
-def _rk4_step_matrix(lv: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step for z' = L z, as the degree-4 Taylor polynomial."""
-    a = h * lv
-    m = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, 5):
-        term = term @ a / k
-        m = m + term
-    return m
-
-
-def default_step(spec: DephasingSpec) -> float:
-    h = effective_hamiltonian(spec.model).matrix
-    return 0.02 / max(float(np.abs(h).max()), 2.0 * spec.gamma, 1e-12)
-
-
 def integrate_master(spec: DephasingSpec, rho0, times):
-    """Fixed-step RK4 integration of the dephasing master equation, with steps
-    no longer than default_step(spec).
+    """The dephasing master equation at the requested times (sorted, at or
+    after 0), exact to roundoff.
 
-    Returns a list of DensityMatrix, one per requested time (times sorted,
-    starting at or after 0).  The state is re-symmetrized at each output time.
+    The generator is linear and time independent, so the state advances by the
+    matrix exponential exp(L dt) between consecutive times; one exponential is
+    computed per distinct interval.  Returns a list of DensityMatrix, one per
+    requested time.  The state is re-symmetrized at each output time.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be sorted")
-    dt = default_step(spec)
+    times = _time_grid(times)
     rm = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     n = rm.shape[0]
     if n != spec.model.n_sites:
@@ -117,13 +100,11 @@ def integrate_master(spec: DephasingSpec, rho0, times):
     for t_target in times:
         span = t_target - t_now
         if span > 1e-15:
-            n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
-            h_step = span / n_steps
-            key = (round(h_step, 15), n_steps)
+            key = round(span, 15)
             if key not in cache:
-                m = _rk4_step_matrix(lv, h_step)
-                cache[key] = np.linalg.matrix_power(m, n_steps)
-            z = cache[key] @ z
+                cache[key] = scipy.linalg.expm(lv * span)
+            # not @: after a scipy BLAS call, numpy's @ contends with scipy's separate OpenBLAS thread pool
+            z = np.einsum("ij,j->i", cache[key], z)
             t_now = t_target
         r = z.reshape(n, n)
         r = (r + r.conj().T) / 2
@@ -191,9 +172,7 @@ def quantum_jump_ensemble(
         raise ValueError("n_traj must be at least 1")
     if mode not in ("poisson", "periodic"):
         raise ValueError(f"unknown mode {mode!r}")
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0) or np.any(times < 0):
-        raise ValueError("times must be sorted and nonnegative")
+    times = _time_grid(times)
     model = spec.model
     n = model.n_sites
     h = effective_hamiltonian(model).matrix

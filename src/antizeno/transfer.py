@@ -215,17 +215,22 @@ def optimal_tau(model: LatticeModel, bracket=None) -> dict:
     return {"tau": t_star, "eta": res.eta, "result": res}
 
 
-def asymptotic_efficiency_max(model: LatticeModel) -> float:
-    """Closed-form maximal efficiency 1 - 2 Gamma (1/kappa + pi eps / (4 v^2)),
-    valid in the two-site large-disorder regime eps >> v ~ kappa."""
+def _dimer_parameters(model: LatticeModel) -> tuple[float, float, float]:
+    """(kappa, eps, v) of the initial-trap pair that the dimer asymptotics read."""
     kappa = float(model.trap_rates.max())
     if kappa <= 0:
         raise ValueError("formula requires a trapping site")
-    eps = _model_disorder(model)
     trap = int(np.argmax(model.trap_rates))
     v = float(model.couplings[model.initial_site - 1, trap])
     if v == 0:
         raise ValueError("formula requires direct initial-trap coupling")
+    return kappa, _model_disorder(model), v
+
+
+def asymptotic_efficiency_max(model: LatticeModel) -> float:
+    """Closed-form maximal efficiency 1 - 2 Gamma (1/kappa + pi eps / (4 v^2)),
+    valid in the two-site large-disorder regime eps >> v ~ kappa."""
+    kappa, eps, v = _dimer_parameters(model)
     if eps / abs(v) < 5:
         warnings.warn("eps/v < 5: outside the large-disorder regime", UserWarning)
     return 1.0 - 2.0 * model.decay_rate * (1.0 / kappa + math.pi * eps / (4.0 * v * v))
@@ -233,14 +238,7 @@ def asymptotic_efficiency_max(model: LatticeModel) -> float:
 
 def asymptotic_deficit_no_measurement(model: LatticeModel) -> float:
     """Order-of-magnitude deficit 1 - eta(tau -> inf) ~ (Gamma/kappa)(eps/v)^2."""
-    kappa = float(model.trap_rates.max())
-    if kappa <= 0:
-        raise ValueError("formula requires a trapping site")
-    eps = _model_disorder(model)
-    trap = int(np.argmax(model.trap_rates))
-    v = float(model.couplings[model.initial_site - 1, trap])
-    if v == 0:
-        raise ValueError("formula requires direct initial-trap coupling")
+    kappa, eps, v = _dimer_parameters(model)
     return (model.decay_rate / kappa) * (eps / v) ** 2
 
 

@@ -101,6 +101,29 @@ def test_run_invalid_config_exits_2(capsys, tmp_path):
         {"scenario": "concurrence", "model": inline_three_site(), "pair": 5},
         {"scenario": "figure3", "two_gammas": ["a"]},
         [{"scenario": "figure2"}],
+        {"scenario": "figure3", "times": "0:20"},
+        {"scenario": "evolve", "model": inline_two_site(), "times": 5},
+        {"scenario": "evolve", "model": inline_two_site(), "times": [-1.0, 1.0]},
+        {"scenario": "efficiency-scan", "model": inline_two_site(), "tau_range": [0.1, 1.0]},
+        {"scenario": "efficiency-scan", "model": inline_two_site(), "tau_grid": ["a"]},
+        {"scenario": "evolve", "model": [1, 2]},
+        {"scenario": "efficiency-scan", "disorder": "chain", "tau_grid": [0.1]},
+        {
+            "scenario": "sweep",
+            "disorder": {
+                "n_sites": 3,
+                "topology": "chain",
+                "mean_disorder": 10.0,
+                "coupling_scale": 1.0,
+                "trap_rate": 0.5,
+                "decay_rate": 0.001,
+                "colour": "red",
+            },
+            "seeds": [0],
+            "tau_grid": [0.1],
+        },
+        {"scenario": "figure2", "eps_list": [0]},
+        {"scenario": "evolve", "model_file": 0},
     ],
     ids=[
         "crossover-string-tau",
@@ -114,6 +137,16 @@ def test_run_invalid_config_exits_2(capsys, tmp_path):
         "pair-not-a-list",
         "figure3-string-two-gamma",
         "config-is-a-list",
+        "times-a-string",
+        "times-an-integer",
+        "times-negative",
+        "tau-range-not-an-object",
+        "tau-grid-not-numbers",
+        "model-not-an-object",
+        "disorder-not-an-object",
+        "sweep-disorder-unknown-field",
+        "figure2-zero-eps",
+        "model-file-not-a-path",
     ],
 )
 def test_run_bad_config_exits_2(config, capsys, tmp_path):
@@ -122,6 +155,14 @@ def test_run_bad_config_exits_2(config, capsys, tmp_path):
     path.write_text(json.dumps(config))
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config error: " in capsys.readouterr().err
+
+
+def test_run_figure3_strong_dephasing(tmp_path):
+    # 2 gamma = 1751.05 on the default 2001-point grid: the exact propagation
+    # keeps every trace within DensityMatrix's 1e-10 tolerance of 1
+    config = {"scenario": "figure3", "two_gammas": [0, 0.1, 10, 1751.05], "out": str(tmp_path)}
+    assert run(config) == 0
+    assert (tmp_path / "figure3_2gamma1751.05.csv").exists()
 
 
 def test_run_efficiency_scan(tmp_path):
@@ -270,3 +311,19 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_integer_model_file_is_not_read_from_stdin(tmp_path):
+    # os.path.exists(0) is True (file descriptor 0), so an integer model_file
+    # used to read the model from stdin during validation and crash on the
+    # runner's second, empty read
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"scenario": "evolve", "model_file": 0, "out": str(tmp_path / "o")}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "antizeno.cli", "--config", str(config_path)],
+        input=json.dumps(inline_two_site()),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "config error: model_file must be a path string" in proc.stderr

