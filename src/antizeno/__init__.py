@@ -3,7 +3,8 @@
 Simulates energy transfer and entanglement generation in disordered
 tight-binding models under repeated non-selective measurements or dephasing,
 including the Zeno/anti-Zeno crossover and the measurement-dephasing
-correspondence tau = 1/(2 gamma).
+correspondence: dephasing at rate 2 gamma has the Zeno hop rate of periodic
+measurement at tau = 2/(2 gamma).
 """
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ import numpy as np
 from .dynamics import DensityMatrix, _time_grid, eig_system, evolve, propagator, pure_site_state
 from .measurement import MeasurementChannel, measured_states
 from .model import LatticeModel, effective_hamiltonian
+from .open_system import DephasingSpec, integrate_master
 
 # sigma_y (x) sigma_y in the {gg, ge, eg, ee} basis
 _SY_SY = np.array(
@@ -142,8 +143,6 @@ def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> Con
 
     dynamics_spec is "unitary", a MeasurementChannel, or a DephasingSpec.
     """
-    from .open_system import DephasingSpec, integrate_master
-
     times = _time_grid(times)
     a, b = int(pair[0]), int(pair[1])
     n = model.n_sites

@@ -16,6 +16,7 @@ from scipy.special import gammaln
 from .dynamics import (
     DensityMatrix,
     evolve,
+    perturbative_average,
     populations,
     propagator,
     pure_site_state,
@@ -102,12 +103,14 @@ def apply_channel(channel: MeasurementChannel, rho) -> DensityMatrix:
 def measured_states(h_eff, channel: MeasurementChannel, rho0, times) -> list:
     """States at the sorted times under free evolution with the channel applied
     at every multiple of channel.interval (a time on a multiple is taken just
-    after that measurement)."""
+    after that measurement).  Off-grid remainders share one propagator per
+    distinct value, keyed as in integrate_master."""
     tau = channel.interval
     u_tau = propagator(h_eff, tau)
     rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     states = []
     k_done = 0
+    u_rem: dict = {}
     for t in times:
         # fl(k tau) / tau can fall an ulp below k, and from k = 2^13 on that ulp
         # exceeds an absolute 1e-12 slack, so the slack is relative
@@ -116,7 +119,13 @@ def measured_states(h_eff, channel: MeasurementChannel, rho0, times) -> list:
             rho = apply_channel(channel, evolve(u_tau, rho))
             k_done += 1
         rem = t - k_done * tau
-        states.append(evolve(propagator(h_eff, rem), rho) if rem > 1e-15 else rho)
+        if rem <= 1e-15:
+            states.append(rho)
+            continue
+        key = round(rem, 15)
+        if key not in u_rem:
+            u_rem[key] = propagator(h_eff, rem)
+        states.append(evolve(u_rem[key], rho))
     return states
 
 
@@ -222,8 +231,6 @@ def crossover_time(model: LatticeModel, tau: float, horizon: float) -> dict:
     t_avg = 200.0 if max_gap == 0 else max(100.0, 2000.0 / max_gap)
     p_bar = time_averaged_population(model, n, t_avg)
     try:
-        from .dynamics import perturbative_average
-
         p_bar_leading = perturbative_average(model)
     except ValueError:
         p_bar_leading = None

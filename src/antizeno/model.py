@@ -7,11 +7,16 @@ units of 1/v (hbar = 1).  Sites are indexed from 1 in every public interface.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _SYM_TOL = 1e-12
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _frozen(a, dtype=float):
@@ -49,25 +54,29 @@ class LatticeModel:
         e = _frozen(self.site_energies)
         c = _frozen(self.couplings)
         k = _frozen(self.trap_rates)
+        if e.ndim != 1:
+            raise ValueError(f"site_energies must be a list of numbers, got {self.site_energies!r}")
         n = e.shape[0]
         if n < 2:
             raise ValueError(f"need at least 2 sites, got {n}")
         if c.shape != (n, n):
             raise ValueError(f"couplings shape {c.shape} does not match {n} sites")
         if k.shape != (n,):
-            raise ValueError(f"trap_rates length {k.shape[0]} does not match {n} sites")
+            raise ValueError(f"trap_rates shape {k.shape} does not match {n} sites")
         if not (np.all(np.isfinite(e)) and np.all(np.isfinite(c)) and np.all(np.isfinite(k))):
             raise ValueError("model parameters must be finite")
-        if np.max(np.abs(c - c.T)) > _SYM_TOL:
-            raise ValueError("couplings must be symmetric")
+        asym = np.argwhere(np.abs(c - c.T) > _SYM_TOL)
+        if asym.size:
+            i, j = asym[0] + 1
+            raise ValueError(f"couplings must be symmetric: couplings[{i}][{j}] != couplings[{j}][{i}]")
         if np.max(np.abs(np.diag(c))) > _SYM_TOL:
             raise ValueError("couplings must have zero diagonal")
         if np.any(k < 0):
             raise ValueError("trap rates must be nonnegative")
-        if not (np.isfinite(self.decay_rate) and self.decay_rate >= 0):
-            raise ValueError("decay rate must be finite and nonnegative")
-        if not 1 <= self.initial_site <= n:
-            raise ValueError(f"initial_site {self.initial_site} out of range 1..{n}")
+        if not (isinstance(self.decay_rate, numbers.Real) and np.isfinite(self.decay_rate) and self.decay_rate >= 0):
+            raise ValueError(f"decay rate must be a finite nonnegative number, got {self.decay_rate!r}")
+        if not (_is_integer(self.initial_site) and 1 <= self.initial_site <= n):
+            raise ValueError(f"initial_site must be an integer in 1..{n}, got {self.initial_site!r}")
         object.__setattr__(self, "site_energies", e)
         object.__setattr__(self, "couplings", c)
         object.__setattr__(self, "trap_rates", k)
@@ -90,7 +99,16 @@ class LatticeModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatticeModel":
-        n = int(d["n_sites"])
+        """The model of a ``to_dict`` mapping; raises TypeError, ValueError or
+        KeyError for anything else, including unknown keys."""
+        if not isinstance(d, dict):
+            raise TypeError(f"a model must be an object, got {d!r}")
+        unknown = set(d) - {"n_sites", "site_energies", "couplings", "trap_rates", "decay_rate", "initial_site"}
+        if unknown:
+            raise ValueError(f"unknown model fields {sorted(unknown)}")
+        n = d["n_sites"]
+        if not _is_integer(n):
+            raise ValueError(f"n_sites must be an integer, got {n!r}")
         m = cls(
             site_energies=d["site_energies"],
             couplings=d["couplings"],
@@ -141,6 +159,8 @@ class DisorderSpec:
     removed_edges: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not (_is_integer(self.n_sites) and self.n_sites >= 2):
+            raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
         if self.topology not in ("chain", "complete", "complete_minus_edges"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.mean_disorder < 0:
@@ -151,11 +171,11 @@ class DisorderSpec:
             raise ValueError("complete_minus_edges requires at least one removed edge")
         if self.topology != "complete_minus_edges" and self.removed_edges:
             raise ValueError("removed_edges only applies to complete_minus_edges")
-        edges = tuple((int(a), int(b)) for a, b in self.removed_edges)
+        edges = tuple((a, b) for a, b in self.removed_edges)
         for a, b in edges:
-            if not (1 <= a <= self.n_sites and 1 <= b <= self.n_sites) or a == b:
+            if not all(_is_integer(i) and 1 <= i <= self.n_sites for i in (a, b)) or a == b:
                 raise ValueError(f"removed edge ({a},{b}) out of range for {self.n_sites} sites")
-        object.__setattr__(self, "removed_edges", edges)
+        object.__setattr__(self, "removed_edges", tuple((int(a), int(b)) for a, b in edges))
 
 
 def build_chain(n_sites, site_energies, v, trap_rate, decay_rate, initial_site=1):

@@ -1,9 +1,15 @@
+import copy
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antizeno.cli import main, run, validate
 
@@ -16,6 +22,17 @@ def inline_three_site():
         "trap_rates": [0.0, 0.0, 0.0],
         "decay_rate": 0.0,
         "initial_site": 2,
+    }
+
+
+def sweep_disorder():
+    return {
+        "n_sites": 3,
+        "topology": "chain",
+        "mean_disorder": 10.0,
+        "coupling_scale": 1.0,
+        "trap_rate": 0.5,
+        "decay_rate": 0.001,
     }
 
 
@@ -108,22 +125,32 @@ def test_run_invalid_config_exits_2(capsys, tmp_path):
         {"scenario": "efficiency-scan", "model": inline_two_site(), "tau_grid": ["a"]},
         {"scenario": "evolve", "model": [1, 2]},
         {"scenario": "efficiency-scan", "disorder": "chain", "tau_grid": [0.1]},
-        {
-            "scenario": "sweep",
-            "disorder": {
-                "n_sites": 3,
-                "topology": "chain",
-                "mean_disorder": 10.0,
-                "coupling_scale": 1.0,
-                "trap_rate": 0.5,
-                "decay_rate": 0.001,
-                "colour": "red",
-            },
-            "seeds": [0],
-            "tau_grid": [0.1],
-        },
+        {"scenario": "sweep", "disorder": {**sweep_disorder(), "colour": "red"}, "seeds": [0], "tau_grid": [0.1]},
         {"scenario": "figure2", "eps_list": [0]},
         {"scenario": "evolve", "model_file": 0},
+        # each of these used to raise a traceback
+        {"scenario": "figure2", "n_points": None},
+        {"scenario": "figure2", "kappa": None},
+        {"scenario": "evolve", "model": inline_two_site(), "tau": 0.3, "n_steps": None},
+        {"scenario": "evolve", "model": inline_two_site(), "two_gamma": None},
+        {"scenario": "evolve", "model": inline_two_site(), "times": []},
+        {"scenario": "efficiency-scan", "model": {**inline_two_site(), "n_sites": math.inf}, "tau_grid": [0.1]},
+        {"scenario": "sweep", "disorder": {**sweep_disorder(), "n_sites": None}, "seeds": [0], "tau_grid": [0.1]},
+        # each of these used to exit 1 as an engine error
+        {"scenario": "figure2", "n_points": "a"},
+        {"scenario": "figure2", "n_points": 0},
+        {"scenario": "figure2", "kappa": -1},
+        {"scenario": "figure2", "decay_rate": "x"},
+        {"scenario": "evolve", "model": inline_two_site(), "tau": 0.3, "n_steps": -1},
+        {"scenario": "evolve", "model": inline_two_site(), "two_gamma": -1},
+        {"scenario": "sweep", "disorder": sweep_disorder(), "seeds": [-1], "tau_grid": [0.1]},
+        # each of these used to be accepted, truncated or ignored
+        {"scenario": "figure2", "tau_grid": [0.1]},
+        {"scenario": "evolve", "model": inline_two_site(), "two_gamma": "1"},
+        {"scenario": "figure3", "times": {"max": 1.0, "n": 2.5}},
+        {"scenario": "efficiency-scan", "model": {**inline_two_site(), "n_sites": 2.7}, "tau_grid": [0.1]},
+        {"scenario": "efficiency-scan", "model": {**inline_two_site(), "initial_site": 1.5}, "tau_grid": [0.1]},
+        {"scenario": "figure2", "seed": "x"},
     ],
     ids=[
         "crossover-string-tau",
@@ -147,6 +174,26 @@ def test_run_invalid_config_exits_2(capsys, tmp_path):
         "sweep-disorder-unknown-field",
         "figure2-zero-eps",
         "model-file-not-a-path",
+        "figure2-null-n-points",
+        "figure2-null-kappa",
+        "evolve-null-n-steps",
+        "evolve-null-two-gamma",
+        "evolve-empty-times",
+        "model-infinite-n-sites",
+        "sweep-null-disorder-n-sites",
+        "figure2-string-n-points",
+        "figure2-zero-n-points",
+        "figure2-negative-kappa",
+        "figure2-string-decay-rate",
+        "evolve-negative-n-steps",
+        "evolve-negative-two-gamma",
+        "sweep-negative-seed",
+        "figure2-unused-tau-grid",
+        "evolve-string-two-gamma",
+        "times-fractional-n",
+        "model-fractional-n-sites",
+        "model-fractional-initial-site",
+        "string-seed",
     ],
 )
 def test_run_bad_config_exits_2(config, capsys, tmp_path):
@@ -327,3 +374,76 @@ def test_integer_model_file_is_not_read_from_stdin(tmp_path):
     )
     assert proc.returncode == 2
     assert "config error: model_file must be a path string" in proc.stderr
+
+
+def test_out_must_be_a_path(capsys):
+    # os.makedirs(5) used to raise a TypeError traceback
+    assert run({"scenario": "figure3", "out": 5}) == 2
+    assert "config error: out must be a path string" in capsys.readouterr().err
+
+
+def test_out_that_is_a_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("")
+    assert run({"scenario": "efficiency-scan", "model": inline_two_site(), "tau_grid": [0.1], "out": str(out)}) == 1
+    assert "engine error: " in capsys.readouterr().err
+
+
+def test_validate_reports_the_first_problem_only():
+    diag = validate({"scenario": "figure2", "kappa": None, "n_points": "a"})
+    assert diag == ["kappa must be a finite number >= 0, got None"]
+
+
+# -- fuzz: one key of a small valid config per scenario set to an odd JSON value --
+# The values stay small: crossover_time steps horizon / tau times in Python, so
+# a tau of 1e-6 would run for hours.
+_ODD = st.sampled_from([None, True, False, -1, 0, 0.5, 2.5, 1e3, math.inf, -math.inf, math.nan, "", "1"])
+_JSON_VALUES = st.one_of(
+    _ODD, st.lists(_ODD, max_size=3), st.dictionaries(st.sampled_from(["max", "n", "kind", "tau"]), _ODD, max_size=2)
+)
+_LOSSLESS_TWO_SITE = {**inline_two_site(), "trap_rates": [0.0, 0.0], "decay_rate": 0.0}
+_FUZZ_BASES = [
+    {"scenario": "figure2", "eps_list": [10.0], "n_points": 3},
+    {"scenario": "figure3", "two_gammas": [0.0, 10.0], "times": {"max": 1.0, "n": 4}},
+    {"scenario": "efficiency-scan", "model": inline_two_site(), "tau_range": {"min": 0.1, "max": 1.0, "n": 3}},
+    {"scenario": "evolve", "model": inline_two_site(), "tau": 0.3, "n_steps": 3, "measured_sites": [1, 2]},
+    {"scenario": "evolve", "model": inline_two_site(), "two_gamma": 1.0, "t_max": 1.0, "dephased_sites": [1]},
+    {
+        "scenario": "concurrence",
+        "model": inline_three_site(),
+        "pair": [1, 3],
+        "times": [0.0, 0.5],
+        "dynamics": {"kind": "measurement", "tau": 0.1, "measured_sites": [2]},
+    },
+    {"scenario": "concurrence", "model": inline_three_site(), "dynamics": {"kind": "dephasing", "two_gamma": 1.0}},
+    {"scenario": "crossover", "model": _LOSSLESS_TWO_SITE, "tau": 0.1, "horizon": 5.0},
+    {"scenario": "sweep", "disorder": sweep_disorder(), "seeds": [0], "tau_grid": [0.1, 0.5], "seed": 1},
+]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    config = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    config["out"] = "out"
+    paths = [(k,) for k in dict.fromkeys([*config, "seed"])]
+    paths += [(k, sub) for k, v in config.items() if isinstance(v, dict) for sub in v]
+    path = draw(st.sampled_from(paths))
+    (config if len(path) == 1 else config[path[0]])[path[-1]] = draw(_JSON_VALUES)
+    return config
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(fuzzed_configs())
+def test_fuzzed_config_exits_0_1_or_2(config):
+    # 2 exactly when validate objects; never a traceback
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a fuzzed relative "out" lands here
+        try:
+            with open("config.json", "w") as f:
+                json.dump(config, f)
+            code = main(["--config", "config.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert (code == 2) == bool(validate(config))

@@ -125,6 +125,25 @@ def test_measured_states_step_count_on_a_long_grid(two_site_disordered):
     assert rho.matrix[0, 1] == 0.0
 
 
+def test_measured_states_reuses_remainder_propagators(three_site_degenerate, monkeypatch):
+    # the Fig. 3 grid at tau = 0.1: 1,800 off-grid times, 33 distinct
+    # remainders (to 1e-15), one propagator each plus the one for tau
+    calls = []
+
+    def counting(h, t):
+        calls.append(t)
+        return propagator(h, t)
+
+    monkeypatch.setattr("antizeno.measurement.propagator", counting)
+    channel = MeasurementChannel(frozenset({2}), 0.1)
+    h = effective_hamiltonian(three_site_degenerate)
+    times = np.linspace(0.0, 20.0, 2001)
+    states = measured_states(h, channel, pure_site_state(3, 2), times)
+    assert len(states) == 2001
+    assert len(calls) == 34
+    assert len({round(t, 15) for t in calls[1:]}) == 33
+
+
 def test_trajectory_column_sums_contract():
     m = build_chain(3, [10.0, 5.0, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.001)
     t = transition_matrix(effective_hamiltonian(m), 0.3).matrix

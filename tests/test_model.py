@@ -178,3 +178,44 @@ def test_from_dict_checks_n_sites(two_site_disordered):
     d["n_sites"] = 3
     with pytest.raises(ValueError):
         LatticeModel.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_sites", 2.7), ("n_sites", float("inf")), ("n_sites", True), ("initial_site", 1.5), ("initial_site", None)],
+)
+def test_from_dict_rejects_non_integer_counts(two_site_disordered, field, value):
+    # int() used to truncate 2.7 and 1.5 and to overflow on Infinity
+    d = two_site_disordered.to_dict()
+    d[field] = value
+    with pytest.raises((TypeError, ValueError), match=field):
+        LatticeModel.from_dict(d)
+
+
+def test_from_dict_rejects_unknown_fields_and_non_objects(two_site_disordered):
+    d = two_site_disordered.to_dict()
+    d["colour"] = "red"
+    with pytest.raises(ValueError, match="colour"):
+        LatticeModel.from_dict(d)
+    with pytest.raises(TypeError, match="object"):
+        LatticeModel.from_dict([1, 2])
+    with pytest.raises(ValueError, match="site_energies"):
+        LatticeModel.from_dict({**two_site_disordered.to_dict(), "site_energies": 1.0})
+
+
+def test_asymmetric_couplings_name_the_first_pair():
+    c = [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.5, 0.0]]
+    with pytest.raises(ValueError, match=r"couplings\[2\]\[3\] != couplings\[3\]\[2\]"):
+        LatticeModel([0.0, 1.0, 2.0], c, [0.0, 0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("n_sites", [None, 1, 2.5, True])
+def test_disorder_spec_rejects_bad_site_counts(n_sites):
+    # None used to crash a sweep mid-run, 1 to fail with "negative dimensions"
+    with pytest.raises(ValueError, match="n_sites"):
+        DisorderSpec(n_sites, "chain", 10.0, 1.0, 0.5, 0.001, seed=0)
+
+
+def test_disorder_spec_rejects_non_integer_edges():
+    with pytest.raises(ValueError, match="removed edge"):
+        DisorderSpec(3, "complete_minus_edges", 10.0, 1.0, 0.5, 0.001, seed=0, removed_edges=((1.5, 3),))
