@@ -100,10 +100,10 @@ def propagator(h_eff, t: float) -> Propagator:
 
 
 def _time_grid(times) -> np.ndarray:
-    """The requested output times as a float array, checked sorted and nonnegative."""
+    """The requested output times as a float array, checked finite, sorted and nonnegative."""
     times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0) or np.any(times < 0):
-        raise ValueError("times must be sorted and nonnegative")
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0) or np.any(times < 0):
+        raise ValueError("times must be finite, sorted and nonnegative")
     return times
 
 

@@ -15,6 +15,7 @@ from scipy.special import gammaln
 
 from .dynamics import (
     DensityMatrix,
+    _time_grid,
     evolve,
     perturbative_average,
     populations,
@@ -105,6 +106,7 @@ def measured_states(h_eff, channel: MeasurementChannel, rho0, times) -> list:
     at every multiple of channel.interval (a time on a multiple is taken just
     after that measurement).  Off-grid remainders share one propagator per
     distinct value, keyed as in integrate_master."""
+    times = _time_grid(times)
     tau = channel.interval
     u_tau = propagator(h_eff, tau)
     rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)

@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .dynamics import DensityMatrix, _time_grid, eig_system, evolve, populations, propagator
 from .measurement import MeasurementChannel, channel_masks, measured_states
-from .model import LatticeModel, effective_hamiltonian
+from .model import LatticeModel, _is_integer, effective_hamiltonian
 from .transfer import EfficiencyResult, _integrated_result, _require_lossy
 
 
@@ -165,11 +165,20 @@ def quantum_jump_ensemble(
     through the measurement module, so it reproduces repeated-measurement
     trajectories at that interval exactly.  It is not the periodic counterpart
     of poisson mode: the periodic interval with the same Zeno hop rate is
-    2/(2 gamma).  Trajectories carry sub-normalized states under dissipation;
-    per-trajectory RNG streams are derived from (seed, index).
+    2/(2 gamma).  Trajectories carry sub-normalized states under dissipation.
+
+    poisson mode advances all trajectories in lockstep, one row each of an
+    (n_traj, n) array of eigenbasis amplitudes: every iteration takes each
+    unfinished trajectory to its own next event, a jump or its next output
+    time.  The random numbers do not depend on this layout.  Trajectory k
+    draws from its own generator, default_rng(SeedSequence(seed).spawn(n_traj)[k]):
+    first its initial waiting time, then per jump the uniform that picks the
+    site and the next waiting time.  So each trajectory, and the ensemble
+    average up to summation order, is the same as when the trajectories run
+    one at a time.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be at least 1")
+    if not (_is_integer(n_traj) and n_traj >= 1):
+        raise ValueError(f"n_traj must be an integer >= 1, got {n_traj!r}")
     if mode not in ("poisson", "periodic"):
         raise ValueError(f"unknown mode {mode!r}")
     times = _time_grid(times)
@@ -184,7 +193,7 @@ def quantum_jump_ensemble(
         else:
             channel = MeasurementChannel(spec.dephased_sites, 1.0 / (2.0 * spec.gamma))
             states = measured_states(h, channel, rho, times)
-        pops = np.array([populations(s) for s in states])
+        pops = np.array([populations(s) for s in states]).reshape(len(times), n)
         return EnsembleResult(
             n_traj=n_traj,
             seed=seed,
@@ -195,62 +204,66 @@ def quantum_jump_ensemble(
             mode=mode,
         )
 
-    # poisson mode: per-trajectory jump process in the eigenbasis of H_eff
+    # poisson mode: all trajectories advance in lockstep in the eigenbasis of H_eff
     w, v, vinv, _ = eig_system(h)
     if vinv is None:
         raise ValueError("defective effective Hamiltonian; poisson unraveling unsupported here")
     psi0 = _pure_initial(rho0)
     measured, _ = channel_masks(n, spec.dephased_sites)
     d_idx = np.flatnonzero(measured)
-    rate = 2.0 * spec.gamma
+    wait = 1.0 / (2.0 * spec.gamma)
+    # kept[f] masks the sites a jump keeps when the first f dephased sites miss:
+    # row f < |D| keeps d_idx[f], the site that clicks; row |D| (no click) keeps the sites off D
+    kept = np.zeros((d_idx.size + 1, n))
+    kept[np.arange(d_idx.size), d_idx] = 1.0
+    kept[-1] = ~measured
+    vt, vinvt = v.T, vinv.T  # row-wise basis changes: psi = phi @ v.T, phi = psi @ vinv.T
     n_times = times.shape[0]
     sum_rho = np.zeros((n_times, n, n), dtype=complex)
     sum_p = np.zeros((n_times, n))
     sum_p2 = np.zeros((n_times, n))
-    streams = np.random.SeedSequence(seed).spawn(n_traj)
-    t_max = float(times[-1]) if n_times else 0.0
-    for k in range(n_traj):
-        rng = np.random.default_rng(streams[k])
-        phi = vinv @ psi0  # state in eigenbasis
-        t_now = 0.0
-        ti = 0
-        t_jump = rng.exponential(1.0 / rate)
-        while ti < n_times:
-            t_next = min(t_jump, times[ti])
-            if t_next > t_now:
-                phi = np.exp(-1j * w * (t_next - t_now)) * phi
-                t_now = t_next
-            if t_jump <= times[ti]:
-                psi = v @ phi
-                norm2 = float(np.real(psi.conj() @ psi))
-                probs = np.abs(psi[d_idx]) ** 2
-                u = rng.uniform(0.0, norm2)
-                acc = 0.0
-                hit = -1
-                for j, pj in zip(d_idx, probs):
-                    acc += pj
-                    if u < acc:
-                        hit = j
-                        break
-                if hit >= 0:
-                    new = np.zeros(n, dtype=complex)
-                    new[hit] = psi[hit]
-                    scale = math.sqrt(norm2 / max(float(np.abs(psi[hit]) ** 2), 1e-300))
-                else:
-                    new = psi.copy()
-                    new[d_idx] = 0.0
-                    rem = float(np.real(new.conj() @ new))
-                    scale = math.sqrt(norm2 / max(rem, 1e-300))
-                psi = new * scale
-                phi = vinv @ psi
-                t_jump = t_now + rng.exponential(1.0 / rate)
-            else:
-                psi = v @ phi
-                sum_rho[ti] += np.outer(psi, psi.conj())
-                p = np.abs(psi) ** 2
-                sum_p[ti] += p
-                sum_p2[ti] += p * p
-                ti += 1
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
+    # one row per unfinished trajectory; ids[r] is the trajectory (and stream) index of row r
+    ids = np.arange(n_traj)
+    phi = np.tile(vinv @ psi0, (n_traj, 1))  # eigenbasis amplitudes
+    t_now = np.zeros(n_traj)
+    t_jump = wait * np.array([g.standard_exponential() for g in rngs])
+    ti = np.zeros(n_traj, dtype=np.intp)  # next output index
+    while n_times and ids.size:
+        # every row advances to its next event: a jump, or its next output time
+        t_out = times[ti]
+        jumps = t_jump <= t_out
+        t_next = np.minimum(t_jump, t_out)
+        phi *= np.exp(np.multiply.outer(t_next - t_now, -1j * w))
+        t_now = t_next
+        n_jumps = np.count_nonzero(jumps)
+        if n_jumps:
+            # each jumping stream draws the uniform that picks the site, then the next waiting time
+            draws = np.array([(rngs[k].random(), rngs[k].standard_exponential()) for k in ids[jumps].tolist()])
+            psi = phi[jumps] @ vt
+            q = np.abs(psi) ** 2
+            norm2 = q.sum(axis=1)
+            # the first dephased site whose cumulative probability exceeds u * norm2
+            # clicks; the cumulative sums rise, so the sites below it are the misses
+            misses = (np.cumsum(q[:, d_idx], axis=1) <= (norm2 * draws[:, 0])[:, None]).sum(axis=1)
+            keep = kept[misses]
+            rem = np.maximum((q * keep).sum(axis=1), 1e-300)
+            phi[jumps] = (psi * (keep * np.sqrt(norm2 / rem)[:, None])) @ vinvt
+            t_jump[jumps] += wait * draws[:, 1]  # t_jump == t_now on these rows
+        if n_jumps < ids.size:
+            out = ~jumps
+            psi = phi[out] @ vt
+            p = np.abs(psi) ** 2
+            t_idx = ti[out]
+            for t in np.unique(t_idx):
+                sel = t_idx == t
+                rows = psi[sel]
+                sum_rho[t] += rows.T @ rows.conj()
+                sum_p[t] += p[sel].sum(axis=0)
+                sum_p2[t] += (p[sel] ** 2).sum(axis=0)
+            ti[out] += 1
+            running = ti < n_times
+            ids, phi, t_now, t_jump, ti = ids[running], phi[running], t_now[running], t_jump[running], ti[running]
     mean_rho = sum_rho / n_traj
     mean_p = sum_p / n_traj
     var = np.maximum(sum_p2 / n_traj - mean_p**2, 0.0)

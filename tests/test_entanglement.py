@@ -193,6 +193,18 @@ def test_simulate_concurrence_validation(three_site_degenerate):
         simulate_concurrence(three_site_degenerate, object(), (1, 3), [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("kind", ["unitary", "measurement", "dephasing"])
+def test_simulate_concurrence_rejects_non_finite_times(three_site_degenerate, kind, bad):
+    dynamics = {
+        "unitary": "unitary",
+        "measurement": MeasurementChannel(frozenset({2}), 0.1),
+        "dephasing": DephasingSpec(model=three_site_degenerate, gamma=5.0, dephased_sites=frozenset({2})),
+    }[kind]
+    with pytest.raises(ValueError, match="times must be finite"):
+        simulate_concurrence(three_site_degenerate, dynamics, (1, 3), [0.5, bad])
+
+
 def test_series_csv_format(tmp_path, three_site_degenerate):
     times = np.linspace(0.0, 1.0, 5)
     series = simulate_concurrence(three_site_degenerate, "unitary", (1, 3), times)

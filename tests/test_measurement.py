@@ -125,6 +125,15 @@ def test_measured_states_step_count_on_a_long_grid(two_site_disordered):
     assert rho.matrix[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("times", [[2.0, 1.0], [-0.5], [np.inf], [np.nan]])
+def test_measured_states_rejects_bad_times(three_site_degenerate, times):
+    # unsorted times used to return the later state under the earlier label
+    channel = MeasurementChannel(frozenset({2}), 0.1)
+    h = effective_hamiltonian(three_site_degenerate)
+    with pytest.raises(ValueError, match="times must be finite, sorted and nonnegative"):
+        measured_states(h, channel, pure_site_state(3, 2), times)
+
+
 def test_measured_states_reuses_remainder_propagators(three_site_degenerate, monkeypatch):
     # the Fig. 3 grid at tau = 0.1: 1,800 off-grid times, 33 distinct
     # remainders (to 1e-15), one propagator each plus the one for tau

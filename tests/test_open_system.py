@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,9 +15,10 @@ from antizeno import (
     quantum_jump_ensemble,
     repeated_measurement_trajectory,
 )
-from antizeno.dynamics import evolve, populations, propagator, pure_site_state
+from antizeno.dynamics import eig_system, evolve, populations, propagator, pure_site_state
+from antizeno.measurement import channel_masks
 from antizeno.model import LatticeModel, effective_hamiltonian
-from antizeno.open_system import _liouvillian, ensemble_to_csv
+from antizeno.open_system import _liouvillian, _pure_initial, ensemble_to_csv
 
 
 def fig3_spec(two_gamma, sites=frozenset({2})):
@@ -134,6 +137,106 @@ def test_jump_poisson_matches_master():
         assert np.all(dev <= bound)
 
 
+def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
+    """The poisson unraveling one trajectory at a time: the stream oracle.
+
+    Trajectory k draws from its own generator, spawned from SeedSequence(seed)
+    at index k: the first waiting time, then (uniform, waiting time) per jump.
+    Returns (mean populations, their standard errors, mean states).
+    """
+    times = np.asarray(times, dtype=float)
+    n = spec.model.n_sites
+    w, v, vinv, _ = eig_system(effective_hamiltonian(spec.model).matrix)
+    psi0 = _pure_initial(rho0)
+    measured, _ = channel_masks(n, spec.dephased_sites)
+    d_idx = np.flatnonzero(measured)
+    rate = 2.0 * spec.gamma
+    n_times = times.shape[0]
+    sum_rho = np.zeros((n_times, n, n), dtype=complex)
+    sum_p = np.zeros((n_times, n))
+    sum_p2 = np.zeros((n_times, n))
+    streams = np.random.SeedSequence(seed).spawn(n_traj)
+    for k in range(n_traj):
+        rng = np.random.default_rng(streams[k])
+        phi = vinv @ psi0  # state in eigenbasis
+        t_now = 0.0
+        ti = 0
+        t_jump = rng.exponential(1.0 / rate)
+        while ti < n_times:
+            t_next = min(t_jump, times[ti])
+            if t_next > t_now:
+                phi = np.exp(-1j * w * (t_next - t_now)) * phi
+                t_now = t_next
+            if t_jump <= times[ti]:
+                psi = v @ phi
+                norm2 = float(np.real(psi.conj() @ psi))
+                probs = np.abs(psi[d_idx]) ** 2
+                u = rng.uniform(0.0, norm2)
+                acc = 0.0
+                hit = -1
+                for j, pj in zip(d_idx, probs):
+                    acc += pj
+                    if u < acc:
+                        hit = j
+                        break
+                if hit >= 0:
+                    new = np.zeros(n, dtype=complex)
+                    new[hit] = psi[hit]
+                    scale = math.sqrt(norm2 / max(float(np.abs(psi[hit]) ** 2), 1e-300))
+                else:
+                    new = psi.copy()
+                    new[d_idx] = 0.0
+                    rem = float(np.real(new.conj() @ new))
+                    scale = math.sqrt(norm2 / max(rem, 1e-300))
+                psi = new * scale
+                phi = vinv @ psi
+                t_jump = t_now + rng.exponential(1.0 / rate)
+            else:
+                psi = v @ phi
+                sum_rho[ti] += np.outer(psi, psi.conj())
+                p = np.abs(psi) ** 2
+                sum_p[ti] += p
+                sum_p2[ti] += p * p
+                ti += 1
+    mean_p = sum_p / n_traj
+    var = np.maximum(sum_p2 / n_traj - mean_p**2, 0.0)
+    se = np.sqrt(var / max(n_traj - 1, 1))
+    return mean_p, se, sum_rho / n_traj
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["figure3-site2", "lossy-chain-all-sites-repeated-times", "chain-n8-120-trajectories"],
+)
+def test_jump_poisson_equals_the_per_trajectory_oracle(case):
+    # the lockstep ensemble must consume every trajectory's stream exactly as
+    # the one-at-a-time loop does, so the two agree to roundoff
+    if case == "figure3-site2":
+        spec, times, n_traj = fig3_spec(10.0), [1.0, 5.0, 10.0], 300
+    elif case == "lossy-chain-all-sites-repeated-times":
+        m = build_chain(4, [0.0, 3.0, 1.0, 2.0], v=1.0, trap_rate=0.4, decay_rate=0.02)
+        spec = DephasingSpec(model=m, gamma=1.5, dephased_sites=frozenset({1, 2, 3, 4}))
+        times, n_traj = [0.0, 0.5, 0.5, 3.0], 200
+    else:
+        m = build_chain(8, np.linspace(0.0, 7.0, 8) % 3.0, v=1.0, trap_rate=0.5, decay_rate=0.01)
+        spec = DephasingSpec(model=m, gamma=5.0, dephased_sites=frozenset(range(1, 9)))
+        times, n_traj = [1.0, 5.0, 10.0], 120
+    rho0 = pure_site_state(spec.model.n_sites, spec.model.initial_site)
+    res = quantum_jump_ensemble(spec, rho0, times, n_traj=n_traj, seed=2024)
+    mean_p, se, mean_rho = reference_poisson_ensemble(spec, rho0, times, n_traj, 2024)
+    assert np.max(np.abs(res.mean_populations - mean_p)) <= 1e-12
+    # at t = 0 every trajectory holds the initial state, so the sample variance
+    # E[p^2] - E[p]^2 is zero up to roundoff of order eps, and the SE taken from
+    # it, sqrt(var / (n_traj - 1)), is roundoff noise of up to about 1e-9 in
+    # either code.  So the variances are compared at every time, the SEs at t > 0
+    var, ref_var = (n_traj - 1) * res.se_populations**2, (n_traj - 1) * se**2
+    assert np.max(np.abs(var - ref_var)) <= 1e-12
+    later = np.asarray(times) > 0
+    assert np.max(np.abs(res.se_populations[later] - se[later])) <= 1e-12
+    states = np.array([s.matrix for s in res.mean_states])
+    assert np.max(np.abs(states - (mean_rho + mean_rho.conj().transpose(0, 2, 1)) / 2)) <= 1e-12
+
+
 def test_jump_standard_error_scaling():
     spec = fig3_spec(10.0)
     ses = []
@@ -154,6 +257,37 @@ def test_jump_validation(two_site_disordered):
     mixed = np.eye(2) / 2
     with pytest.raises(ValueError):
         quantum_jump_ensemble(spec, mixed, [1.0], n_traj=10, seed=0)
+    for bad in (2.5, True, "3", None):
+        with pytest.raises(ValueError, match="n_traj must be an integer"):
+            quantum_jump_ensemble(spec, rho0, [1.0], n_traj=bad, seed=0)
+    assert quantum_jump_ensemble(spec, rho0, [1.0], n_traj=np.int64(3), seed=0).n_traj == 3
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("mode", ["poisson", "periodic"])
+def test_jump_rejects_non_finite_times(bad, mode):
+    # at an infinite output time a poisson trajectory would jump forever
+    with pytest.raises(ValueError, match="times must be finite"):
+        quantum_jump_ensemble(fig3_spec(10.0), pure_site_state(3, 2), [1.0, bad], n_traj=4, seed=0, mode=mode)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_master_rejects_non_finite_times(bad):
+    with pytest.raises(ValueError, match="times must be finite"):
+        integrate_master(fig3_spec(10.0), pure_site_state(3, 2), [bad])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 5.0])
+def test_ensemble_without_times_writes_a_csv(tmp_path, gamma):
+    # gamma = 0 evolves unitarily and periodic mode steps the measurement
+    # channel; with no output times both give (0, n) arrays, as poisson mode does
+    spec = fig3_spec(2.0 * gamma)
+    path = tmp_path / "empty.csv"
+    for mode in ("poisson", "periodic"):
+        res = quantum_jump_ensemble(spec, pure_site_state(3, 2), [], n_traj=3, seed=0, mode=mode)
+        assert res.mean_populations.shape == res.se_populations.shape == (0, 3)
+        ensemble_to_csv(res, path)
+        assert path.read_text().splitlines() == ["t,p_1,p_2,p_3,trace,se_p_1,se_p_2,se_p_3"]
 
 
 def test_efficiency_dephasing_gamma_zero(two_site_disordered):
