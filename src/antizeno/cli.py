@@ -32,7 +32,7 @@ from .entanglement import series_to_csv, simulate_concurrence
 from .measurement import MeasuredTrajectory, MeasurementChannel, crossover_time, trajectory_to_csv
 from .measurement import repeated_measurement_trajectory
 from .model import DisorderSpec, LatticeModel, build_chain, build_graph
-from .open_system import DephasingSpec, integrate_master
+from .open_system import DephasingSpec, _master_stack
 from .transfer import scan_to_csv, tau_scan
 
 _REQUIRED = object()
@@ -269,8 +269,8 @@ def _evolve(c, seed):
     spec = DephasingSpec(model=model, gamma=gamma, dephased_sites=frozenset(sites))
 
     def trajectory():
-        states = integrate_master(spec, pure_site_state(n, model.initial_site), times)
-        return MeasuredTrajectory(times=times, populations=np.array([populations(s) for s in states]))
+        states = _master_stack(spec, pure_site_state(n, model.initial_site), times)
+        return MeasuredTrajectory(times=times, populations=populations(states))
 
     return [("trajectory.csv", trajectory_to_csv, trajectory)]
 

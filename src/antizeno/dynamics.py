@@ -22,21 +22,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        ev = np.linalg.eigvalsh(m)
-        if ev[0] < _EIG_FLOOR:
-            raise ValueError(f"density matrix not positive semidefinite (min eig {ev[0]:.3e})")
-        tr = float(np.trace(m).real)
-        if not -1e-10 <= tr <= 1 + 1e-10:
-            raise ValueError(f"trace {tr} outside [0, 1]")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", density_stack(np.array(self.matrix, dtype=complex)[None])[0])
 
     @property
     def n_sites(self) -> int:
@@ -45,6 +31,44 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+
+def density_stack(matrices) -> np.ndarray:
+    """An (m, n, n) stack of density matrices as a read-only complex array,
+    after DensityMatrix's checks on every member at once (one batched
+    eigvalsh): square, finite, Hermitian to 1e-12, eigenvalues >= -1e-10 and
+    trace in [0, 1].  Raises ValueError with DensityMatrix's message for the
+    first failing check.  A complex ndarray is checked and frozen in place,
+    not copied."""
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape[1:]}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("density matrix has non-finite entries")
+    # |m - m^H| from the real and imaginary parts, which are views: no complex temporaries
+    if np.any(np.hypot(m.real - m.real.swapaxes(1, 2), m.imag + m.imag.swapaxes(1, 2)) > _HERM_TOL):
+        raise ValueError("density matrix is not Hermitian")
+    low = np.linalg.eigvalsh(m)[:, 0]
+    bad = np.flatnonzero(low < _EIG_FLOOR)
+    if bad.size:
+        raise ValueError(f"density matrix not positive semidefinite (min eig {low[bad[0]]:.3e})")
+    tr = np.trace(m, axis1=1, axis2=2).real
+    bad = np.flatnonzero((tr < -1e-10) | (tr > 1 + 1e-10))
+    if bad.size:
+        raise ValueError(f"trace {float(tr[bad[0]])} outside [0, 1]")
+    m.setflags(write=False)
+    return m
+
+
+def _density_matrices(stack: np.ndarray) -> list:
+    """One DensityMatrix per member of a stack that density_stack returned,
+    each a view of it; the checks are not run again."""
+    out = []
+    for m in stack:
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "matrix", m)
+        out.append(rho)
+    return out
 
 
 @dataclass(frozen=True)
@@ -113,14 +137,19 @@ def evolve(u, rho) -> DensityMatrix:
     rm = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if um.shape != rm.shape:
         raise ValueError(f"dimension mismatch: U {um.shape} vs rho {rm.shape}")
-    x = um @ rm @ um.conj().T
-    return DensityMatrix((x + x.conj().T) / 2)
+    return DensityMatrix(_conjugate(um, rm))
+
+
+def _conjugate(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """evolve's arithmetic on plain arrays: U r U-dagger, re-symmetrized."""
+    x = u @ r @ u.conj().T
+    return (x + x.conj().T) / 2
 
 
 def populations(rho) -> np.ndarray:
-    """Site populations p_i = Re(rho_ii)."""
+    """Site populations p_i = Re(rho_ii), of one state or along a stack of them."""
     rm = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return np.real(np.diag(rm)).copy()
+    return np.real(np.diagonal(rm, axis1=-2, axis2=-1)).copy()
 
 
 def time_averaged_population(model: LatticeModel, site: int, T: float) -> float:

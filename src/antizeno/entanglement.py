@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DensityMatrix, _time_grid, eig_system, evolve, propagator, pure_site_state
-from .measurement import MeasurementChannel, measured_states
+from .measurement import MeasurementChannel, _measured_stack
 from .model import LatticeModel, effective_hamiltonian
-from .open_system import DephasingSpec, integrate_master
+from .open_system import DephasingSpec, _master_stack
 
 # sigma_y (x) sigma_y in the {gg, ge, eg, ee} basis
 _SY_SY = np.array(
@@ -33,18 +33,26 @@ class TwoQubitState:
     sites: tuple
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError("two-qubit state must be 4x4")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("two-qubit state not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise ValueError("two-qubit state trace must be 1")
-        if np.linalg.eigvalsh(m)[0] < -1e-10:
-            raise ValueError("two-qubit state not positive semidefinite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _two_qubit_stack(np.array(self.matrix, dtype=complex)[None])[0])
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
+
+
+def _two_qubit_stack(matrices) -> np.ndarray:
+    """A (k, 4, 4) stack as a read-only complex array (frozen in place, as in
+    density_stack), after TwoQubitState's checks on every member at once:
+    Hermitian to 1e-10, trace 1 to 1e-10 and eigenvalues >= -1e-10 (one
+    batched eigvalsh)."""
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValueError("two-qubit state must be 4x4")
+    if np.any(np.abs(m - m.conj().swapaxes(1, 2)) > 1e-10):
+        raise ValueError("two-qubit state not Hermitian")
+    if np.any(np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0) > 1e-10):
+        raise ValueError("two-qubit state trace must be 1")
+    if np.any(np.linalg.eigvalsh(m)[:, 0] < -1e-10):
+        raise ValueError("two-qubit state not positive semidefinite")
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -75,31 +83,39 @@ def reduce_to_pair(rho_full, a: int, b: int) -> TwoQubitState:
     unique completion consistent with the single-excitation restriction.
     """
     rm = rho_full.matrix if isinstance(rho_full, DensityMatrix) else np.asarray(rho_full, dtype=complex)
-    n = rm.shape[0]
+    return TwoQubitState(_pair_stack(rm[None], a, b)[0], (a, b))
+
+
+def _pair_stack(rm: np.ndarray, a: int, b: int) -> np.ndarray:
+    """reduce_to_pair along an (m, n, n) stack; the (m, 4, 4) result is not yet checked."""
+    n = rm.shape[-1]
     if a == b:
         raise ValueError("pair sites must differ")
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"pair ({a},{b}) out of range for {n} sites")
     ia, ib = a - 1, b - 1
-    out = np.zeros((4, 4), dtype=complex)
-    out[_EG, _EG] = rm[ia, ia]
-    out[_GE, _GE] = rm[ib, ib]
-    out[_EG, _GE] = rm[ia, ib]
-    out[_GE, _EG] = rm[ib, ia]
-    gg = 1.0 - rm[ia, ia].real - rm[ib, ib].real
-    if gg < -1e-10:
-        raise ValueError(f"inconsistent state: pair populations sum to {1 - gg:.6f} > 1")
-    out[_GG, _GG] = max(gg, 0.0)
-    return TwoQubitState(out, (a, b))
+    out = np.zeros((rm.shape[0], 4, 4), dtype=complex)
+    out[:, _EG, _EG] = rm[:, ia, ia]
+    out[:, _GE, _GE] = rm[:, ib, ib]
+    out[:, _EG, _GE] = rm[:, ia, ib]
+    out[:, _GE, _EG] = rm[:, ib, ia]
+    gg = 1.0 - rm[:, ia, ia].real - rm[:, ib, ib].real
+    bad = np.flatnonzero(gg < -1e-10)
+    if bad.size:
+        raise ValueError(f"inconsistent state: pair populations sum to {1 - gg[bad[0]]:.6f} > 1")
+    out[:, _GG, _GG] = np.maximum(gg, 0.0)
+    return out
 
 
-def _wootters(m: np.ndarray) -> float:
+def _wootters(m: np.ndarray) -> np.ndarray:
+    """max(0, l1 - l2 - l3 - l4) for each 4x4 matrix of m, shape (..., 4, 4)."""
     r = m @ _SY_SY @ m.conj() @ _SY_SY
-    ev = np.sort(np.abs(np.real(np.linalg.eigvals(r))))[::-1]
+    ev = np.sort(np.abs(np.real(np.linalg.eigvals(r))), axis=-1)[..., ::-1]
     # roundoff noise on zero eigenvalues would be amplified by the square root
-    ev[ev < 1e-14 * max(ev[0], 1e-300)] = 0.0
+    ev[ev < 1e-14 * np.maximum(ev[..., :1], 1e-300)] = 0.0
     lam = np.sqrt(ev)
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    d = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return np.where(d > 0.0, d, 0.0)
 
 
 def concurrence(state) -> float:
@@ -108,16 +124,20 @@ def concurrence(state) -> float:
     For single-excitation reduced states (empty |ee> block) the fast path
     2 |rho_eg,ge| is computed as well and checked against the full formula.
     """
-    m = state.matrix if isinstance(state, TwoQubitState) else np.asarray(state, dtype=complex)
     if not isinstance(state, TwoQubitState):
-        state = TwoQubitState(m, (0, 0))  # runs the validity checks
-        m = state.matrix
+        state = TwoQubitState(state, (0, 0))  # runs the validity checks
+    return float(_concurrences(state.matrix[None])[0])
+
+
+def _concurrences(m: np.ndarray) -> np.ndarray:
+    """concurrence of each member of a (k, 4, 4) stack that _two_qubit_stack checked.
+    A fast path that disagrees with Wootters raises ValueError."""
     full = _wootters(m)
-    ee_mass = float(np.abs(m[_EE, :]).max() + np.abs(m[:, _EE]).max())
-    if ee_mass < 1e-12:
-        fast = 2.0 * float(np.abs(m[_EG, _GE]))
-        if abs(fast - full) > 1e-8:
-            raise AssertionError(f"fast-path concurrence {fast} disagrees with Wootters {full}")
+    ee_mass = np.abs(m[:, _EE, :]).max(axis=1) + np.abs(m[:, :, _EE]).max(axis=1)
+    fast = 2.0 * np.abs(m[:, _EG, _GE])
+    bad = np.flatnonzero((ee_mass < 1e-12) & (np.abs(fast - full) > 1e-8))
+    if bad.size:
+        raise ValueError(f"fast-path concurrence {fast[bad[0]]} disagrees with Wootters {full[bad[0]]}")
     return full
 
 
@@ -152,17 +172,18 @@ def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> Con
         w, v, vinv, _ = eig_system(h.matrix)
         if vinv is not None:
             psi0 = vinv @ rho0.matrix.diagonal() ** 0.5  # initial amplitude in eigenbasis
-            psis = (v @ (np.exp(-1j * w * t) * psi0) for t in times)
-            states = (np.outer(psi, psi.conj()) for psi in psis)
+            # v @ (one column per time) is the matrix-vector product of one time at a time, bit for bit
+            psis = (v @ (np.exp(np.multiply.outer(times, -1j * w)) * psi0)[:, :, None])[:, :, 0]
+            states = psis[:, :, None] * psis.conj()[:, None, :]
         else:
-            states = (evolve(propagator(h, t), rho0) for t in times)
+            states = np.array([evolve(propagator(h, t), rho0).matrix for t in times]).reshape(-1, n, n)
     elif isinstance(dynamics_spec, MeasurementChannel):
-        states = measured_states(h, dynamics_spec, rho0, times)
+        states = _measured_stack(h, dynamics_spec, rho0, times)
     elif isinstance(dynamics_spec, DephasingSpec):
-        states = integrate_master(dynamics_spec, rho0, times)
+        states = _master_stack(dynamics_spec, rho0, times)
     else:
         raise ValueError(f"unknown dynamics spec {dynamics_spec!r}")
-    values = np.array([concurrence(reduce_to_pair(s, a, b)) for s in states])
+    values = _concurrences(_two_qubit_stack(_pair_stack(states, a, b)))
     return ConcurrenceSeries(times=times, values=np.clip(values, 0.0, 1.0), provenance="simulated")
 
 

@@ -15,8 +15,10 @@ from scipy.special import gammaln
 
 from .dynamics import (
     DensityMatrix,
+    _conjugate,
+    _density_matrices,
     _time_grid,
-    evolve,
+    density_stack,
     perturbative_average,
     populations,
     propagator,
@@ -105,30 +107,40 @@ def measured_states(h_eff, channel: MeasurementChannel, rho0, times) -> list:
     """States at the sorted times under free evolution with the channel applied
     at every multiple of channel.interval (a time on a multiple is taken just
     after that measurement).  Off-grid remainders share one propagator per
-    distinct value, keyed as in integrate_master."""
+    distinct value, keyed as in integrate_master.  The states fill one stack
+    that is checked once; the returned DensityMatrix objects are views of it."""
+    return _density_matrices(_measured_stack(h_eff, channel, rho0, times))
+
+
+def _measured_stack(h_eff, channel: MeasurementChannel, rho0, times) -> np.ndarray:
+    """measured_states as one checked (len(times), n, n) stack.  Each step is
+    evolve's and apply_channel's arithmetic on plain arrays, unchecked."""
     times = _time_grid(times)
     tau = channel.interval
-    u_tau = propagator(h_eff, tau)
-    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
-    states = []
+    u_tau = propagator(h_eff, tau).matrix
+    rho = (rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)).matrix
+    if u_tau.shape != rho.shape:
+        raise ValueError(f"dimension mismatch: U {u_tau.shape} vs rho {rho.shape}")
+    _, keep = channel_masks(rho.shape[0], channel.measured_sites)
+    out = np.empty((times.size,) + rho.shape, dtype=complex)
     k_done = 0
     u_rem: dict = {}
-    for t in times:
+    for i, t in enumerate(times):
         # fl(k tau) / tau can fall an ulp below k, and from k = 2^13 on that ulp
         # exceeds an absolute 1e-12 slack, so the slack is relative
         k_target = int(np.floor(t / tau * (1 + 1e-12)))
         while k_done < k_target:
-            rho = apply_channel(channel, evolve(u_tau, rho))
+            rho = np.where(keep, _conjugate(u_tau, rho), 0.0)
             k_done += 1
         rem = t - k_done * tau
         if rem <= 1e-15:
-            states.append(rho)
+            out[i] = rho
             continue
         key = round(rem, 15)
         if key not in u_rem:
-            u_rem[key] = propagator(h_eff, rem)
-        states.append(evolve(u_rem[key], rho))
-    return states
+            u_rem[key] = propagator(h_eff, rem).matrix
+        out[i] = _conjugate(u_rem[key], rho)
+    return density_stack(out)
 
 
 def transition_matrix(h_eff, tau: float) -> TransitionMatrix:
@@ -165,9 +177,8 @@ def repeated_measurement_trajectory(
             p = t @ p
             traj[k] = p
         return MeasuredTrajectory(times=times, populations=traj)
-    states = measured_states(h, channel, pure_site_state(n, model.initial_site), times)
-    traj = np.array([populations(s) for s in states])
-    return MeasuredTrajectory(times=times, populations=traj, states=tuple(states))
+    stack = _measured_stack(h, channel, pure_site_state(n, model.initial_site), times)
+    return MeasuredTrajectory(times=times, populations=populations(stack), states=tuple(_density_matrices(stack)))
 
 
 def recursive_step(p, tau: float, v: float) -> np.ndarray:

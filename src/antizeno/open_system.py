@@ -27,7 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import DensityMatrix, _time_grid, eig_system, evolve, populations, propagator
+from .dynamics import (
+    DensityMatrix,
+    _density_matrices,
+    _time_grid,
+    density_stack,
+    eig_system,
+    evolve,
+    populations,
+    propagator,
+)
 from .measurement import MeasurementChannel, channel_masks, measured_states
 from .model import LatticeModel, _is_integer, effective_hamiltonian
 from .transfer import EfficiencyResult, _integrated_result, _require_lossy
@@ -85,37 +94,49 @@ def integrate_master(spec: DephasingSpec, rho0, times):
     The generator is linear and time independent, so the state advances by the
     matrix exponential exp(L dt) between consecutive times; one exponential is
     computed per distinct interval.  Returns a list of DensityMatrix, one per
-    requested time.  The state is re-symmetrized at each output time.
+    requested time.  The state is re-symmetrized at each output time.  The
+    states fill one (len(times), n, n) stack, whose finiteness, population
+    range and DensityMatrix checks run once; the returned objects are views
+    of it.
     """
+    return _density_matrices(_master_stack(spec, rho0, times))
+
+
+def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
+    """integrate_master's states as one checked (len(times), n, n) stack."""
     times = _time_grid(times)
     rm = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     n = rm.shape[0]
     if n != spec.model.n_sites:
         raise ValueError("state dimension does not match model")
     lv = _liouvillian(spec)
-    z = rm.reshape(-1).astype(complex)
-    out = []
+    # the span stepped before each output: from the last time the state moved
+    # to, or 0 where that is at most 1e-15
+    spans = np.zeros(times.shape)
     t_now = 0.0
+    for i, t_target in enumerate(times):
+        if t_target - t_now > 1e-15:
+            spans[i] = t_target - t_now
+            t_now = t_target
     cache: dict = {}
-    for t_target in times:
-        span = t_target - t_now
-        if span > 1e-15:
-            key = round(span, 15)
+    out = np.empty((times.size, n, n), dtype=complex)
+    z = rm.reshape(-1).astype(complex)
+    for i, key in enumerate(np.round(spans, 15).tolist()):
+        if spans[i]:
             if key not in cache:
-                cache[key] = scipy.linalg.expm(lv * span)
+                cache[key] = scipy.linalg.expm(lv * spans[i])
             # not @: after a scipy BLAS call, numpy's @ contends with scipy's separate OpenBLAS thread pool
             z = np.einsum("ij,j->i", cache[key], z)
-            t_now = t_target
         r = z.reshape(n, n)
-        r = (r + r.conj().T) / 2
+        r = (r + r.conj().T) / 2  # feeds the next step, so it stays per step
+        out[i] = r
         z = r.reshape(-1)
-        if not np.all(np.isfinite(r)):
-            raise ValueError("non-finite state during integration")
-        pops = np.real(np.diag(r))
-        if np.any(pops < -1e-8) or np.any(pops > 1 + 1e-8):
-            raise ValueError("populations left [0, 1] during integration")
-        out.append(DensityMatrix(r))
-    return out
+    if not np.all(np.isfinite(out)):
+        raise ValueError("non-finite state during integration")
+    pops = populations(out)
+    if np.any(pops < -1e-8) or np.any(pops > 1 + 1e-8):
+        raise ValueError("populations left [0, 1] during integration")
+    return density_stack(out)
 
 
 def efficiency_dephasing(spec: DephasingSpec) -> EfficiencyResult:
@@ -221,7 +242,11 @@ def quantum_jump_ensemble(
     n_times = times.shape[0]
     sum_rho = np.zeros((n_times, n, n), dtype=complex)
     sum_p = np.zeros((n_times, n))
-    sum_p2 = np.zeros((n_times, n))
+    # the variance accumulates deviations from the first sample at each time, so
+    # that it is exactly 0 where every trajectory holds the same state
+    shift = np.full((n_times, n), np.nan)
+    sum_d = np.zeros((n_times, n))
+    sum_d2 = np.zeros((n_times, n))
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
     # one row per unfinished trajectory; ids[r] is the trajectory (and stream) index of row r
     ids = np.arange(n_traj)
@@ -260,15 +285,19 @@ def quantum_jump_ensemble(
                 rows = psi[sel]
                 sum_rho[t] += rows.T @ rows.conj()
                 sum_p[t] += p[sel].sum(axis=0)
-                sum_p2[t] += (p[sel] ** 2).sum(axis=0)
+                if np.isnan(shift[t, 0]):
+                    shift[t] = p[sel][0]
+                d = p[sel] - shift[t]
+                sum_d[t] += d.sum(axis=0)
+                sum_d2[t] += (d**2).sum(axis=0)
             ti[out] += 1
             running = ti < n_times
             ids, phi, t_now, t_jump, ti = ids[running], phi[running], t_now[running], t_jump[running], ti[running]
     mean_rho = sum_rho / n_traj
     mean_p = sum_p / n_traj
-    var = np.maximum(sum_p2 / n_traj - mean_p**2, 0.0)
+    var = np.maximum(sum_d2 / n_traj - (sum_d / n_traj) ** 2, 0.0)
     se = np.sqrt(var / max(n_traj - 1, 1))
-    states = tuple(DensityMatrix((m + m.conj().T) / 2) for m in mean_rho)
+    states = tuple(_density_matrices(density_stack((mean_rho + mean_rho.conj().swapaxes(1, 2)) / 2)))
     return EnsembleResult(
         n_traj=n_traj,
         seed=seed,

@@ -13,7 +13,7 @@ from antizeno import (
     pure_site_state,
     time_averaged_population,
 )
-from antizeno.dynamics import eig_system
+from antizeno.dynamics import density_stack, eig_system
 from antizeno.model import effective_hamiltonian
 
 
@@ -138,6 +138,27 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[1.5, 0.0], [0.0, 0.0]]))  # trace > 1
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[1.0, 0.9], [0.9, 0.0]]))  # negative eigenvalue
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0.5, 0.4], [0.1, 0.5]]),
+        np.array([[1.0, 0.9], [0.9, 0.0]]),
+        np.array([[1.5, 0.0], [0.0, 0.0]]),
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+    ],
+    ids=["not-hermitian", "negative-eigenvalue", "trace-above-1", "non-finite"],
+)
+def test_density_stack_rejects_one_bad_member_with_the_density_matrix_message(bad):
+    stack = np.array([np.eye(2) / 2, [[0.5, 0.5j], [-0.5j, 0.5]], bad, np.diag([0.3, 0.0])])
+    with pytest.raises(ValueError) as single:
+        DensityMatrix(bad)
+    with pytest.raises(ValueError) as stacked:
+        density_stack(stack)
+    assert str(stacked.value) == str(single.value)
+    checked = density_stack(np.delete(stack, 2, axis=0))
+    assert not checked.flags.writeable and np.array_equal(checked, np.delete(stack, 2, axis=0))
 
 
 def test_populations_basic():

@@ -13,8 +13,11 @@ from antizeno import (
     repeated_measurement_trajectory,
     simulate_concurrence,
 )
-from antizeno.dynamics import pure_site_state
-from antizeno.entanglement import series_to_csv, _wootters
+from antizeno.dynamics import DensityMatrix, evolve, propagator, pure_site_state
+from antizeno.entanglement import _concurrences, _wootters, series_to_csv
+from antizeno.measurement import measured_states
+from antizeno.model import effective_hamiltonian
+from antizeno.open_system import integrate_master
 
 
 def bell_state():
@@ -84,6 +87,17 @@ def test_concurrence_fast_path_matches_wootters(rng):
         assert concurrence(state) == pytest.approx(2 * c_mag, abs=1e-10)
 
 
+def test_fast_path_disagreement_raises_value_error():
+    # member 1 skipped the state checks: |rho_eg,ge| = 0.5 exceeds
+    # sqrt(p_eg p_ge) = 0.25, so the fast path reads 1 and Wootters 0.5
+    forged = np.zeros((4, 4), dtype=complex)
+    forged[0, 0] = 0.5
+    forged[1, 1] = forged[2, 2] = 0.25
+    forged[1, 2] = forged[2, 1] = 0.5
+    with pytest.raises(ValueError, match="fast-path concurrence 1.0 disagrees with Wootters"):
+        _concurrences(np.array([bell_state().matrix, forged]))
+
+
 def test_concurrence_invariances():
     state = bell_state()
     # global phase on the underlying full state cannot change the reduced state
@@ -140,6 +154,32 @@ def test_simulated_unitary_matches_analytic(three_site_degenerate):
     ref = analytic_concurrence(9.0, 1.0, times)
     assert np.max(np.abs(series.values - ref)) < 1e-6
     assert series.provenance == "simulated"
+
+
+@pytest.mark.parametrize("model_name", ["figure3", "chain5"])
+@pytest.mark.parametrize("kind", ["unitary", "measurement", "dephasing"])
+def test_simulate_concurrence_equals_the_per_state_composition(three_site_degenerate, kind, model_name):
+    # the stacked reduction, checks and Wootters scoring against one state at a time
+    if model_name == "figure3":
+        model, pair, sites = three_site_degenerate, (1, 3), frozenset({2})
+    else:
+        model = build_chain(5, [0.0, 2.0, -1.0, 1.5, 0.5], v=1.0, trap_rate=0.3, decay_rate=0.01)
+        pair, sites = (2, 5), frozenset({3})
+    times = np.linspace(0.0, 10.0, 101)
+    h = effective_hamiltonian(model)
+    rho0 = pure_site_state(model.n_sites, model.initial_site)
+    if kind == "unitary":
+        spec, states = "unitary", [evolve(propagator(h, t), rho0) for t in times]
+    elif kind == "measurement":
+        spec = MeasurementChannel(sites, 0.23)
+        states = measured_states(h, spec, rho0, times)
+    else:
+        spec = DephasingSpec(model=model, gamma=0.75, dephased_sites=sites)
+        states = integrate_master(spec, rho0, times)
+    ref = np.array([concurrence(reduce_to_pair(DensityMatrix(s.matrix), *pair)) for s in states])
+    assert ref.max() > 0.01
+    series = simulate_concurrence(model, spec, pair, times)
+    assert np.max(np.abs(series.values - ref)) <= 1e-12
 
 
 def test_simulated_measurement_matches_closed_form(three_site_degenerate):

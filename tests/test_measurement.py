@@ -153,6 +153,38 @@ def test_measured_states_reuses_remainder_propagators(three_site_degenerate, mon
     assert len({round(t, 15) for t in calls[1:]}) == 33
 
 
+def reference_measured_states(h, channel, rho0, times):
+    """The per-state loop that measured_states replaced: evolve and
+    apply_channel on DensityMatrix at every step."""
+    tau = channel.interval
+    u = propagator(h, tau)
+    rho, k_done, states = rho0, 0, []
+    for t in times:
+        k_target = int(np.floor(t / tau * (1 + 1e-12)))
+        while k_done < k_target:
+            rho = apply_channel(channel, evolve(u, rho))
+            k_done += 1
+        rem = t - k_done * tau
+        states.append(rho if rem <= 1e-15 else evolve(propagator(h, rem), rho))
+    return states
+
+
+@pytest.mark.parametrize("case", ["figure3-site2", "lossy-chain-two-sites"])
+def test_measured_states_equal_the_per_state_reference(three_site_degenerate, case):
+    if case == "figure3-site2":
+        model, channel = three_site_degenerate, MeasurementChannel(frozenset({2}), 0.1)
+    else:
+        model = build_chain(5, [0.0, 2.0, -1.0, 1.5, 0.5], v=1.0, trap_rate=0.3, decay_rate=0.01)
+        channel = MeasurementChannel(frozenset({2, 4}), 0.37)
+    h = effective_hamiltonian(model)
+    rho0 = pure_site_state(model.n_sites, model.initial_site)
+    times = np.concatenate(([0.0, 0.0], np.linspace(0.05, 10.0, 200), [10.0]))
+    states = np.array([s.matrix for s in measured_states(h, channel, rho0, times)])
+    ref = np.array([s.matrix for s in reference_measured_states(h, channel, rho0, times)])
+    assert states.shape == ref.shape
+    assert np.max(np.abs(states - ref)) <= 1e-14
+
+
 def test_trajectory_column_sums_contract():
     m = build_chain(3, [10.0, 5.0, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.001)
     t = transition_matrix(effective_hamiltonian(m), 0.3).matrix

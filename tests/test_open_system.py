@@ -15,7 +15,7 @@ from antizeno import (
     quantum_jump_ensemble,
     repeated_measurement_trajectory,
 )
-from antizeno.dynamics import eig_system, evolve, populations, propagator, pure_site_state
+from antizeno.dynamics import DensityMatrix, eig_system, evolve, populations, propagator, pure_site_state
 from antizeno.measurement import channel_masks
 from antizeno.model import LatticeModel, effective_hamiltonian
 from antizeno.open_system import _liouvillian, _pure_initial, ensemble_to_csv
@@ -235,6 +235,58 @@ def test_jump_poisson_equals_the_per_trajectory_oracle(case):
     assert np.max(np.abs(res.se_populations[later] - se[later])) <= 1e-12
     states = np.array([s.matrix for s in res.mean_states])
     assert np.max(np.abs(states - (mean_rho + mean_rho.conj().transpose(0, 2, 1)) / 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["figure3-site2", "lossy-chain-all-sites"])
+def test_jump_standard_error_is_zero_at_t0(case):
+    # every trajectory holds the initial state at t = 0, so the sample variance
+    # there is exactly 0, not the roundoff of E[p^2] - E[p]^2
+    if case == "figure3-site2":
+        spec = fig3_spec(10.0)
+    else:
+        m = build_chain(4, [0.0, 3.0, 1.0, 2.0], v=1.0, trap_rate=0.4, decay_rate=0.02)
+        spec = DephasingSpec(model=m, gamma=1.5, dephased_sites=frozenset({1, 2, 3, 4}))
+    rho0 = pure_site_state(spec.model.n_sites, spec.model.initial_site)
+    res = quantum_jump_ensemble(spec, rho0, [0.0, 0.0, 2.0], n_traj=200, seed=2024)
+    assert np.all(res.se_populations[:2] == 0.0)
+    assert np.all(res.se_populations[2] > 0.0)
+
+
+def reference_master(spec, rho0, times):
+    """The per-state loop that integrate_master replaced: every state checked
+    as a DensityMatrix as soon as it is computed."""
+    lv = _liouvillian(spec)
+    n = spec.model.n_sites
+    z = rho0.matrix.reshape(-1)
+    states, t_now, cache = [], 0.0, {}
+    for t in times:
+        span = t - t_now
+        if span > 1e-15:
+            key = round(span, 15)
+            if key not in cache:
+                cache[key] = scipy.linalg.expm(lv * span)
+            z = cache[key] @ z
+            t_now = t
+        r = z.reshape(n, n)
+        r = (r + r.conj().T) / 2
+        z = r.reshape(-1)
+        states.append(DensityMatrix(r))
+    return states
+
+
+@pytest.mark.parametrize("case", ["figure3-grid", "lossy-chain-two-sites"])
+def test_master_states_equal_the_per_state_reference(case):
+    if case == "figure3-grid":
+        spec, times = fig3_spec(10.0), np.linspace(0.0, 20.0, 2001)
+    else:
+        m = build_chain(5, [0.0, 2.0, -1.0, 1.5, 0.5], v=1.0, trap_rate=0.3, decay_rate=0.01)
+        spec = DephasingSpec(model=m, gamma=0.75, dephased_sites=frozenset({2, 4}))
+        times = np.concatenate(([0.0, 0.0], np.linspace(0.1, 10.0, 100), [10.0]))
+    rho0 = pure_site_state(spec.model.n_sites, spec.model.initial_site)
+    states = np.array([s.matrix for s in integrate_master(spec, rho0, times)])
+    ref = np.array([s.matrix for s in reference_master(spec, rho0, times)])
+    assert states.shape == ref.shape
+    assert np.max(np.abs(states - ref)) <= 1e-14
 
 
 def test_jump_standard_error_scaling():
