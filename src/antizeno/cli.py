@@ -4,8 +4,8 @@ Usage:
     antizeno --config run.json [--scenario S] [--seed N] [--out DIR]
 
 A run writes CSV outputs plus a manifest.json echoing the configuration, so
-every output directory can be re-run exactly.  ZT_THREADS caps parallel
-evaluation of independent scan points.
+every output directory can be re-run exactly.  The independent curves of
+figure2 and sweep run serially unless ZT_THREADS sets a worker-thread count.
 
 Each scenario has one parse function: it reads every config key once through
 the typed readers of ``_Object`` and returns the scenario's jobs with every
@@ -134,8 +134,9 @@ class _Object:
 
 
 def _max_workers() -> int:
+    """ZT_THREADS, else 1: on a 2-CPU host serial curves beat a 2-thread pool."""
     env = os.environ.get("ZT_THREADS")
-    return max(1, int(env)) if env else os.cpu_count() or 1
+    return max(1, int(env)) if env else 1
 
 
 def _dump_json(result, path) -> None:

@@ -118,8 +118,8 @@ def propagator(h_eff, t: float) -> Propagator:
     h = _h_matrix(h_eff)
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("t must be nonnegative and finite")
     return Propagator(duration=float(t), matrix=scipy.linalg.expm(-1j * h * t))
 
 

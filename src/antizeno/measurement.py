@@ -56,6 +56,8 @@ class TransitionMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("transition matrix has non-finite entries")
         if np.any(m < -1e-12) or np.any(m > 1 + 1e-10):
             raise ValueError("transition probabilities outside [0, 1]")
         if np.any(m.sum(axis=0) > 1 + 1e-10):
@@ -145,8 +147,8 @@ def _measured_stack(h_eff, channel: MeasurementChannel, rho0, times) -> np.ndarr
 
 def transition_matrix(h_eff, tau: float) -> TransitionMatrix:
     """Site-to-site transfer probabilities over one measurement interval."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite")
     u = propagator(h_eff, tau)
     return TransitionMatrix(np.abs(u.matrix) ** 2, tau)
 

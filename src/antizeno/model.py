@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _SYM_TOL = 1e-12
+_MAX_TRIES = 10000
 
 
 def _is_integer(x) -> bool:
@@ -198,20 +199,35 @@ def build_chain(n_sites, site_energies, v, trap_rate, decay_rate, initial_site=1
 
 def _draw_energies(rng, n, eps):
     """Endpoints pinned to (eps, 0); interior uniform on [0, eps] with a
-    minimum pairwise gap of eps/(2n)."""
+    minimum pairwise gap of eps/(2n), by rejection over at most _MAX_TRIES tries.
+
+    Each try takes n - 2 uniforms from rng, and rng is left just after the
+    accepted try.  Tries are tested a chunk at a time: one (k, n - 2) draw
+    holds the stream of k single tries, and a row's minimum pairwise gap is
+    the minimum adjacent difference of the sorted row (the same float, since
+    rounded subtraction is monotone).  After a hit rng is rewound to the start
+    of the chunk and the accepted prefix is drawn again.
+    """
     if n == 2 or eps == 0.0:
         e = np.zeros(n)
         e[0] = eps
         return e
     min_gap = eps / (2 * n)
-    for _ in range(10000):
-        e = np.empty(n)
-        e[0] = eps
-        e[-1] = 0.0
-        e[1:-1] = rng.uniform(0.0, eps, size=n - 2)
-        gaps = np.abs(e[:, None] - e[None, :])[np.triu_indices(n, k=1)]
-        if np.min(gaps) >= min_gap:
-            return e
+    tried, k = 0, 16
+    while tried < _MAX_TRIES:
+        k = min(k, _MAX_TRIES - tried)
+        start = rng.bit_generator.state
+        e = np.empty((k, n))
+        e[:, 0] = eps
+        e[:, -1] = 0.0
+        e[:, 1:-1] = rng.uniform(0.0, eps, size=(k, n - 2))
+        hits = np.flatnonzero(np.diff(np.sort(e, axis=1), axis=1).min(axis=1) >= min_gap)
+        if hits.size:
+            rng.bit_generator.state = start
+            rng.uniform(0.0, eps, size=(hits[0] + 1) * (n - 2))
+            return e[hits[0]]
+        tried += k
+        k *= 4
     raise RuntimeError("could not satisfy the minimum pairwise energy gap")
 
 

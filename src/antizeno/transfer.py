@@ -60,13 +60,20 @@ class TauScan:
 
 
 def _interval_integrals_eigen(w, v, vinv, tau):
-    """A[i,j] = int_0^tau |<i|U(s)|j>|^2 ds from the eigendecomposition."""
-    c = v.T[:, :, None] * vinv[:, None, :]  # c[a, i, j] = V[i,a] Vinv[a,j]
+    """A[i,j] = int_0^tau |<i|U(s)|j>|^2 ds from the eigendecomposition.
+
+    With E_ab = int_0^tau exp(-i (w_a - conj w_b) s) ds, A = Re[(P . vec E) Q]
+    is one (n x n^2)(n^2 x n) product, where P[i,(a,b)] = V[i,a] conj V[i,b]
+    and Q[(a,b),j] = Vinv[a,j] conj Vinv[b,j].
+    """
+    n = w.shape[0]
     delta = w[:, None] - w.conj()[None, :]
     small = np.abs(delta) * tau < 1e-10
     safe = np.where(small, 1.0, delta)
     e = np.where(small, tau, (1.0 - np.exp(-1j * safe * tau)) / (1j * safe))
-    return np.real(np.einsum("aij,bij,ab->ij", c, c.conj(), e))
+    p = (v[:, :, None] * v.conj()[:, None, :]).reshape(n, n * n)
+    q = (vinv[:, None, :] * vinv.conj()[None, :, :]).reshape(n * n, n)
+    return np.real((p * e.reshape(-1)) @ q)
 
 
 def _interval_integrals_quadrature(h, tau, panels=4, nodes=16):
@@ -130,8 +137,8 @@ def _integrated_result(model, integrals, tau, method) -> EfficiencyResult:
 def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
     """Efficiency under repeated full-site measurements with interval tau,
     summed in closed form as w . (I - T)^-1 p(0)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite")
     _require_lossy(model)
     h = effective_hamiltonian(model).matrix
     n = model.n_sites
@@ -165,10 +172,10 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
 def tau_scan(model: LatticeModel, tau_grid) -> TauScan:
     """efficiency_measured over a sorted positive tau grid."""
     taus = np.asarray(tau_grid, dtype=float)
-    if taus.size == 0:
-        raise ValueError("tau grid must be nonempty")
-    if np.any(taus <= 0):
-        raise ValueError("tau grid must be positive")
+    if taus.ndim != 1 or taus.size == 0:
+        raise ValueError("tau grid must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(taus) & (taus > 0)):
+        raise ValueError("tau grid must be positive and finite")
     results = tuple(efficiency_measured(model, t) for t in taus)
     return TauScan(taus=taus, results=results, model=model)
 
@@ -191,8 +198,8 @@ def optimal_tau(model: LatticeModel, bracket=None) -> dict:
     if bracket is None:
         bracket = (0.1 / eps, 10.0 / eps)
     a, b = float(bracket[0]), float(bracket[1])
-    if not 0 < a < b:
-        raise ValueError("bracket must satisfy 0 < a < b")
+    if not (0 < a < b and math.isfinite(b)):
+        raise ValueError("bracket must be positive and finite with a < b")
     tol = 1e-3 / eps
     eta = lambda t: efficiency_measured(model, t).eta
     eta_a, eta_b = eta(a), eta(b)

@@ -322,6 +322,17 @@ def test_run_figure2_reduced(tmp_path, monkeypatch):
         assert len(lines) == 13
 
 
+def test_fan_out_is_serial_unless_zt_threads_is_set(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started without ZT_THREADS")
+
+    monkeypatch.delenv("ZT_THREADS", raising=False)
+    monkeypatch.setattr("antizeno.cli.ThreadPoolExecutor", no_pool)
+    config = {"scenario": "figure2", "eps_list": [5.0, 10.0], "n_points": 12, "out": str(tmp_path)}
+    assert run(config) == 0
+    assert len((tmp_path / "figure2_eps10.csv").read_text().splitlines()) == 13
+
+
 def test_fast_path_disagreement_exits_1(tmp_path, capsys, monkeypatch):
     # a disagreement is an engine error with a diagnostic, not a traceback
     monkeypatch.setattr("antizeno.entanglement._wootters", lambda m: np.zeros(m.shape[:-2]))

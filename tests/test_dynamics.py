@@ -106,6 +106,13 @@ def test_propagator_rejects_bad_input():
         propagator(np.eye(2), -1.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_propagator_rejects_non_finite_time(two_site_disordered, t):
+    # NaN used to give an all-NaN Propagator
+    with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+        propagator(effective_hamiltonian(two_site_disordered), t)
+
+
 def test_evolve_identity(two_site_disordered):
     rho = pure_site_state(2, 1)
     out = evolve(np.eye(2), rho)

@@ -15,7 +15,7 @@ from antizeno import (
     transition_matrix,
 )
 from antizeno.dynamics import DensityMatrix, evolve, propagator, pure_site_state
-from antizeno.measurement import measured_states, trajectory_to_csv
+from antizeno.measurement import TransitionMatrix, measured_states, trajectory_to_csv
 from antizeno.model import effective_hamiltonian
 
 
@@ -94,6 +94,19 @@ def test_transition_matrix_small_tau_weight():
 def test_transition_matrix_rejects_nonpositive_tau(two_site_disordered):
     with pytest.raises(ValueError):
         transition_matrix(effective_hamiltonian(two_site_disordered), 0.0)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_transition_matrix_rejects_non_finite_tau(two_site_disordered, tau):
+    # NaN used to give an all-NaN TransitionMatrix
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        transition_matrix(effective_hamiltonian(two_site_disordered), tau)
+
+
+def test_transition_matrix_rejects_non_finite_entries():
+    # NaN passed the [0, 1] range check, since every comparison with it is false
+    with pytest.raises(ValueError, match="non-finite"):
+        TransitionMatrix(np.full((2, 2), np.nan), 0.1)
 
 
 def test_trajectory_zero_steps(two_site_disordered):

@@ -10,6 +10,7 @@ from antizeno import (
     build_graph,
     effective_hamiltonian,
 )
+from antizeno import model as model_module
 
 
 def test_build_chain_two_site(two_site_disordered):
@@ -110,6 +111,56 @@ def test_build_graph_minimum_gap():
         e = m.site_energies
         gaps = np.abs(e[:, None] - e[None, :])[np.triu_indices(5, k=1)]
         assert gaps.min() >= 10.0 / (2 * 5)
+
+
+def reference_draw_energies(rng, n, eps):
+    """The one-try-at-a-time rejection loop whose stream build_graph keeps."""
+    if n == 2 or eps == 0.0:
+        e = np.zeros(n)
+        e[0] = eps
+        return e
+    min_gap = eps / (2 * n)
+    for _ in range(10000):
+        e = np.empty(n)
+        e[0] = eps
+        e[-1] = 0.0
+        e[1:-1] = rng.uniform(0.0, eps, size=n - 2)
+        gaps = np.abs(e[:, None] - e[None, :])[np.triu_indices(n, k=1)]
+        if np.min(gaps) >= min_gap:
+            return e
+    raise RuntimeError("could not satisfy the minimum pairwise energy gap")
+
+
+def _build_or_error(spec):
+    try:
+        return build_graph(spec)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16])
+@pytest.mark.parametrize("eps", [0.0, 10.0])
+def test_build_graph_equals_the_one_try_loop(monkeypatch, n, eps):
+    # Energies and couplings bit for bit, and the same RuntimeError where the
+    # loop gives up (9 of the 20 seeds at n = 16).  The energies are drawn
+    # before any coupling, so a seed whose energies fail fails alike in both
+    # topologies, and the slow loop runs once for it.
+    failures = 0
+    for seed in range(20):
+        specs = [DisorderSpec(n, topology, eps, 1.0, 0.5, 0.001, seed=seed) for topology in ("chain", "complete")]
+        got = [_build_or_error(spec) for spec in specs]
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "_draw_energies", reference_draw_energies)
+            want = [_build_or_error(specs[0])]
+            want.append(want[0] if isinstance(want[0], str) else _build_or_error(specs[1]))
+        for g, w in zip(got, want):
+            if isinstance(w, str):
+                assert g == w
+            else:
+                assert np.array_equal(g.site_energies, w.site_energies)
+                assert np.array_equal(g.couplings, w.couplings)
+        failures += isinstance(want[0], str)
+    assert failures == (9 if n == 16 and eps > 0 else 0)
 
 
 def test_build_graph_cut_edge():

@@ -12,7 +12,9 @@ from antizeno import (
     optimal_tau,
     tau_scan,
 )
-from antizeno.transfer import scan_to_csv
+from antizeno.dynamics import eig_system
+from antizeno.model import effective_hamiltonian
+from antizeno.transfer import _interval_integrals_eigen, _interval_integrals_quadrature, scan_to_csv
 
 
 def fig2_model(eps):
@@ -58,6 +60,43 @@ def test_measured_rejects_bad_tau(two_site_disordered):
         efficiency_measured(two_site_disordered, 0.0)
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_measured_rejects_non_finite_tau(two_site_disordered, tau):
+    # NaN used to raise LinAlgError, inf to warn and return a result with tau = inf
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        efficiency_measured(two_site_disordered, tau)
+
+
+def reference_interval_integrals(w, v, vinv, tau):
+    """The three-operand einsum form of _interval_integrals_eigen."""
+    c = v.T[:, :, None] * vinv[:, None, :]  # c[a, i, j] = V[i,a] Vinv[a,j]
+    delta = w[:, None] - w.conj()[None, :]
+    small = np.abs(delta) * tau < 1e-10
+    safe = np.where(small, 1.0, delta)
+    e = np.where(small, tau, (1.0 - np.exp(-1j * safe * tau)) / (1j * safe))
+    return np.real(np.einsum("aij,bij,ab->ij", c, c.conj(), e))
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+@pytest.mark.parametrize("lossless", [False, True])
+def test_interval_integrals_equal_the_einsum_and_quadrature_forms(n, lossless):
+    # The product form sums the same n^2 terms per entry as the einsum, in
+    # another order: with O(1) terms and entries at most tau = 2 the roundoff
+    # is a few 1e-15 (3.8e-15 at most here).  The 4 x 16-node Gauss-Legendre
+    # rule resolves the frequencies |w_a - w_b| <= 11.5 of these chains far
+    # below 1e-10 (2.2e-14 at most here).
+    e = np.random.default_rng(n).uniform(0.0, 10.0, n)
+    m = build_chain(n, e, v=1.0, trap_rate=0.0 if lossless else 0.5, decay_rate=0.0 if lossless else 0.001)
+    h = effective_hamiltonian(m).matrix
+    w, v, vinv, _ = eig_system(h)
+    for tau in (0.01, 0.3, 2.0):
+        if lossless:  # real spectrum: the diagonal of E takes the small-delta branch
+            assert np.all(np.abs(w.imag) * 2 * tau < 1e-10)
+        a = _interval_integrals_eigen(w, v, vinv, tau)
+        assert np.max(np.abs(a - reference_interval_integrals(w, v, vinv, tau))) < 1e-13
+        assert np.max(np.abs(a - _interval_integrals_quadrature(h, tau))) < 1e-10
+
+
 def test_measured_divergent_without_loss():
     m = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
     with pytest.raises(ValueError, match="non-convergent|efficiency undefined"):
@@ -66,10 +105,6 @@ def test_measured_divergent_without_loss():
 
 def test_measured_series_vs_direct_summation(rng):
     # geometric-series closed form against explicit summation over 1e4 intervals
-    from antizeno.dynamics import eig_system
-    from antizeno.model import effective_hamiltonian
-    from antizeno.transfer import _interval_integrals_eigen
-
     for _ in range(5):
         n = int(rng.integers(2, 6))
         e = rng.uniform(0, 10, n)
@@ -112,6 +147,13 @@ def test_tau_scan_validation(two_site_disordered):
         tau_scan(two_site_disordered, [0.2, 0.1])
 
 
+@pytest.mark.parametrize("grid", [[[0.1, 0.2]], [0.1, np.nan], [0.1, np.inf]])
+def test_tau_scan_rejects_non_grids(two_site_disordered, grid):
+    # a 2-D grid used to fail with "truth value ... ambiguous"
+    with pytest.raises(ValueError, match="tau grid must be"):
+        tau_scan(two_site_disordered, grid)
+
+
 def test_large_tau_ordering_by_disorder():
     # at eps tau = 20 the curves stack top-to-bottom with increasing eps
     etas = [efficiency_measured(fig2_model(eps), 20.0 / eps).eta for eps in (5, 10, 15, 20)]
@@ -138,6 +180,13 @@ def test_optimal_tau_matches_asymptotic_at_eps20():
 def test_optimal_tau_bad_bracket(two_site_disordered):
     with pytest.raises(ValueError):
         optimal_tau(two_site_disordered, bracket=(0.5, 0.1))
+
+
+@pytest.mark.parametrize("bracket", [(0.01, np.inf), (np.nan, 0.5)])
+def test_optimal_tau_rejects_non_finite_bracket(two_site_disordered, bracket):
+    # (0.01, inf) used to raise LinAlgError
+    with pytest.raises(ValueError, match="bracket must be positive and finite"):
+        optimal_tau(two_site_disordered, bracket=bracket)
 
 
 def test_asymptotic_efficiency_max_values():
