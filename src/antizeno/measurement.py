@@ -234,8 +234,8 @@ def crossover_time(model: LatticeModel, tau: float, horizon: float) -> dict:
     for chains, the leading-order p_bar alongside.  t_c is None when no
     crossover occurs within the horizon.
     """
-    if horizon < tau:
-        raise ValueError("horizon must be at least one interval")
+    if not (math.isfinite(horizon) and horizon >= tau):
+        raise ValueError("horizon must be finite and at least one interval")
     if np.any(model.trap_rates > 0) or model.decay_rate > 0:
         raise ValueError("crossover analysis requires kappa = Gamma = 0")
     n = model.n_sites

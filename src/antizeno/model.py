@@ -164,10 +164,10 @@ class DisorderSpec:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
         if self.topology not in ("chain", "complete", "complete_minus_edges"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.mean_disorder < 0:
-            raise ValueError("mean_disorder must be nonnegative")
-        if self.coupling_scale <= 0:
-            raise ValueError("coupling_scale must be positive")
+        if not (np.isfinite(self.mean_disorder) and self.mean_disorder >= 0):
+            raise ValueError("mean_disorder must be finite and nonnegative")
+        if not (np.isfinite(self.coupling_scale) and self.coupling_scale > 0):
+            raise ValueError("coupling_scale must be positive and finite")
         if self.topology == "complete_minus_edges" and not self.removed_edges:
             raise ValueError("complete_minus_edges requires at least one removed edge")
         if self.topology != "complete_minus_edges" and self.removed_edges:

@@ -6,8 +6,9 @@ The generator is
 with Q = I - sum_{i in D} P_i.  The generator L is linear and time
 independent, so time series are exact: the vectorized state advances by the
 matrix exponential exp(L dt) (scaling and squaring) between requested times.
-The transfer efficiency needs only the time integral of the state, which is
-one linear solve on the generator.
+The transfer efficiency does not need the generator: dephasing on every site
+is the measurement channel at Poisson-timed events, so it is the renewal
+series of repeated measurement with an exponential interval weight (transfer).
 
 In the quantum-jump picture (poisson mode), jumps apply the same channel at
 rate 2 gamma, so tau = 1/(2 gamma) is the mean interval between channel
@@ -21,7 +22,6 @@ at rate 2 gamma is 2/(2 gamma).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,7 @@ from .dynamics import (
 )
 from .measurement import MeasurementChannel, channel_masks, measured_states
 from .model import LatticeModel, _is_integer, effective_hamiltonian
-from .transfer import EfficiencyResult, _integrated_result, _require_lossy
+from .transfer import EfficiencyResult, _poisson_efficiency
 
 
 @dataclass(frozen=True)
@@ -142,29 +142,19 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
 def efficiency_dephasing(spec: DephasingSpec) -> EfficiencyResult:
     """eta = 2 kappa int p_trap dt under dephasing on all sites.
 
-    The time integral of the state is exact: int_0^inf rho dt = -L^-1 rho(0),
-    one dense solve on the generator.  A singular or ill-conditioned generator
-    means some mode never decays (a dark state, or sites cut off from every
-    loss channel) and raises ValueError.  tau = 1/(2 gamma) is reported: the
-    mean interval between the Poisson-timed channel applications.  Periodic
-    measurement with the same Zeno hop rate has interval 2/(2 gamma), since
-    E[s^2] = 2 E[s]^2 for exponential intervals.
+    This is the measurement channel at Poisson-timed events of rate 2 gamma,
+    so eta is the renewal series w . (I - T)^-1 p(0) of periodic measurement
+    with interval weight exp(-2 gamma s) on [0, inf) (transfer); at gamma = 0
+    it is efficiency_no_measurement.  A mode that never decays (a dark state,
+    or sites cut off from every loss channel) raises ValueError.
+    tau = 1/(2 gamma) is reported: the mean interval between the channel
+    events.  Periodic measurement with the same Zeno hop rate has interval
+    2/(2 gamma), since E[s^2] = 2 E[s]^2 for exponential intervals.
     """
     model = spec.model
-    _require_lossy(model)
     if spec.gamma > 0 and spec.dephased_sites != frozenset(range(1, model.n_sites + 1)):
         raise ValueError("transport efficiency is defined for dephasing on all sites")
-    n = model.n_sites
-    rho0 = np.zeros(n * n, dtype=complex)
-    rho0[(model.initial_site - 1) * (n + 1)] = 1.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            x = scipy.linalg.solve(_liouvillian(spec), -rho0, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
-        raise ValueError(f"non-decaying mode: singular generator ({exc})") from None
-    tau = 1.0 / (2.0 * spec.gamma) if spec.gamma > 0 else None
-    return _integrated_result(model, np.real(x[:: n + 1]), tau, "master")
+    return _poisson_efficiency(model, 2.0 * spec.gamma, "master")
 
 
 def _pure_initial(rho0) -> np.ndarray:

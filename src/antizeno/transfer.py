@@ -1,11 +1,12 @@
 """Energy-transfer efficiency with and without repeated measurements.
 
-The efficiency is eta = 2 kappa int p_trap(t) dt.  Without measurements the
-time-integrated state solves a Lyapunov equation in H_eff.
-Under repeated full-site measurements the trapped probability accrues interval
-by interval, and the infinite sum collapses to the geometric series
-w . (I - T)^-1 p(0), where w_j is the per-interval trapped weight and T the
-transition matrix.
+The efficiency is eta = 2 kappa int p_trap(t) dt.  Under full-site channel
+events the trapped probability accrues interval by interval, and the infinite
+sum collapses to the geometric series w . (I - T)^-1 p(0), where w_j is the
+per-interval trapped weight and T the transition matrix.  Periodic measurement
+weights the interval [0, tau]; dephasing on all sites is the same channel at
+Poisson-timed events, with weight exp(-r s) on [0, inf); and free evolution is
+the Poisson case at r = 0, where T = 0.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class EfficiencyResult:
     dissipated: float
     residual: float
     tau: float | None
-    method: str  # "series" | "lyapunov" | "master"
+    method: str  # "series" (periodic), "lyapunov" (no measurement) or "master" (dephasing)
 
     def __post_init__(self):
         if abs(self.eta - self.trapped) > 1e-12:
@@ -91,47 +92,70 @@ def _interval_integrals_quadrature(h, tau, panels=4, nodes=16):
     return acc
 
 
-def _loss_weights(model, a):
-    """Per-start-site trapped and dissipated weights from the integrals A."""
-    trapped_w = 2.0 * model.trap_rates @ a
-    dissipated_w = 2.0 * model.decay_rate * a.sum(axis=0)
-    return trapped_w, dissipated_w
-
-
 def _require_lossy(model):
     if not (np.any(model.trap_rates > 0) or model.decay_rate > 0):
         raise ValueError("efficiency undefined: model has no trapping or decay channel")
+
+
+def _poisson_integrals(model, rate):
+    """A[i,j] = int_0^inf exp(-rate s) |<i|U(s)|j>|^2 ds for Poisson-timed events.
+
+    Column j is the diagonal of the X that solves
+    (-i H_eff - rate/2) X + X (-i H_eff - rate/2)^dag = -E_j: with one complex
+    Schur form Z S Z^dag for all columns, S Y + Y S^dag = -Z^dag E_j Z is one
+    triangular solve and diag X = diag(Z Y Z^dag).  At rate 0, T = 0, so only
+    the initial site's column is solved.
+    """
+    n = model.n_sites
+    h = effective_hamiltonian(model).matrix
+    s, z = scipy.linalg.schur(-1j * h - 0.5 * rate * np.eye(n), output="complex")
+    a = np.zeros((n, n))
+    for j in range(n) if rate > 0 else [model.initial_site - 1]:
+        y, scale, _ = scipy.linalg.lapack.ztrsyl(s, s, -np.outer(z[j].conj(), z[j]), tranb="C")
+        a[:, j] = np.real(((z @ y) * z.conj()).sum(axis=1)) / scale
+    return a
+
+
+def _series_result(model, t, a, tau, method) -> EfficiencyResult:
+    """eta = w . (I - T)^-1 p(0) from the transition matrix T and the interval
+    integrals A, which give the per-start-site trapped and dissipated weights."""
+    radius = float(np.max(np.abs(np.linalg.eigvals(t))))
+    if radius >= 1 - 1e-12:
+        raise ValueError(f"series non-convergent: spectral radius {radius}")
+    trapped_w, dissipated_w = 2.0 * model.trap_rates @ a, 2.0 * model.decay_rate * a.sum(axis=0)
+    n = model.n_sites
+    x = np.linalg.solve(np.eye(n) - t, np.eye(n)[model.initial_site - 1])
+    trapped = float(trapped_w @ x)
+    dissipated = float(dissipated_w @ x)
+    return EfficiencyResult(
+        eta=trapped, trapped=trapped, dissipated=dissipated, residual=0.0, tau=tau, method=method
+    )
+
+
+def _poisson_efficiency(model, rate, method) -> EfficiencyResult:
+    """The series with channel events at Poisson rate (none at rate 0): T = rate A.
+
+    The system empties completely, so residual is 0 and the sum rule
+    trapped + dissipated = 1 can fail only if some mode never decays.  Such a
+    mode raises ValueError: at rate > 0 through the spectral radius of T, at
+    rate 0 through the sum rule if the initial state populates it.
+    """
+    _require_lossy(model)
+    a = _poisson_integrals(model, rate)
+    res = _series_result(model, rate * a, a, 1.0 / rate if rate > 0 else None, method)
+    if not abs(res.trapped + res.dissipated - 1.0) <= 1e-8:
+        raise ValueError(f"non-decaying mode: trapped + dissipated = {res.trapped + res.dissipated:.12g}")
+    return res
 
 
 def efficiency_no_measurement(model: LatticeModel) -> EfficiencyResult:
     """eta = 2 kappa int_0^inf p_trap(t) dt under free (non-Hermitian) evolution.
 
     X = int_0^inf rho(t) dt solves the Lyapunov equation
-    (-i H_eff) X + X (-i H_eff)^dag = -rho(0), and eta = 2 kappa . diag(X).
+    (-i H_eff) X + X (-i H_eff)^dag = -rho(0), and eta = 2 kappa . diag(X):
+    the renewal series with no channel events.
     """
-    _require_lossy(model)
-    h = effective_hamiltonian(model).matrix
-    if np.any(np.linalg.eigvals(h).imag >= 0):
-        raise ValueError("non-decaying mode: eigenvalue of H_eff with nonnegative imaginary part")
-    rho0 = np.zeros((model.n_sites, model.n_sites), dtype=complex)
-    rho0[model.initial_site - 1, model.initial_site - 1] = 1.0
-    x = scipy.linalg.solve_continuous_lyapunov(-1j * h, -rho0)
-    return _integrated_result(model, np.real(np.diag(x)), None, "lyapunov")
-
-
-def _integrated_result(model, integrals, tau, method) -> EfficiencyResult:
-    """Trapped and dissipated probability from int_0^inf p_i(t) dt.
-
-    The system empties completely, so residual is 0 and the sum rule
-    trapped + dissipated = 1 can fail only if some mode never decays.
-    """
-    trapped = float(2.0 * model.trap_rates @ integrals)
-    dissipated = float(2.0 * model.decay_rate * integrals.sum())
-    if not abs(trapped + dissipated - 1.0) <= 1e-8:
-        raise ValueError(f"non-decaying mode: trapped + dissipated = {trapped + dissipated:.12g}")
-    return EfficiencyResult(
-        eta=trapped, trapped=trapped, dissipated=dissipated, residual=0.0, tau=tau, method=method
-    )
+    return _poisson_efficiency(model, 0.0, "lyapunov")
 
 
 def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
@@ -141,7 +165,6 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
         raise ValueError("tau must be positive and finite")
     _require_lossy(model)
     h = effective_hamiltonian(model).matrix
-    n = model.n_sites
     w, v, vinv, _ = eig_system(h)
     if vinv is not None:
         u = (v * np.exp(-1j * w * tau)) @ vinv
@@ -149,24 +172,7 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
     else:
         u = scipy.linalg.expm(-1j * h * tau)
         a = _interval_integrals_quadrature(h, tau)
-    t = np.abs(u) ** 2
-    radius = float(np.max(np.abs(np.linalg.eigvals(t))))
-    if radius >= 1 - 1e-12:
-        raise ValueError(f"series non-convergent: spectral radius {radius}")
-    trapped_w, dissipated_w = _loss_weights(model, a)
-    p0 = np.zeros(n)
-    p0[model.initial_site - 1] = 1.0
-    x = np.linalg.solve(np.eye(n) - t, p0)
-    trapped = float(trapped_w @ x)
-    dissipated = float(dissipated_w @ x)
-    return EfficiencyResult(
-        eta=trapped,
-        trapped=trapped,
-        dissipated=dissipated,
-        residual=0.0,
-        tau=float(tau),
-        method="series",
-    )
+    return _series_result(model, np.abs(u) ** 2, a, float(tau), "series")
 
 
 def tau_scan(model: LatticeModel, tau_grid) -> TauScan:

@@ -326,6 +326,13 @@ def test_crossover_validation():
         crossover_time(lossy, 0.1, horizon=10.0)
 
 
+@pytest.mark.parametrize("horizon", [np.inf, np.nan])
+def test_crossover_rejects_non_finite_horizon(horizon):
+    m = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        crossover_time(m, 0.05, horizon)
+
+
 def test_crossover_reports_leading_order():
     m = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
     out = crossover_time(m, 0.1, horizon=50.0)

@@ -206,6 +206,15 @@ def test_disorder_spec_validation():
         )
 
 
+@pytest.mark.parametrize("field", ["mean_disorder", "coupling_scale"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_disorder_spec_rejects_non_finite_scales(field, bad):
+    # a non-finite scale passes a sign check, so it is rejected before it reaches the sampler
+    scales = {"mean_disorder": 10.0, "coupling_scale": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        DisorderSpec(4, "chain", scales["mean_disorder"], scales["coupling_scale"], 0.5, 0.001, seed=1)
+
+
 def test_json_round_trip(two_site_disordered):
     s = two_site_disordered.to_json()
     d = json.loads(s)

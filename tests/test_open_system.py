@@ -342,13 +342,69 @@ def test_ensemble_without_times_writes_a_csv(tmp_path, gamma):
         assert path.read_text().splitlines() == ["t,p_1,p_2,p_3,trace,se_p_1,se_p_2,se_p_3"]
 
 
+def reference_efficiency_dephasing(spec):
+    """The dense generator solve that efficiency_dephasing replaced: the time
+    integral of the state is -L^-1 rho(0), one solve on the n^2 x n^2
+    Liouvillian.  Returns (trapped, dissipated)."""
+    model = spec.model
+    n = model.n_sites
+    rho0 = np.zeros(n * n, dtype=complex)
+    rho0[(model.initial_site - 1) * (n + 1)] = 1.0
+    x = scipy.linalg.solve(_liouvillian(spec), -rho0, check_finite=False)
+    integrals = np.real(x[:: n + 1])
+    return float(2.0 * model.trap_rates @ integrals), float(2.0 * model.decay_rate * integrals.sum())
+
+
 def test_efficiency_dephasing_gamma_zero(two_site_disordered):
     spec = DephasingSpec(model=two_site_disordered, gamma=0.0, dephased_sites=frozenset())
     r = efficiency_dephasing(spec)
-    # both sides are exact linear solves of the same integral
-    assert abs(r.eta - efficiency_no_measurement(two_site_disordered).eta) < 1e-10
+    # the renewal series against the dense generator solve of the same integral
+    assert abs(r.eta - reference_efficiency_dephasing(spec)[0]) < 1e-10
     assert r.tau is None
     assert abs(r.trapped + r.dissipated + r.residual - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 1.0, 50.0])
+def test_poisson_efficiencies_equal_the_dense_generator_solve(n, gamma):
+    # both sides are exact: the Poisson renewal series and -L^-1 rho(0).  The
+    # series loses up to about 1e-11 where 1 - rho(T) is small (gamma = 50)
+    rng = np.random.default_rng(1000 + n)
+    m = build_chain(
+        n,
+        rng.uniform(0.0, 10.0, n),
+        v=1.0,
+        trap_rate=float(rng.uniform(0.2, 0.8)),
+        decay_rate=float(rng.uniform(0.001, 0.02)),
+    )
+    spec = DephasingSpec(model=m, gamma=gamma, dephased_sites=frozenset(range(1, n + 1)) if gamma else frozenset())
+    trapped, dissipated = reference_efficiency_dephasing(spec)
+    results = [efficiency_dephasing(spec)] + ([efficiency_no_measurement(m)] if gamma == 0 else [])
+    for r in results:
+        assert abs(r.eta - trapped) <= 1e-10
+        assert abs(r.dissipated - dissipated) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 5.0])
+def test_poisson_efficiency_at_the_exceptional_point(gamma):
+    # resonant dimer with kappa = 2v and Gamma = 0: H_eff is defective, yet
+    # every excitation is trapped, so eta = 1
+    m = build_chain(2, [0.0, 0.0], v=1.0, trap_rate=2.0, decay_rate=0.0)
+    spec = DephasingSpec(model=m, gamma=gamma, dephased_sites=frozenset({1, 2}) if gamma else frozenset())
+    results = [efficiency_dephasing(spec)] + ([efficiency_no_measurement(m)] if gamma == 0 else [])
+    for r in results:
+        assert abs(r.eta - 1.0) <= 1e-12
+        assert abs(r.trapped + r.dissipated + r.residual - 1.0) <= 1e-12
+
+
+def test_efficiency_dephasing_large_chain():
+    # n = 48 on all sites: the dense generator would be 2304 x 2304
+    n = 48
+    rng = np.random.default_rng(48)
+    m = build_chain(n, np.linspace(10.0, 0.0, n) + rng.uniform(-0.1, 0.1, n), v=1.0, trap_rate=0.5, decay_rate=0.001)
+    r = efficiency_dephasing(DephasingSpec(model=m, gamma=1.0, dephased_sites=frozenset(range(1, n + 1))))
+    assert 0.0 <= r.eta <= 1.0
+    assert abs(r.trapped + r.dissipated + r.residual - 1.0) <= 1e-10
 
 
 def test_efficiency_dephasing_against_expm_oracle(rng):
@@ -387,6 +443,25 @@ def test_efficiency_dephasing_dark_state_raises():
     spec = DephasingSpec(model=m, gamma=0.0, dephased_sites=frozenset())
     with pytest.raises(ValueError, match="non-decaying mode"):
         efficiency_dephasing(spec)
+    with pytest.raises(ValueError, match="non-decaying mode"):
+        efficiency_no_measurement(m)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_poisson_efficiency_with_an_isolated_lossless_site(gamma):
+    # site 3 has no coupling and no loss, so it never decays.  Site 1 never
+    # populates it, so free evolution gives eta = 1; under dephasing T has
+    # eigenvalue 1 on site 3 and the series raises, as the dense solve did
+    c = np.zeros((3, 3))
+    c[0, 1] = c[1, 0] = 1.0
+    m = LatticeModel(np.array([0.0, 1.0, 5.0]), c, np.array([0.0, 0.5, 0.0]), 0.0, 1)
+    spec = DephasingSpec(model=m, gamma=gamma, dephased_sites=frozenset({1, 2, 3}) if gamma else frozenset())
+    if gamma:
+        with pytest.raises(ValueError, match="non-convergent"):
+            efficiency_dephasing(spec)
+    else:
+        assert abs(efficiency_dephasing(spec).eta - 1.0) <= 1e-12
+        assert abs(efficiency_no_measurement(m).eta - 1.0) <= 1e-12
 
 
 def test_efficiency_dephasing_correspondence(two_site_disordered):
