@@ -141,9 +141,10 @@ def evolve(u, rho) -> DensityMatrix:
 
 
 def _conjugate(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """evolve's arithmetic on plain arrays: U r U-dagger, re-symmetrized."""
-    x = u @ r @ u.conj().T
-    return (x + x.conj().T) / 2
+    """evolve's arithmetic on plain arrays: U r U-dagger, re-symmetrized; on
+    stacks of matrices, pair by pair."""
+    x = u @ r @ u.conj().swapaxes(-1, -2)
+    return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
 def populations(rho) -> np.ndarray:

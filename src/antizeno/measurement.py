@@ -11,12 +11,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+import scipy.linalg
 
 from .dynamics import (
     DensityMatrix,
     _conjugate,
     _density_matrices,
+    _h_matrix,
     _time_grid,
     density_stack,
     perturbative_average,
@@ -109,7 +110,8 @@ def measured_states(h_eff, channel: MeasurementChannel, rho0, times) -> list:
     """States at the sorted times under free evolution with the channel applied
     at every multiple of channel.interval (a time on a multiple is taken just
     after that measurement).  Off-grid remainders share one propagator per
-    distinct value, keyed as in integrate_master.  The states fill one stack
+    distinct value, keyed as in integrate_master, and all of them are taken in
+    one batched exponential and conjugation.  The states fill one stack
     that is checked once; the returned DensityMatrix objects are views of it."""
     return _density_matrices(_measured_stack(h_eff, channel, rho0, times))
 
@@ -124,24 +126,27 @@ def _measured_stack(h_eff, channel: MeasurementChannel, rho0, times) -> np.ndarr
     if u_tau.shape != rho.shape:
         raise ValueError(f"dimension mismatch: U {u_tau.shape} vs rho {rho.shape}")
     _, keep = channel_masks(rho.shape[0], channel.measured_sites)
-    out = np.empty((times.size,) + rho.shape, dtype=complex)
+    # fl(k tau) / tau can fall an ulp below k, and from k = 2^13 on that ulp
+    # exceeds an absolute 1e-12 slack, so the slack is relative
+    k_target = np.floor(times / tau * (1 + 1e-12)).astype(np.intp)
+    # the channel steps run once up to the last output; each output then reads
+    # the state just after its last measurement
+    ks, k_index = np.unique(k_target, return_inverse=True)
+    after = np.empty((ks.size,) + rho.shape, dtype=complex)
     k_done = 0
-    u_rem: dict = {}
-    for i, t in enumerate(times):
-        # fl(k tau) / tau can fall an ulp below k, and from k = 2^13 on that ulp
-        # exceeds an absolute 1e-12 slack, so the slack is relative
-        k_target = int(np.floor(t / tau * (1 + 1e-12)))
-        while k_done < k_target:
+    for i, k in enumerate(ks.tolist()):
+        while k_done < k:
             rho = np.where(keep, _conjugate(u_tau, rho), 0.0)
             k_done += 1
-        rem = t - k_done * tau
-        if rem <= 1e-15:
-            out[i] = rho
-            continue
-        key = round(rem, 15)
-        if key not in u_rem:
-            u_rem[key] = propagator(h_eff, rem).matrix
-        out[i] = _conjugate(u_rem[key], rho)
+        after[i] = rho
+    out = after[k_index]
+    rem = times - k_target * tau
+    off = np.flatnonzero(rem > 1e-15)
+    if off.size:
+        # one propagator per distinct remainder: the first remainder of each key
+        _, first, key = np.unique(np.round(rem[off], 15), return_index=True, return_inverse=True)
+        u = scipy.linalg.expm((-1j * _h_matrix(h_eff)) * rem[off][first, None, None])
+        out[off] = _conjugate(u[key], out[off])
     return density_stack(out)
 
 
@@ -220,8 +225,8 @@ def binomial_population(L: int, n: int, tau: float, v: float) -> float:
     if n * w >= 1:
         raise OutOfRegimeError(f"n tau^2 v^2 = {n * w:.3g} >= 1; outside validity regime")
     if n > 50:
-        log_c = gammaln(n + 1) - gammaln(L + 1) - gammaln(n - L + 1)
-        return float(np.exp(log_c + (n - L) * np.log1p(-2 * w) + L * np.log(w)))
+        log_c = math.lgamma(n + 1) - math.lgamma(L + 1) - math.lgamma(n - L + 1)
+        return math.exp(log_c + (n - L) * math.log1p(-2 * w) + L * math.log(w))
     return float(math.comb(n, n - L) * (1 - 2 * w) ** (n - L) * w**L)
 
 

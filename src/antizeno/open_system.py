@@ -165,6 +165,10 @@ def _pure_initial(rho0) -> np.ndarray:
     return vec[:, -1] * math.sqrt(max(ev[-1], 0.0))
 
 
+_BLOCK = 64  # jumps per trajectory drawn at a time
+_PAIRS = 1 << 16  # (trajectory, output time) pairs summed at a time
+
+
 def quantum_jump_ensemble(
     spec: DephasingSpec, rho0, times, n_traj: int, seed: int, mode: str = "poisson"
 ) -> EnsembleResult:
@@ -178,11 +182,15 @@ def quantum_jump_ensemble(
     of poisson mode: the periodic interval with the same Zeno hop rate is
     2/(2 gamma).  Trajectories carry sub-normalized states under dissipation.
 
-    poisson mode advances all trajectories in lockstep, one row each of an
-    (n_traj, n) array of eigenbasis amplitudes: every iteration takes each
-    unfinished trajectory to its own next event, a jump or its next output
-    time.  The random numbers do not depend on this layout.  Trajectory k
-    draws from its own generator, default_rng(SeedSequence(seed).spawn(n_traj)[k]):
+    poisson mode runs from a pre-drawn schedule of jumps.  The channel's total
+    rate is 2 gamma in every state, so the jump times do not depend on the
+    state.  Each block of up to _BLOCK jumps per trajectory is drawn first:
+    the jump times and the uniforms that pick the sites.  Then all
+    trajectories step over jump index, one row each of an (n_traj, n) array of
+    eigenbasis amplitudes, and each output time is read off the last jump at
+    or before it.  Memory is O(n_traj n + n_times n^2) plus one block of
+    O(n_traj _BLOCK).  The random numbers do not depend on this layout.
+    Trajectory k draws from its own generator, default_rng(SeedSequence(seed).spawn(n_traj)[k]):
     first its initial waiting time, then per jump the uniform that picks the
     site and the next waiting time.  So each trajectory, and the ensemble
     average up to summation order, is the same as when the trajectories run
@@ -215,7 +223,27 @@ def quantum_jump_ensemble(
             mode=mode,
         )
 
-    # poisson mode: all trajectories advance in lockstep in the eigenbasis of H_eff
+    sums = _poisson_sums(spec, h, rho0, times, n_traj, seed)
+    mean_rho = sums.rho / n_traj
+    mean_p = sums.p / n_traj
+    var = np.maximum(sums.d2 / n_traj - (sums.d / n_traj) ** 2, 0.0)
+    se = np.sqrt(var / max(n_traj - 1, 1))
+    states = tuple(_density_matrices(density_stack((mean_rho + mean_rho.conj().swapaxes(1, 2)) / 2)))
+    return EnsembleResult(
+        n_traj=n_traj,
+        seed=seed,
+        times=times,
+        mean_states=states,
+        mean_populations=mean_p,
+        se_populations=se,
+        mode="poisson",
+    )
+
+
+def _poisson_sums(spec: DephasingSpec, h, rho0, times, n_traj: int, seed: int) -> _OutputSums:
+    """The poisson unraveling's sums over trajectories at each output time, in
+    the eigenbasis of H_eff and block by block of _BLOCK jumps per trajectory."""
+    n = h.shape[0]
     w, v, vinv, _ = eig_system(h)
     if vinv is None:
         raise ValueError("defective effective Hamiltonian; poisson unraveling unsupported here")
@@ -230,73 +258,127 @@ def quantum_jump_ensemble(
     kept[-1] = ~measured
     vt, vinvt = v.T, vinv.T  # row-wise basis changes: psi = phi @ v.T, phi = psi @ vinv.T
     n_times = times.shape[0]
-    sum_rho = np.zeros((n_times, n, n), dtype=complex)
-    sum_p = np.zeros((n_times, n))
-    # the variance accumulates deviations from the first sample at each time, so
-    # that it is exactly 0 where every trajectory holds the same state
-    shift = np.full((n_times, n), np.nan)
-    sum_d = np.zeros((n_times, n))
-    sum_d2 = np.zeros((n_times, n))
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
-    # one row per unfinished trajectory; ids[r] is the trajectory (and stream) index of row r
-    ids = np.arange(n_traj)
-    phi = np.tile(vinv @ psi0, (n_traj, 1))  # eigenbasis amplitudes
-    t_now = np.zeros(n_traj)
-    t_jump = wait * np.array([g.standard_exponential() for g in rngs])
-    ti = np.zeros(n_traj, dtype=np.intp)  # next output index
-    while n_times and ids.size:
-        # every row advances to its next event: a jump, or its next output time
-        t_out = times[ti]
-        jumps = t_jump <= t_out
-        t_next = np.minimum(t_jump, t_out)
-        phi *= np.exp(np.multiply.outer(t_next - t_now, -1j * w))
-        t_now = t_next
-        n_jumps = np.count_nonzero(jumps)
-        if n_jumps:
-            # each jumping stream draws the uniform that picks the site, then the next waiting time
-            draws = np.array([(rngs[k].random(), rngs[k].standard_exponential()) for k in ids[jumps].tolist()])
-            psi = phi[jumps] @ vt
+    sums = _OutputSums(n_times, n)
+    # the outputs of one group are read for this many rows at a time, so at
+    # most _PAIRS (row, time) pairs, or one row's n_times where that is more
+    rows_per_read = max(1, _PAIRS // max(n_times, 1))
+    gens = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
+    # row r of the arrays below is the unfinished trajectory that draws from gens[r]
+    t_next = [wait * g.standard_exponential() for g in gens]  # next jump time
+    phi = np.tile(vinv @ psi0, (n_traj, 1))  # eigenbasis amplitudes just after the last jump
+    t_last = np.zeros(n_traj)  # time of the last jump
+    t_out = np.zeros(n_traj, dtype=np.intp)  # index of the next output time
+    while n_times and gens:
+        n_rows = len(gens)
+        t_jump = np.full((n_rows, _BLOCK), np.inf)
+        u = np.empty((n_rows, _BLOCK))
+        count = np.empty(n_rows, dtype=np.intp)
+        for r, g in enumerate(gens):
+            count[r], t_next[r] = _draw_jumps(g, t_next[r], times[-1], wait, t_jump[r], u[r])
+        more = np.array(t_next) <= times[-1]  # the rows that jump again after this block
+        # with the rows sorted by jump count, the rows that make jump j are a
+        # prefix, and the rows that go on to the next block come first
+        order = np.lexsort((-count, ~more))
+        gens, t_next = [gens[k] for k in order], [t_next[k] for k in order]
+        phi, t_last, t_out, t_jump, u, count, more = (
+            a[order] for a in (phi, t_last, t_out, t_jump, u, count, more)
+        )
+        n_jump = np.searchsorted(-count, -np.arange(count[0]))  # rows that make jump j
+        # group j holds the outputs a row reads between its jumps j - 1 and j
+        # of this block (searchsorted side="right" of the jump times), the
+        # outputs bounds[r, j] to bounds[r, j + 1]; a row that goes on reads
+        # those after its last jump here in the next block
+        before = np.searchsorted(times, t_jump)  # outputs strictly before each jump
+        bounds = np.column_stack((t_out, before, np.where(more, before[:, -1], n_times)))
+        sizes = np.diff(bounds, axis=1)
+        reads = sizes.any(axis=0)
+        for j in range(count[0] + 1):
+            if reads[j]:
+                sel = np.flatnonzero(sizes[:, j])
+                for s in range(0, sel.size, rows_per_read):
+                    rs = sel[s : s + rows_per_read]
+                    c = sizes[rs, j]
+                    rp = np.repeat(rs, c)
+                    ip = np.arange(rp.size) + np.repeat(bounds[rs, j] - (np.cumsum(c) - c), c)
+                    sums.add(ip, (phi[rp] * np.exp(np.multiply.outer(times[ip] - t_last[rp], -1j * w))) @ vt)
+            if j == count[0]:
+                break
+            m = n_jump[j]
+            psi = (phi[:m] * np.exp(np.multiply.outer(t_jump[:m, j] - t_last[:m], -1j * w))) @ vt
+            t_last[:m] = t_jump[:m, j]
             q = np.abs(psi) ** 2
             norm2 = q.sum(axis=1)
             # the first dephased site whose cumulative probability exceeds u * norm2
             # clicks; the cumulative sums rise, so the sites below it are the misses
-            misses = (np.cumsum(q[:, d_idx], axis=1) <= (norm2 * draws[:, 0])[:, None]).sum(axis=1)
+            misses = (np.cumsum(q[:, d_idx], axis=1) <= (norm2 * u[:m, j])[:, None]).sum(axis=1)
             keep = kept[misses]
             rem = np.maximum((q * keep).sum(axis=1), 1e-300)
-            phi[jumps] = (psi * (keep * np.sqrt(norm2 / rem)[:, None])) @ vinvt
-            t_jump[jumps] += wait * draws[:, 1]  # t_jump == t_now on these rows
-        if n_jumps < ids.size:
-            out = ~jumps
-            psi = phi[out] @ vt
-            p = np.abs(psi) ** 2
-            t_idx = ti[out]
-            for t in np.unique(t_idx):
-                sel = t_idx == t
-                rows = psi[sel]
-                sum_rho[t] += rows.T @ rows.conj()
-                sum_p[t] += p[sel].sum(axis=0)
-                if np.isnan(shift[t, 0]):
-                    shift[t] = p[sel][0]
-                d = p[sel] - shift[t]
-                sum_d[t] += d.sum(axis=0)
-                sum_d2[t] += (d**2).sum(axis=0)
-            ti[out] += 1
-            running = ti < n_times
-            ids, phi, t_now, t_jump, ti = ids[running], phi[running], t_now[running], t_jump[running], ti[running]
-    mean_rho = sum_rho / n_traj
-    mean_p = sum_p / n_traj
-    var = np.maximum(sum_d2 / n_traj - (sum_d / n_traj) ** 2, 0.0)
-    se = np.sqrt(var / max(n_traj - 1, 1))
-    states = tuple(_density_matrices(density_stack((mean_rho + mean_rho.conj().swapaxes(1, 2)) / 2)))
-    return EnsembleResult(
-        n_traj=n_traj,
-        seed=seed,
-        times=times,
-        mean_states=states,
-        mean_populations=mean_p,
-        se_populations=se,
-        mode="poisson",
-    )
+            phi[:m] = (psi * (keep * np.sqrt(norm2 / rem)[:, None])) @ vinvt
+        n_rows = np.count_nonzero(more)
+        gens, t_next = gens[:n_rows], t_next[:n_rows]
+        phi, t_last, t_out = phi[:n_rows], t_last[:n_rows], before[:n_rows, -1]
+    sums.flush()
+    return sums
+
+
+def _draw_jumps(gen, t, t_end, wait, t_jump, u) -> tuple:
+    """Draw a trajectory's jumps at or before t_end from time t on, at most
+    len(t_jump) of them: per jump its time into t_jump and the uniform that
+    picks the site into u, drawn before the waiting time to the next jump.
+    Returns the number of jumps and the time of the next one."""
+    raw, exponential = gen.bit_generator.random_raw, gen.standard_exponential
+    j, size = 0, t_jump.size
+    while j < size and t <= t_end:
+        t_jump[j] = t
+        # for PCG64 this is bit for bit the double Generator.random() returns, at about half the cost
+        u[j] = (raw() >> 11) * 2.0**-53
+        t += wait * exponential()
+        j += 1
+    return j, t
+
+
+class _OutputSums:
+    """Sums over trajectories of the states and populations at each output time.
+
+    State rows are added with their output index and summed once _PAIRS or
+    more of them wait, and at flush().  The population variance accumulates
+    deviations from the first sample at each time, so that it is exactly 0
+    where every trajectory holds the same state.
+    """
+
+    def __init__(self, n_times: int, n: int):
+        self.rho = np.zeros((n_times, n, n), dtype=complex)
+        self.p = np.zeros((n_times, n))
+        self.shift = np.full((n_times, n), np.nan)
+        self.d = np.zeros((n_times, n))
+        self.d2 = np.zeros((n_times, n))
+        self._waiting: list = []
+        self._n_waiting = 0
+
+    def add(self, idx, psi) -> None:
+        """Add the state rows psi, row k read at output index idx[k]."""
+        self._waiting.append((idx, psi))
+        self._n_waiting += idx.size
+        if self._n_waiting >= _PAIRS:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._waiting:
+            return
+        idx, psi = (np.concatenate(a) for a in zip(*self._waiting))
+        self._waiting, self._n_waiting = [], 0
+        order = np.argsort(idx, kind="stable")
+        idx, psi = idx[order], psi[order]
+        at, starts = np.unique(idx, return_index=True)
+        p = np.abs(psi) ** 2
+        first = np.isnan(self.shift[at, 0])
+        self.shift[at[first]] = p[starts[first]]
+        d = p - self.shift[idx]
+        self.p[at] += np.add.reduceat(p, starts)
+        self.d[at] += np.add.reduceat(d, starts)
+        self.d2[at] += np.add.reduceat(d * d, starts)
+        for t, rows in zip(at.tolist(), np.split(psi, starts[1:])):
+            self.rho[t] += rows.T @ rows.conj()
 
 
 def ensemble_to_csv(result: EnsembleResult, path) -> None:

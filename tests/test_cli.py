@@ -379,6 +379,18 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_cli_import_does_not_load_scipy_special():
+    # scipy.special costs about 0.1 s of import that every CLI run would pay;
+    # the code needs only log-gamma, which math has
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, antizeno.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_integer_model_file_is_not_read_from_stdin(tmp_path):
     # os.path.exists(0) is True (file descriptor 0), so an integer model_file
     # used to read the model from stdin during validation and crash on the

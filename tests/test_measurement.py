@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from antizeno import (
     MeasurementChannel,
@@ -149,21 +150,23 @@ def test_measured_states_rejects_bad_times(three_site_degenerate, times):
 
 def test_measured_states_reuses_remainder_propagators(three_site_degenerate, monkeypatch):
     # the Fig. 3 grid at tau = 0.1: 1,800 off-grid times, 33 distinct
-    # remainders (to 1e-15), one propagator each plus the one for tau
-    calls = []
+    # remainders (to 1e-15), one exponential each, all in one batched call,
+    # plus the one for tau
+    stacks = []
+    expm = scipy.linalg.expm
 
-    def counting(h, t):
-        calls.append(t)
-        return propagator(h, t)
+    def counting(a):
+        stacks.append(np.asarray(a).reshape((-1,) + np.shape(a)[-2:]))
+        return expm(a)
 
-    monkeypatch.setattr("antizeno.measurement.propagator", counting)
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
     channel = MeasurementChannel(frozenset({2}), 0.1)
     h = effective_hamiltonian(three_site_degenerate)
     times = np.linspace(0.0, 20.0, 2001)
     states = measured_states(h, channel, pure_site_state(3, 2), times)
     assert len(states) == 2001
-    assert len(calls) == 34
-    assert len({round(t, 15) for t in calls[1:]}) == 33
+    assert [len(s) for s in stacks] == [1, 33]
+    assert len({m.tobytes() for m in stacks[1]}) == 33
 
 
 def reference_measured_states(h, channel, rho0, times):

@@ -18,7 +18,7 @@ from antizeno import (
 from antizeno.dynamics import DensityMatrix, eig_system, evolve, populations, propagator, pure_site_state
 from antizeno.measurement import channel_masks
 from antizeno.model import LatticeModel, effective_hamiltonian
-from antizeno.open_system import _liouvillian, _pure_initial, ensemble_to_csv
+from antizeno.open_system import _BLOCK, _draw_jumps, _liouvillian, _pure_initial, ensemble_to_csv
 
 
 def fig3_spec(two_gamma, sites=frozenset({2})):
@@ -206,10 +206,16 @@ def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
 
 @pytest.mark.parametrize(
     "case",
-    ["figure3-site2", "lossy-chain-all-sites-repeated-times", "chain-n8-120-trajectories"],
+    [
+        "figure3-site2",
+        "lossy-chain-all-sites-repeated-times",
+        "chain-n8-120-trajectories",
+        "figure3-101-times-between-jumps",
+        "lossy-chain-across-schedule-blocks",
+    ],
 )
 def test_jump_poisson_equals_the_per_trajectory_oracle(case):
-    # the lockstep ensemble must consume every trajectory's stream exactly as
+    # the scheduled ensemble must consume every trajectory's stream exactly as
     # the one-at-a-time loop does, so the two agree to roundoff
     if case == "figure3-site2":
         spec, times, n_traj = fig3_spec(10.0), [1.0, 5.0, 10.0], 300
@@ -217,6 +223,15 @@ def test_jump_poisson_equals_the_per_trajectory_oracle(case):
         m = build_chain(4, [0.0, 3.0, 1.0, 2.0], v=1.0, trap_rate=0.4, decay_rate=0.02)
         spec = DephasingSpec(model=m, gamma=1.5, dephased_sites=frozenset({1, 2, 3, 4}))
         times, n_traj = [0.0, 0.5, 0.5, 3.0], 200
+    elif case == "figure3-101-times-between-jumps":
+        # a jump every 2 time units on average, so most outputs are read off
+        # the same jump as their neighbours
+        spec, times, n_traj = fig3_spec(0.5), np.linspace(0.0, 10.0, 101), 100
+    elif case == "lossy-chain-across-schedule-blocks":
+        # 3 blocks of jumps per trajectory on average; P(fewer than one block) < 1e-20
+        m = build_chain(4, [0.0, 3.0, 1.0, 2.0], v=1.0, trap_rate=0.4, decay_rate=0.02)
+        spec = DephasingSpec(model=m, gamma=1.5 * _BLOCK / 4.0, dephased_sites=frozenset({2, 3}))
+        times, n_traj = [0.5, 2.0, 2.0, 4.0], 60
     else:
         m = build_chain(8, np.linspace(0.0, 7.0, 8) % 3.0, v=1.0, trap_rate=0.5, decay_rate=0.01)
         spec = DephasingSpec(model=m, gamma=5.0, dephased_sites=frozenset(range(1, 9)))
@@ -235,6 +250,29 @@ def test_jump_poisson_equals_the_per_trajectory_oracle(case):
     assert np.max(np.abs(res.se_populations[later] - se[later])) <= 1e-12
     states = np.array([s.matrix for s in res.mean_states])
     assert np.max(np.abs(states - (mean_rho + mean_rho.conj().transpose(0, 2, 1)) / 2)) <= 1e-12
+
+
+def test_drawn_jumps_follow_the_generator_stream():
+    # the schedule draws each site-picking uniform as (random_raw() >> 11) * 2**-53,
+    # between waiting times; for PCG64 that is the double Generator.random()
+    # returns, so the streams are those of the one-at-a-time loop.  Checked on
+    # 10^4 jumps from streams spawned as the ensemble spawns them
+    wait = 0.25
+    for stream in np.random.SeedSequence(2024).spawn(4):
+        ref, gen = np.random.default_rng(stream), np.random.default_rng(stream)
+        assert type(gen.bit_generator) is np.random.PCG64
+        t_jump, u = np.empty(2500), np.empty(2500)
+        t0 = wait * gen.standard_exponential()
+        count, t_next = _draw_jumps(gen, t0, np.inf, wait, t_jump, u)
+        t, want_t, want_u = wait * ref.standard_exponential(), [], []
+        for _ in range(2500):
+            want_t.append(t)
+            want_u.append(ref.random())
+            t += wait * ref.standard_exponential()
+        assert count == 2500
+        assert t_jump.tolist() == want_t
+        assert u.tolist() == want_u
+        assert t_next == t
 
 
 @pytest.mark.parametrize("case", ["figure3-site2", "lossy-chain-all-sites"])
