@@ -192,7 +192,7 @@ def _model(c, seed) -> LatticeModel:
     elif "disorder" in c.obj:
         try:
             return build_graph(_disorder(c, seed))
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:  # an n_sites too large for an array
             raise ConfigError(f"invalid disorder spec: {exc}") from None
     else:
         raise ConfigError("this scenario requires a model, model_file, or disorder entry")

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _SYM_TOL = 1e-12
-_MAX_TRIES = 10000
 
 
 def _is_integer(x) -> bool:
@@ -145,9 +144,12 @@ class EffectiveHamiltonian:
 class DisorderSpec:
     """Recipe for a random disordered model, deterministic for a fixed seed.
 
-    ``mean_disorder`` is the gap eps_1 - eps_n, enforced exactly; interior
-    energies are drawn uniformly on [0, eps] with a minimum pairwise gap of
-    eps/(2n) to exclude accidental resonances.
+    ``mean_disorder`` is the gap eps = eps_1 - eps_n, enforced exactly;
+    interior energies are uniform on [0, eps] given that every pair of the n
+    energies is at least g = eps/(2n) apart, which excludes accidental
+    resonances.  They are drawn exactly by the spacing transform, which never
+    fails: n - 2 uniforms on [0, eps - (n - 1) g], sorted, the k-th raised by
+    k g, then permuted onto the interior sites.
     """
 
     n_sites: int
@@ -164,15 +166,22 @@ class DisorderSpec:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
         if self.topology not in ("chain", "complete", "complete_minus_edges"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if not (np.isfinite(self.mean_disorder) and self.mean_disorder >= 0):
-            raise ValueError("mean_disorder must be finite and nonnegative")
+        for name in ("mean_disorder", "trap_rate", "decay_rate"):
+            x = getattr(self, name)
+            if not (isinstance(x, numbers.Real) and np.isfinite(x) and x >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
         if not (np.isfinite(self.coupling_scale) and self.coupling_scale > 0):
             raise ValueError("coupling_scale must be positive and finite")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.topology == "complete_minus_edges" and not self.removed_edges:
             raise ValueError("complete_minus_edges requires at least one removed edge")
         if self.topology != "complete_minus_edges" and self.removed_edges:
             raise ValueError("removed_edges only applies to complete_minus_edges")
-        edges = tuple((a, b) for a, b in self.removed_edges)
+        try:
+            edges = tuple((a, b) for a, b in self.removed_edges)
+        except (TypeError, ValueError):
+            raise ValueError(f"removed_edges must be a list of site pairs, got {self.removed_edges!r}") from None
         for a, b in edges:
             if not all(_is_integer(i) and 1 <= i <= self.n_sites for i in (a, b)) or a == b:
                 raise ValueError(f"removed edge ({a},{b}) out of range for {self.n_sites} sites")
@@ -198,61 +207,44 @@ def build_chain(n_sites, site_energies, v, trap_rate, decay_rate, initial_site=1
 
 
 def _draw_energies(rng, n, eps):
-    """Endpoints pinned to (eps, 0); interior uniform on [0, eps] with a
-    minimum pairwise gap of eps/(2n), by rejection over at most _MAX_TRIES tries.
+    """Endpoints pinned to (eps, 0), interior by the spacing transform of
+    :class:`DisorderSpec` with gap g = eps/(2n); n = 2 or eps = 0 draws nothing.
 
-    Each try takes n - 2 uniforms from rng, and rng is left just after the
-    accepted try.  Tries are tested a chunk at a time: one (k, n - 2) draw
-    holds the stream of k single tries, and a row's minimum pairwise gap is
-    the minimum adjacent difference of the sorted row (the same float, since
-    rounded subtraction is monotone).  After a hit rng is rewound to the start
-    of the chunk and the accepted prefix is drawn again.
+    On each ordering of the sites the transform is a translation, so it carries
+    the uniform law of the shortened interval onto the uniform law of the set
+    where every pair of energies is at least g apart: the law of rejection.
     """
+    e = np.zeros(n)
+    e[0] = eps
     if n == 2 or eps == 0.0:
-        e = np.zeros(n)
-        e[0] = eps
         return e
-    min_gap = eps / (2 * n)
-    tried, k = 0, 16
-    while tried < _MAX_TRIES:
-        k = min(k, _MAX_TRIES - tried)
-        start = rng.bit_generator.state
-        e = np.empty((k, n))
-        e[:, 0] = eps
-        e[:, -1] = 0.0
-        e[:, 1:-1] = rng.uniform(0.0, eps, size=(k, n - 2))
-        hits = np.flatnonzero(np.diff(np.sort(e, axis=1), axis=1).min(axis=1) >= min_gap)
-        if hits.size:
-            rng.bit_generator.state = start
-            rng.uniform(0.0, eps, size=(hits[0] + 1) * (n - 2))
-            return e[hits[0]]
-        tried += k
-        k *= 4
-    raise RuntimeError("could not satisfy the minimum pairwise energy gap")
+    g = eps / (2 * n)
+    u = np.sort(rng.uniform(0.0, eps - (n - 1) * g, size=n - 2))
+    e[1:-1] = rng.permutation(u + g * np.arange(1, n - 1))
+    return e
 
 
 def build_graph(spec: DisorderSpec) -> LatticeModel:
     """Sample a random model from a :class:`DisorderSpec`.
 
-    Chains keep the fixed nearest-neighbor coupling v; complete graphs draw
-    couplings uniformly on [0.5v, 1.5v] with the 1-n coupling pinned to v.
+    One generator, seeded by spec.seed, gives the interior energies' uniforms,
+    then their permutation (see :class:`DisorderSpec`), then the couplings.
+    Chains keep the fixed nearest-neighbor coupling v; complete graphs draw one
+    coupling per pair i < j, uniform on [0.5v, 1.5v] in row order, with the
+    1-n coupling pinned to v.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_sites
     v = spec.coupling_scale
     e = _draw_energies(rng, n, spec.mean_disorder)
-    c = np.zeros((n, n))
     if spec.topology == "chain":
-        idx = np.arange(n - 1)
-        c[idx, idx + 1] = v
-        c[idx + 1, idx] = v
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                c[i, j] = c[j, i] = rng.uniform(0.5 * v, 1.5 * v)
-        c[0, n - 1] = c[n - 1, 0] = v
-        for a, b in spec.removed_edges:
-            c[a - 1, b - 1] = c[b - 1, a - 1] = 0.0
+        return build_chain(n, e, v, spec.trap_rate, spec.decay_rate)
+    c = np.zeros((n, n))
+    i, j = np.triu_indices(n, 1)
+    c[i, j] = c[j, i] = rng.uniform(0.5 * v, 1.5 * v, size=i.size)
+    c[0, n - 1] = c[n - 1, 0] = v
+    for a, b in spec.removed_edges:
+        c[a - 1, b - 1] = c[b - 1, a - 1] = 0.0
     k = np.zeros(n)
     k[-1] = spec.trap_rate
     return LatticeModel(e, c, k, spec.decay_rate, initial_site=1)

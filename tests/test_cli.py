@@ -92,19 +92,6 @@ def test_run_invalid_config_exits_2(capsys, tmp_path):
     "config",
     [
         {"scenario": "crossover", "model": inline_two_site(), "tau": "0.1", "horizon": 50.0},
-        {
-            # the minimum-gap disorder sampler cannot draw a 30-site chain
-            "scenario": "efficiency-scan",
-            "disorder": {
-                "n_sites": 30,
-                "topology": "chain",
-                "mean_disorder": 10.0,
-                "coupling_scale": 1.0,
-                "trap_rate": 0.5,
-                "decay_rate": 0.001,
-            },
-            "tau_grid": [0.1],
-        },
         {"scenario": "concurrence", "model": inline_two_site(), "pair": [1, 5], "times": [0.0, 1.0]},
         {"scenario": "evolve", "model": inline_two_site(), "tau": 0.3, "measured_sites": [7]},
         {"scenario": "concurrence", "model": inline_three_site(), "dynamics": {"kind": "measurement"}},
@@ -154,7 +141,6 @@ def test_run_invalid_config_exits_2(capsys, tmp_path):
     ],
     ids=[
         "crossover-string-tau",
-        "disorder-draw-fails",
         "concurrence-pair-range",
         "evolve-sites-range",
         "measurement-without-tau",
@@ -202,6 +188,29 @@ def test_run_bad_config_exits_2(config, capsys, tmp_path):
     path.write_text(json.dumps(config))
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, outputs",
+    [
+        (
+            {"scenario": "efficiency-scan", "disorder": {**sweep_disorder(), "n_sites": 30}, "tau_grid": [0.1]},
+            ["scan.csv"],
+        ),
+        (
+            {"scenario": "sweep", "disorder": {**sweep_disorder(), "n_sites": 24}, "seeds": list(range(20)), "tau_grid": [0.1]},
+            [f"sweep_seed{s}.csv" for s in range(20)],
+        ),
+    ],
+    ids=["disorder-n30-chain", "sweep-n24-seeds-0-19"],
+)
+def test_run_large_disorder_exits_0(config, outputs, tmp_path):
+    # the rejection sampler gave up on both: exit 2 for the 30-site chain, and
+    # exit 1 for every one of these n = 24 seeds
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert all((tmp_path / "out" / name).exists() for name in outputs)
 
 
 def test_run_figure3_strong_dephasing(tmp_path):
