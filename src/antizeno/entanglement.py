@@ -189,7 +189,6 @@ def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> Con
 
 def series_to_csv(series: ConcurrenceSeries, path) -> None:
     """Write a concurrence series as CSV: t,concurrence."""
+    rows = zip(series.times.tolist(), series.values.tolist())
     with open(path, "w", newline="") as f:
-        f.write("t,concurrence\n")
-        for t, c in zip(series.times, series.values):
-            f.write(f"{t:.12g},{c:.12g}\n")
+        f.write("".join(["t,concurrence\n"] + [f"{t:.12g},{c:.12g}\n" for t, c in rows]))

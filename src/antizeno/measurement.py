@@ -268,10 +268,8 @@ def crossover_time(model: LatticeModel, tau: float, horizon: float) -> dict:
 def trajectory_to_csv(traj: MeasuredTrajectory, path) -> None:
     """Write a trajectory as CSV with header t,p_1,...,p_n,trace."""
     n = traj.populations.shape[1]
-    header = "t," + ",".join(f"p_{i}" for i in range(1, n + 1)) + ",trace"
-    traces = traj.traces
+    lines = ["t," + ",".join(f"p_{i}" for i in range(1, n + 1)) + ",trace"]
+    for t, row, tr in zip(np.asarray(traj.times).tolist(), traj.populations.tolist(), traj.traces.tolist()):
+        lines.append(",".join([f"{x:.12g}" for x in (t, *row, tr)]))
     with open(path, "w", newline="") as f:
-        f.write(header + "\n")
-        for t, row, tr in zip(traj.times, traj.populations, traces):
-            cells = [f"{t:.12g}"] + [f"{x:.12g}" for x in row] + [f"{tr:.12g}"]
-            f.write(",".join(cells) + "\n")
+        f.write("\n".join(lines) + "\n")

@@ -94,10 +94,11 @@ def integrate_master(spec: DephasingSpec, rho0, times):
     The generator is linear and time independent, so the state advances by the
     matrix exponential exp(L dt) between consecutive times; one exponential is
     computed per distinct interval.  Returns a list of DensityMatrix, one per
-    requested time.  The state is re-symmetrized at each output time.  The
-    states fill one (len(times), n, n) stack, whose finiteness, population
-    range and DensityMatrix checks run once; the returned objects are views
-    of it.
+    requested time; rho0 is checked as one.  The state steps as the real
+    vector Re rho + Im rho, and the Hermitian states are rebuilt from it in
+    one (len(times), n, n) stack after the last step, whose finiteness,
+    population range and DensityMatrix checks run once; the returned objects
+    are views of it.
     """
     return _density_matrices(_master_stack(spec, rho0, times))
 
@@ -105,11 +106,14 @@ def integrate_master(spec: DephasingSpec, rho0, times):
 def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
     """integrate_master's states as one checked (len(times), n, n) stack."""
     times = _time_grid(times)
-    rm = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    rm = (rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)).matrix
     n = rm.shape[0]
     if n != spec.model.n_sites:
         raise ValueError("state dimension does not match model")
     lv = _liouvillian(spec)
+    # y = vec(Re rho + Im rho) fixes a Hermitian rho, rho = (y + y^T)/2 + i (y - y^T)/2, and L keeps
+    # rho Hermitian, so dy/dt = Re(L vec rho) + Im(L vec rho) = (Re L + Im L P) y, P: vec(x) -> vec(x^T)
+    lr = lv.real + lv.imag[:, np.arange(n * n).reshape(n, n).T.reshape(-1)]
     # the span stepped before each output: from the last time the state moved
     # to, or 0 where that is at most 1e-15
     spans = np.zeros(times.shape)
@@ -119,18 +123,17 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
             spans[i] = t_target - t_now
             t_now = t_target
     cache: dict = {}
-    out = np.empty((times.size, n, n), dtype=complex)
-    z = rm.reshape(-1).astype(complex)
+    ys = np.empty((times.size, n * n))
+    y = (rm.real + rm.imag).reshape(-1)
     for i, key in enumerate(np.round(spans, 15).tolist()):
         if spans[i]:
             if key not in cache:
-                cache[key] = scipy.linalg.expm(lv * spans[i])
+                cache[key] = scipy.linalg.expm(lr * spans[i])
             # not @: after a scipy BLAS call, numpy's @ contends with scipy's separate OpenBLAS thread pool
-            z = np.einsum("ij,j->i", cache[key], z)
-        r = z.reshape(n, n)
-        r = (r + r.conj().T) / 2  # feeds the next step, so it stays per step
-        out[i] = r
-        z = r.reshape(-1)
+            y = np.einsum("ij,j->i", cache[key], y)
+        ys[i] = y
+    ys = ys.reshape(-1, n, n)
+    out = (ys + ys.swapaxes(1, 2)) / 2 + 1j * ((ys - ys.swapaxes(1, 2)) / 2)  # Hermitian to the bit
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite state during integration")
     pops = populations(out)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antizeno.cli
 from antizeno.cli import main, run, validate
 
 
@@ -315,6 +316,55 @@ def test_run_figure3_reduced(tmp_path):
     lines = (tmp_path / "figure3_2gamma0.csv").read_text().splitlines()
     assert lines[0] == "t,concurrence"
     assert len(lines) == 52
+
+
+def per_line_series_csv(series, path):
+    """The per-line concurrence writer that series_to_csv replaced."""
+    with open(path, "w", newline="") as f:
+        f.write("t,concurrence\n")
+        for t, c in zip(series.times, series.values):
+            f.write(f"{t:.12g},{c:.12g}\n")
+
+
+def per_line_trajectory_csv(traj, path):
+    """The per-line trajectory writer that trajectory_to_csv replaced."""
+    n = traj.populations.shape[1]
+    header = "t," + ",".join(f"p_{i}" for i in range(1, n + 1)) + ",trace"
+    traces = traj.traces
+    with open(path, "w", newline="") as f:
+        f.write(header + "\n")
+        for t, row, tr in zip(traj.times, traj.populations, traces):
+            cells = [f"{t:.12g}"] + [f"{x:.12g}" for x in row] + [f"{tr:.12g}"]
+            f.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenario": "figure3"},
+        {"scenario": "evolve", "disorder": dict(sweep_disorder(), n_sites=8, seed=3), "two_gamma": 2.0},
+        {"scenario": "evolve", "model": inline_two_site(), "times": [0, 1, 2.5]},
+        {"scenario": "evolve", "model": inline_three_site(), "tau": 0.3, "measured_sites": [2], "n_steps": 20},
+    ],
+    ids=["figure3-preset", "evolve-dephasing-n8", "evolve-time-list", "evolve-measured-states"],
+)
+def test_csv_writers_equal_the_per_line_writers(config, tmp_path, monkeypatch):
+    # each writer the scenario calls also runs its per-line predecessor on the
+    # same result; the two files must agree byte for byte
+    written = []
+    for name, per_line in (("series_to_csv", per_line_series_csv), ("trajectory_to_csv", per_line_trajectory_csv)):
+
+        def both(result, path, writer=getattr(antizeno.cli, name), per_line=per_line):
+            writer(result, path)
+            per_line(result, path + ".per-line")
+            written.append(path)
+
+        monkeypatch.setattr(antizeno.cli, name, both)
+    assert run(dict(config, out=str(tmp_path))) == 0
+    assert len(written) == (4 if config["scenario"] == "figure3" else 1)
+    for path in written:
+        with open(path, "rb") as new, open(path + ".per-line", "rb") as old:
+            assert new.read() == old.read()
 
 
 def test_run_figure2_reduced(tmp_path, monkeypatch):

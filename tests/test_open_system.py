@@ -312,19 +312,54 @@ def reference_master(spec, rho0, times):
     return states
 
 
-@pytest.mark.parametrize("case", ["figure3-grid", "lossy-chain-two-sites"])
+@pytest.mark.parametrize("case", ["figure3-grid", "lossy-chain-two-sites", "lossy-chain-n12"])
 def test_master_states_equal_the_per_state_reference(case):
+    times = np.concatenate(([0.0, 0.0], np.linspace(0.1, 10.0, 100), [10.0]))
     if case == "figure3-grid":
         spec, times = fig3_spec(10.0), np.linspace(0.0, 20.0, 2001)
-    else:
+    elif case == "lossy-chain-two-sites":
         m = build_chain(5, [0.0, 2.0, -1.0, 1.5, 0.5], v=1.0, trap_rate=0.3, decay_rate=0.01)
         spec = DephasingSpec(model=m, gamma=0.75, dephased_sites=frozenset({2, 4}))
-        times = np.concatenate(([0.0, 0.0], np.linspace(0.1, 10.0, 100), [10.0]))
+    else:
+        energies = np.random.default_rng(5).uniform(0.0, 5.0, 12).tolist()
+        m = build_chain(12, energies, v=1.0, trap_rate=0.3, decay_rate=0.01)
+        spec = DephasingSpec(model=m, gamma=0.75, dephased_sites=frozenset(range(1, 13, 2)))
     rho0 = pure_site_state(spec.model.n_sites, spec.model.initial_site)
     states = np.array([s.matrix for s in integrate_master(spec, rho0, times)])
     ref = np.array([s.matrix for s in reference_master(spec, rho0, times)])
     assert states.shape == ref.shape
     assert np.max(np.abs(states - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("two_gamma", [10.0, 1000.0, 1751.05])
+def test_master_states_equal_a_fresh_exponential(two_gamma):
+    # every output of the Figure-3 grid against exp(L t) vec(rho_0), one
+    # exponential per time, with no stepping and no real coordinates
+    spec, times, rho0 = fig3_spec(two_gamma), np.linspace(0.0, 20.0, 2001), pure_site_state(3, 2)
+    states = np.array([s.matrix for s in integrate_master(spec, rho0, times)])
+    lv = _liouvillian(spec)
+    fresh = np.array([scipy.linalg.expm(lv * t) @ rho0.matrix.reshape(-1) for t in times]).reshape(states.shape)
+    # Tolerance, to first order in u = 2^-53.  exp is relatively conditioned
+    # like ||A|| near a normal A, so the fresh exp(L t) carries about
+    # u ||L||_1 t; the k exponentials stepped to t_k carry u ||L||_1 dt each,
+    # which the contractive dynamics sums to the same u ||L||_1 t.  Each real
+    # matvec on n^2 coordinates adds at most n^2 u, and the entries of a
+    # density matrix are at most 1.  So |stepped - fresh| <= u (2 ||L||_1 t_k + n^2 k);
+    # it reads 0.11, 0.29 and 0.36 of that bound at most (2.4e-14, 1.7e-12 and
+    # 2.2e-12 over the grid).
+    k = np.arange(times.size)
+    bound = 2.0**-53 * (2 * np.abs(lv).sum(axis=0).max() * times + rho0.matrix.size * k)
+    assert np.all(np.abs(states - fresh).max(axis=(1, 2)) <= bound)
+    # the states are rebuilt from real coordinates, so they are Hermitian to the bit
+    assert np.array_equal(states, states.conj().swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("rho0", [[[1.0, 1.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]], ids=["non-hermitian", "trace-2"])
+def test_master_rejects_an_invalid_initial_state(two_site_disordered, rho0):
+    # an array rho0 is checked as a DensityMatrix, not replaced by its Hermitian part
+    spec = DephasingSpec(model=two_site_disordered, gamma=1.0, dephased_sites=frozenset({1, 2}))
+    with pytest.raises(ValueError, match="not Hermitian|trace 2"):
+        integrate_master(spec, np.array(rho0), [0.0, 1.0])
 
 
 def test_jump_standard_error_scaling():
