@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +105,23 @@ def eig_system(h_eff):
 
     Vinv is None when cond(V) >= 1e8 (or is not finite): the eigenbasis is
     then too ill-conditioned to work in, and callers take a path without it.
+    The result is memoized on the bytes of H (the 16 most recent matrices), so
+    a tau scan decomposes its H_eff once; w, V and Vinv are read-only.
     """
-    h = _h_matrix(h_eff)
-    w, v = np.linalg.eig(h)
+    h = np.ascontiguousarray(_h_matrix(h_eff), dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise np.linalg.LinAlgError(f"eig_system needs a square matrix, got shape {h.shape}")
+    return _eig_system(h.shape[0], h.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _eig_system(n: int, data: bytes):
+    w, v = np.linalg.eig(np.frombuffer(data, dtype=complex).reshape(n, n))
     cond = np.linalg.cond(v)
     vinv = np.linalg.inv(v) if cond < _COND_CUTOFF else None
+    for x in (w, v, vinv):
+        if x is not None:
+            x.setflags(write=False)
     return w, v, vinv, cond
 
 

@@ -119,9 +119,13 @@ def _poisson_integrals(model, rate):
 def _series_result(model, t, a, tau, method) -> EfficiencyResult:
     """eta = w . (I - T)^-1 p(0) from the transition matrix T and the interval
     integrals A, which give the per-start-site trapped and dissipated weights."""
-    radius = float(np.max(np.abs(np.linalg.eigvals(t))))
-    if radius >= 1 - 1e-12:
-        raise ValueError(f"series non-convergent: spectral radius {radius}")
+    # rho(T) <= ||T||_1, the largest column sum of |T|: each column of T plus
+    # its per-interval loss is 1, so eigvals is needed only where some site
+    # loses (almost) nothing within an interval; a NaN also takes that path
+    if not np.abs(t).sum(axis=0).max() < 1 - 1e-12:
+        radius = float(np.max(np.abs(np.linalg.eigvals(t))))
+        if radius >= 1 - 1e-12:
+            raise ValueError(f"series non-convergent: spectral radius {radius}")
     trapped_w, dissipated_w = 2.0 * model.trap_rates @ a, 2.0 * model.decay_rate * a.sum(axis=0)
     n = model.n_sites
     x = np.linalg.solve(np.eye(n) - t, np.eye(n)[model.initial_site - 1])

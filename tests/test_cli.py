@@ -368,17 +368,16 @@ def test_csv_writers_equal_the_per_line_writers(config, tmp_path, monkeypatch):
 
 
 def test_run_figure2_reduced(tmp_path, monkeypatch):
+    def figure2(out):
+        assert run({"scenario": "figure2", "eps_list": [5.0, 10.0], "n_points": 12, "out": str(out)}) == 0
+        return [(out / f"figure2_eps{eps}.csv").read_bytes() for eps in (5, 10)]
+
     monkeypatch.setenv("ZT_THREADS", "2")
-    config = {
-        "scenario": "figure2",
-        "eps_list": [5.0, 10.0],
-        "n_points": 12,
-        "out": str(tmp_path),
-    }
-    assert run(config) == 0
-    for eps in (5, 10):
-        lines = (tmp_path / f"figure2_eps{eps}.csv").read_text().splitlines()
-        assert len(lines) == 13
+    threaded = figure2(tmp_path / "threaded")
+    assert all(len(data.splitlines()) == 13 for data in threaded)
+    # the worker threads share eig_system's memo; their files equal a serial run's
+    monkeypatch.delenv("ZT_THREADS")
+    assert figure2(tmp_path / "serial") == threaded
 
 
 def test_fan_out_is_serial_unless_zt_threads_is_set(tmp_path, monkeypatch):

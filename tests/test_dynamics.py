@@ -13,7 +13,7 @@ from antizeno import (
     pure_site_state,
     time_averaged_population,
 )
-from antizeno.dynamics import density_stack, eig_system
+from antizeno.dynamics import _eig_system, density_stack, eig_system
 from antizeno.model import effective_hamiltonian
 
 
@@ -77,14 +77,51 @@ def test_propagator_methods_agree(rng):
 
 
 def test_propagator_jordan_block_takes_the_series_path():
-    # a defective H: eig_system declines the eigenbasis, and
-    # exp(-i H t) = e^{-t} [[1, -i t], [0, 1]] exactly
+    # a defective H: eig_system declines the eigenbasis, also from its memo,
+    # and exp(-i H t) = e^{-t} [[1, -i t], [0, 1]] exactly
     h = np.array([[-1j, 1.0], [0.0, -1j]])
+    assert eig_system(h)[2] is None
     assert eig_system(h)[2] is None
     for t in (0.0, 0.4, 2.5):
         u = propagator(h, t)
         exact = np.exp(-t) * np.array([[1.0, -1j * t], [0.0, 1.0]])
         assert np.max(np.abs(u.matrix - exact)) < 1e-13
+
+
+def test_eig_system_memo(rng):
+    h = effective_hamiltonian(build_chain(6, rng.uniform(0, 10, 6), v=1.0, trap_rate=0.5, decay_rate=0.01)).matrix
+    first = eig_system(h)
+    again = eig_system(h.copy())
+    assert all(x is y for x, y in zip(first[:3], again[:3])) and again[3] == first[3]
+    for x in first[:3]:
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+    # the values of a fresh decomposition, bit for bit
+    w, v = np.linalg.eig(h)
+    assert np.array_equal(first[0], w) and np.array_equal(first[1], v)
+    assert np.array_equal(first[2], np.linalg.inv(v)) and first[3] == np.linalg.cond(v)
+    # one ulp in one entry is another matrix
+    h2 = h.copy()
+    h2[0, 0] = np.nextafter(h[0, 0].real, np.inf) + 1j * h[0, 0].imag
+    second = eig_system(h2)
+    assert second[1] is not first[1] and np.array_equal(second[0], np.linalg.eig(h2)[0])
+    assert eig_system(h)[1] is first[1]
+    # the memo stays bounded
+    for k in range(100):
+        eig_system(h + k * np.eye(6))
+    info = _eig_system.cache_info()
+    assert info.currsize <= info.maxsize == 16
+
+
+def test_eig_system_rejects_what_it_cannot_decompose():
+    with pytest.raises(np.linalg.LinAlgError):
+        eig_system(np.zeros((2, 3)))
+    with pytest.raises(np.linalg.LinAlgError):
+        eig_system(np.zeros(4))
+    _eig_system.cache_clear()
+    with pytest.raises(np.linalg.LinAlgError):
+        eig_system(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    assert _eig_system.cache_info().currsize == 0  # a failure is not memoized
 
 
 def test_propagator_at_the_exceptional_point():

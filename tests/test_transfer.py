@@ -12,8 +12,8 @@ from antizeno import (
     optimal_tau,
     tau_scan,
 )
-from antizeno.dynamics import eig_system
-from antizeno.model import effective_hamiltonian
+from antizeno.dynamics import _eig_system, eig_system
+from antizeno.model import LatticeModel, effective_hamiltonian
 from antizeno.transfer import _interval_integrals_eigen, _interval_integrals_quadrature, scan_to_csv
 
 
@@ -101,6 +101,28 @@ def test_measured_divergent_without_loss():
     m = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
     with pytest.raises(ValueError, match="non-convergent|efficiency undefined"):
         efficiency_measured(m, 0.3)
+
+
+@pytest.mark.parametrize("tau", [0.1, 1.0])
+def test_measured_divergent_with_an_isolated_lossless_site(tau):
+    # site 3 has no coupling and no loss: column 3 of T sums to 1, so the
+    # column-sum bound cannot settle convergence and the spectral radius raises
+    c = np.zeros((3, 3))
+    c[0, 1] = c[1, 0] = 1.0
+    m = LatticeModel(np.array([0.0, 1.0, 5.0]), c, np.array([0.0, 0.5, 0.0]), 0.0, 1)
+    with pytest.raises(ValueError, match="non-convergent"):
+        efficiency_measured(m, tau)
+
+
+def test_tau_scan_equals_fresh_per_tau_results():
+    m = build_chain(5, [12.0, 3.0, 7.0, 0.5, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.01)
+    taus = np.linspace(0.05, 2.0, 9)
+    etas = tau_scan(m, taus).etas
+    fresh = []
+    for t in taus:
+        _eig_system.cache_clear()
+        fresh.append(efficiency_measured(m, t).eta)
+    assert np.array_equal(etas, fresh)
 
 
 def test_measured_series_vs_direct_summation(rng):
