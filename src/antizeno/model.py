@@ -6,6 +6,7 @@ units of 1/v (hbar = 1).  Sites are indexed from 1 in every public interface.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -86,6 +87,12 @@ class LatticeModel:
     @property
     def n_sites(self) -> int:
         return self.site_energies.shape[0]
+
+    @functools.cached_property
+    def _h_eff(self) -> "EffectiveHamiltonian":
+        """effective_hamiltonian(self), built on first use and kept: the model
+        and its arrays are read-only, so it cannot go stale."""
+        return effective_hamiltonian(self)
 
     def to_dict(self) -> dict:
         return {

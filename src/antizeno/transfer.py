@@ -12,14 +12,16 @@ the Poisson case at r = 0, where T = 0.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .dynamics import eig_system
-from .model import LatticeModel, effective_hamiltonian
+from .model import LatticeModel
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -49,10 +51,9 @@ class TauScan:
     model: LatticeModel
 
     def __post_init__(self):
-        t = np.array(self.taus, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("tau grid must be strictly increasing")
-        t.setflags(write=False)
+        t = _checked_grid(self.taus)
+        if len(self.results) != t.size:
+            raise ValueError(f"{len(self.results)} results for {t.size} taus")
         object.__setattr__(self, "taus", t)
 
     @property
@@ -60,21 +61,68 @@ class TauScan:
         return np.array([r.eta for r in self.results])
 
 
-def _interval_integrals_eigen(w, v, vinv, tau):
-    """A[i,j] = int_0^tau |<i|U(s)|j>|^2 ds from the eigendecomposition.
+class _Factors(NamedTuple):
+    """The tau-independent factors of the measured series for one eigendecomposition.
 
-    With E_ab = int_0^tau exp(-i (w_a - conj w_b) s) ds, A = Re[(P . vec E) Q]
-    is one (n x n^2)(n^2 x n) product, where P[i,(a,b)] = V[i,a] conj V[i,b]
-    and Q[(a,b),j] = Vinv[a,j] conj Vinv[b,j].
+    The (a, b) and (b, a) terms of A are complex conjugates, so the pairs run
+    over a <= b only, m = n(n+1)/2 of them, and the off-diagonal ones count twice.
     """
+
+    mjw: np.ndarray  # -i w
+    abs_delta: np.ndarray  # (m,) |delta_ab|, delta_ab = w_a - conj w_b
+    min_abs_delta: float
+    mjdelta: np.ndarray  # (m,) -i delta_ab, and -i where delta_ab = 0
+    jdelta: np.ndarray  # (m,) i delta_ab, and i where delta_ab = 0
+    p: np.ndarray  # (n, m) complex, C order: P[i,(a,b)] = V[i,a] conj V[i,b]
+    q: np.ndarray  # (2m, n) real: rows Re and -Im of Q[(a,b),j] = (2 - [a = b]) Vinv[a,j] conj Vinv[b,j]
+
+
+_MEMO = threading.local()  # per thread: the eig_system result last used, and its _Factors
+
+
+def _series_factors(eig) -> _Factors:
+    """The factors for an eig_system result (w, V, Vinv, cond) whose Vinv is not None.
+
+    Memoized per thread on that result's identity (eig_system returns the same
+    read-only tuple for an equal H), one entry each: a scan runs one H at a
+    time.  P and Q hold n^2 (n+1)/2 complex values each, 0.54 MB per thread
+    at n = 32; the previous entry is dropped before a new one is built.
+    """
+    last = getattr(_MEMO, "last", None)
+    if last is not None and last[0] is eig:
+        return last[1]
+    _MEMO.last = None
+    w, v, vinv, _ = eig
     n = w.shape[0]
-    delta = w[:, None] - w.conj()[None, :]
-    small = np.abs(delta) * tau < 1e-10
-    safe = np.where(small, 1.0, delta)
-    e = np.where(small, tau, (1.0 - np.exp(-1j * safe * tau)) / (1j * safe))
-    p = (v[:, :, None] * v.conj()[:, None, :]).reshape(n, n * n)
-    q = (vinv[:, None, :] * vinv.conj()[None, :, :]).reshape(n * n, n)
-    return np.real((p * e.reshape(-1)) @ q)
+    ia, ib = np.triu_indices(n)
+    delta = w[ia] - w[ib].conj()
+    abs_delta = np.abs(delta)
+    safe = np.where(abs_delta == 0, 1.0, delta)
+    q = np.where(ia == ib, 1.0, 2.0)[:, None] * vinv[ia] * vinv[ib].conj()
+    factors = _Factors(
+        mjw=-1j * w,
+        abs_delta=abs_delta,
+        min_abs_delta=float(abs_delta.min()),
+        mjdelta=-1j * safe,
+        jdelta=1j * safe,
+        p=np.ascontiguousarray(v[:, ia] * v[:, ib].conj()),
+        q=np.stack([q.real, -q.imag], axis=1).reshape(-1, n),
+    )
+    _MEMO.last = (eig, factors)
+    return factors
+
+
+def _interval_integrals_eigen(f: _Factors, tau):
+    """A[i,j] = int_0^tau |<i|U(s)|j>|^2 ds from an eigendecomposition's factors.
+
+    With E_ab = int_0^tau exp(-i delta_ab s) ds, A = Re[(P . E) Q] is one real
+    (n x 2m)(2m x n) product: P . E viewed as reals interleaves its real and
+    imaginary parts, as the rows of q do.  E_ab = tau where |delta_ab| tau < 1e-10.
+    """
+    e = (1.0 - np.exp(f.mjdelta * tau)) / f.jdelta
+    if f.min_abs_delta * tau < 1e-10:
+        e = np.where(f.abs_delta * tau < 1e-10, tau, e)
+    return (f.p * e).view(float) @ f.q
 
 
 def _interval_integrals_quadrature(h, tau, panels=4, nodes=16):
@@ -93,7 +141,7 @@ def _interval_integrals_quadrature(h, tau, panels=4, nodes=16):
 
 
 def _require_lossy(model):
-    if not (np.any(model.trap_rates > 0) or model.decay_rate > 0):
+    if not (model.decay_rate > 0 or np.any(model.trap_rates > 0)):
         raise ValueError("efficiency undefined: model has no trapping or decay channel")
 
 
@@ -107,7 +155,7 @@ def _poisson_integrals(model, rate):
     the initial site's column is solved.
     """
     n = model.n_sites
-    h = effective_hamiltonian(model).matrix
+    h = model._h_eff.matrix
     s, z = scipy.linalg.schur(-1j * h - 0.5 * rate * np.eye(n), output="complex")
     a = np.zeros((n, n))
     for j in range(n) if rate > 0 else [model.initial_site - 1]:
@@ -127,8 +175,11 @@ def _series_result(model, t, a, tau, method) -> EfficiencyResult:
         if radius >= 1 - 1e-12:
             raise ValueError(f"series non-convergent: spectral radius {radius}")
     trapped_w, dissipated_w = 2.0 * model.trap_rates @ a, 2.0 * model.decay_rate * a.sum(axis=0)
-    n = model.n_sites
-    x = np.linalg.solve(np.eye(n) - t, np.eye(n)[model.initial_site - 1])
+    # gesv itself: np.linalg.solve's wrapper costs several times the solve at n = 2
+    eye = np.eye(model.n_sites)
+    _, _, x, info = scipy.linalg.lapack.dgesv(eye - t, eye[model.initial_site - 1])
+    if info:
+        raise np.linalg.LinAlgError("Singular matrix")
     trapped = float(trapped_w @ x)
     dissipated = float(dissipated_w @ x)
     return EfficiencyResult(
@@ -164,28 +215,46 @@ def efficiency_no_measurement(model: LatticeModel) -> EfficiencyResult:
 
 def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
     """Efficiency under repeated full-site measurements with interval tau,
-    summed in closed form as w . (I - T)^-1 p(0)."""
+    summed in closed form as w . (I - T)^-1 p(0).
+
+    H_eff is built once per model, and the tau-independent factors once per
+    eigendecomposition (see _series_factors), so a tau scan pays per tau only
+    for U = V exp(-i w tau) Vinv, E(tau), one matrix product and one solve.
+    """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError("tau must be positive and finite")
     _require_lossy(model)
-    h = effective_hamiltonian(model).matrix
-    w, v, vinv, _ = eig_system(h)
+    h = model._h_eff.matrix
+    eig = eig_system(h)
+    _, v, vinv, _ = eig
     if vinv is not None:
-        u = (v * np.exp(-1j * w * tau)) @ vinv
-        a = _interval_integrals_eigen(w, v, vinv, tau)
+        f = _series_factors(eig)
+        u = (v * np.exp(f.mjw * tau)) @ vinv
+        a = _interval_integrals_eigen(f, tau)
     else:
         u = scipy.linalg.expm(-1j * h * tau)
         a = _interval_integrals_quadrature(h, tau)
     return _series_result(model, np.abs(u) ** 2, a, float(tau), "series")
 
 
-def tau_scan(model: LatticeModel, tau_grid) -> TauScan:
-    """efficiency_measured over a sorted positive tau grid."""
-    taus = np.asarray(tau_grid, dtype=float)
+def _checked_grid(tau_grid) -> np.ndarray:
+    """A read-only float copy of a nonempty, 1-D, positive, finite and strictly
+    increasing tau grid; raises ValueError for anything else."""
+    taus = np.array(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau grid must be a nonempty 1-D sequence")
     if not np.all(np.isfinite(taus) & (taus > 0)):
         raise ValueError("tau grid must be positive and finite")
+    if np.any(np.diff(taus) <= 0):
+        raise ValueError("tau grid must be strictly increasing")
+    taus.setflags(write=False)
+    return taus
+
+
+def tau_scan(model: LatticeModel, tau_grid) -> TauScan:
+    """efficiency_measured over a strictly increasing positive tau grid,
+    checked before the first solve."""
+    taus = _checked_grid(tau_grid)
     results = tuple(efficiency_measured(model, t) for t in taus)
     return TauScan(taus=taus, results=results, model=model)
 

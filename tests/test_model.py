@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -91,6 +92,23 @@ def test_hermitian_part_matches_lossless_model(two_site_disordered):
     assert np.array_equal(
         effective_hamiltonian(m).hermitian_part, effective_hamiltonian(lossless).matrix.real
     )
+
+
+def test_cached_effective_hamiltonian(two_site_disordered):
+    m = two_site_disordered
+    cached = m._h_eff
+    assert m._h_eff is cached
+    fresh = effective_hamiltonian(m)
+    assert fresh is not cached
+    for x, y in ((cached.matrix, fresh.matrix), (cached.hermitian_part, fresh.hermitian_part)):
+        assert np.array_equal(x, y)
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.0
+    # a replace() copy is another model with its own H_eff, also with equal fields
+    same = dataclasses.replace(m)
+    assert same._h_eff is not cached and np.array_equal(same._h_eff.matrix, cached.matrix)
+    moved = dataclasses.replace(m, site_energies=[11.0, 0.0])
+    assert moved._h_eff.matrix[0, 0] == 11.0 - 0.001j and cached.matrix[0, 0] == 10.0 - 0.001j
 
 
 def test_build_graph_deterministic():

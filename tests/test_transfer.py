@@ -1,4 +1,8 @@
+import dataclasses
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,9 +16,16 @@ from antizeno import (
     optimal_tau,
     tau_scan,
 )
+from antizeno import transfer
 from antizeno.dynamics import _eig_system, eig_system
 from antizeno.model import LatticeModel, effective_hamiltonian
-from antizeno.transfer import _interval_integrals_eigen, _interval_integrals_quadrature, scan_to_csv
+from antizeno.transfer import (
+    TauScan,
+    _interval_integrals_eigen,
+    _interval_integrals_quadrature,
+    _series_factors,
+    scan_to_csv,
+)
 
 
 def fig2_model(eps):
@@ -77,24 +88,43 @@ def reference_interval_integrals(w, v, vinv, tau):
     return np.real(np.einsum("aij,bij,ab->ij", c, c.conj(), e))
 
 
-@pytest.mark.parametrize("n", [2, 8, 32])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
 @pytest.mark.parametrize("lossless", [False, True])
 def test_interval_integrals_equal_the_einsum_and_quadrature_forms(n, lossless):
-    # The product form sums the same n^2 terms per entry as the einsum, in
-    # another order: with O(1) terms and entries at most tau = 2 the roundoff
-    # is a few 1e-15 (3.8e-15 at most here).  The 4 x 16-node Gauss-Legendre
-    # rule resolves the frequencies |w_a - w_b| <= 11.5 of these chains far
-    # below 1e-10 (2.2e-14 at most here).
+    # The product form sums the einsum's n^2 terms per entry as n(n+1)/2
+    # conjugate pairs, in another order: with O(1) terms and entries at most
+    # tau = 2 the roundoff is a few 1e-15 (3.6e-15 at most here).  The
+    # 4 x 16-node Gauss-Legendre rule resolves the frequencies
+    # |w_a - w_b| <= 11.5 of these chains far below 1e-10 (2.2e-14 at most
+    # here).  The factors are built once and serve every tau; no 0/0 may
+    # warn where delta_ab = 0.
     e = np.random.default_rng(n).uniform(0.0, 10.0, n)
     m = build_chain(n, e, v=1.0, trap_rate=0.0 if lossless else 0.5, decay_rate=0.0 if lossless else 0.001)
     h = effective_hamiltonian(m).matrix
-    w, v, vinv, _ = eig_system(h)
-    for tau in (0.01, 0.3, 2.0):
-        if lossless:  # real spectrum: the diagonal of E takes the small-delta branch
-            assert np.all(np.abs(w.imag) * 2 * tau < 1e-10)
-        a = _interval_integrals_eigen(w, v, vinv, tau)
-        assert np.max(np.abs(a - reference_interval_integrals(w, v, vinv, tau))) < 1e-13
-        assert np.max(np.abs(a - _interval_integrals_quadrature(h, tau))) < 1e-10
+    w, v, vinv, _ = eig = eig_system(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = _series_factors(eig)
+        for tau in (0.01, 0.3, 2.0):
+            if lossless:  # real spectrum: the diagonal of E takes the small-delta branch
+                assert np.all(np.abs(w.imag) * 2 * tau < 1e-10)
+                assert f.min_abs_delta * tau < 1e-10
+            a = _interval_integrals_eigen(f, tau)
+            assert np.max(np.abs(a - reference_interval_integrals(w, v, vinv, tau))) < 1e-13
+            assert np.max(np.abs(a - _interval_integrals_quadrature(h, tau))) < 1e-10
+
+
+def test_measured_takes_the_quadrature_path_at_a_defective_h():
+    # the exceptional-point dimer at v = 1.5, kappa = 2v, Gamma = 0 has
+    # cond(V) = 1.9e8, past eig_system's cutoff: U comes from expm and A from
+    # quadrature.  With no decay every excitation is trapped, so eta = 1; the
+    # quadrature is exact to about 1e-14 at this |H| and the series adds the
+    # roundoff of (I - T)^-1, about 1e-13 at tau = 0.05 where 1 - rho(T) ~ 1e-2.
+    m = build_chain(2, [0.0, 0.0], v=1.5, trap_rate=3.0, decay_rate=0.0)
+    assert eig_system(m._h_eff.matrix)[2] is None
+    for tau in (0.05, 0.5, 2.0):
+        r = efficiency_measured(m, tau)
+        assert r.dissipated == 0.0 and abs(r.eta - 1.0) < 1e-10
 
 
 def test_measured_divergent_without_loss():
@@ -114,15 +144,66 @@ def test_measured_divergent_with_an_isolated_lossless_site(tau):
         efficiency_measured(m, tau)
 
 
+def _fresh_result(m, tau):
+    """efficiency_measured with every memo cleared: a new model (its own H_eff),
+    a new eigendecomposition and new interval factors."""
+    _eig_system.cache_clear()
+    transfer._MEMO.__dict__.clear()
+    return efficiency_measured(dataclasses.replace(m), tau)
+
+
 def test_tau_scan_equals_fresh_per_tau_results():
-    m = build_chain(5, [12.0, 3.0, 7.0, 0.5, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.01)
-    taus = np.linspace(0.05, 2.0, 9)
-    etas = tau_scan(m, taus).etas
-    fresh = []
-    for t in taus:
-        _eig_system.cache_clear()
-        fresh.append(efficiency_measured(m, t).eta)
-    assert np.array_equal(etas, fresh)
+    # on the Fig. 2 grids, a 5-site and a 32-site chain: the memoized factors
+    # are the fresh ones, so the arithmetic and the results are the same
+    cases = [(fig2_model(eps), np.linspace(0.05, 20.0, 400) / eps) for eps in (5, 10, 15, 20)]
+    n5 = build_chain(5, [12.0, 3.0, 7.0, 0.5, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.01)
+    n32 = build_chain(32, np.linspace(10.0, 0.0, 32), v=1.0, trap_rate=0.5, decay_rate=0.001)
+    cases += [(n5, np.linspace(0.05, 2.0, 9)), (n32, np.linspace(0.01, 2.0, 60))]
+    for m, taus in cases:
+        scan = tau_scan(m, taus)
+        for t, r in zip(taus, scan.results):
+            fresh = _fresh_result(m, t)
+            assert (r.eta, r.dissipated) == (fresh.eta, fresh.dissipated)
+
+
+def test_series_factor_memo():
+    m = build_chain(6, np.linspace(10.0, 0.0, 6), v=1.0, trap_rate=0.5, decay_rate=0.01)
+    eig = eig_system(m._h_eff.matrix)
+    f = _series_factors(eig)
+    assert _series_factors(eig_system(m._h_eff.matrix.copy())) is f  # an equal H hits the memo
+    # one ulp in one site energy is another H, with its own factors
+    e = m.site_energies.copy()
+    e[2] = np.nextafter(e[2], np.inf)
+    m2 = dataclasses.replace(m, site_energies=e)
+    f2 = _series_factors(eig_system(m2._h_eff.matrix))
+    assert f2 is not f and not np.array_equal(f2.p, f.p)
+    transfer._MEMO.__dict__.clear()
+    fresh = _series_factors(eig_system(m2._h_eff.matrix))
+    assert fresh is not f2 and all(np.array_equal(x, y) for x, y in zip(fresh, f2))
+    # bounded: one entry per thread, the last H used
+    for k in range(20):
+        tau_scan(build_chain(6, np.linspace(10.0 + k, 0.0, 6), v=1.0, trap_rate=0.5, decay_rate=0.01), [0.1, 0.2])
+    assert len(vars(transfer._MEMO)) == 1
+    last = build_chain(6, np.linspace(29.0, 0.0, 6), v=1.0, trap_rate=0.5, decay_rate=0.01)
+    assert transfer._MEMO.last[0] is eig_system(last._h_eff.matrix)
+
+
+def test_tau_scans_on_worker_threads_equal_serial_scans():
+    # threads that scan different Hamiltonians at once, switching every
+    # microsecond, get the serial results: no thread reads another's factors
+    models = [build_chain(n, np.linspace(10.0, 0.0, n), v=1.0, trap_rate=0.5, decay_rate=0.001) for n in (2, 3, 5, 8)]
+    models *= 2
+    taus = np.linspace(0.02, 1.0, 40)
+    serial = [tau_scan(m, taus).etas for m in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda m: tau_scan(dataclasses.replace(m), taus).etas, m) for m in models]
+            threaded = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
 def test_measured_series_vs_direct_summation(rng):
@@ -136,8 +217,8 @@ def test_measured_series_vs_direct_summation(rng):
         tau = float(rng.uniform(0.05, 0.5))
         eta = efficiency_measured(m, tau).eta
         h = effective_hamiltonian(m).matrix
-        w, v_, vinv, _ = eig_system(h)
-        a = _interval_integrals_eigen(w, v_, vinv, tau)
+        w, v_, vinv, _ = eig = eig_system(h)
+        a = _interval_integrals_eigen(_series_factors(eig), tau)
         weights = 2.0 * m.trap_rates @ a
         t = np.abs((v_ * np.exp(-1j * w * tau)) @ vinv) ** 2
         p = np.zeros(n)
@@ -167,6 +248,21 @@ def test_tau_scan_validation(two_site_disordered):
         tau_scan(two_site_disordered, [0.0, 0.1])
     with pytest.raises(ValueError):
         tau_scan(two_site_disordered, [0.2, 0.1])
+
+
+@pytest.mark.parametrize("grid", [np.linspace(2.0, 0.005, 400), [0.1, 0.2, 0.2, 0.3]])
+def test_tau_scan_checks_the_grid_before_any_solve(two_site_disordered, monkeypatch, grid):
+    calls = []
+    monkeypatch.setattr(transfer, "efficiency_measured", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        tau_scan(two_site_disordered, grid)
+    assert calls == []
+
+
+def test_tau_scan_result_count_must_match_the_grid(two_site_disordered):
+    results = tau_scan(two_site_disordered, [0.1, 0.2, 0.3]).results
+    with pytest.raises(ValueError, match="2 results for 3 taus"):
+        TauScan(taus=[0.1, 0.2, 0.3], results=results[:2], model=two_site_disordered)
 
 
 @pytest.mark.parametrize("grid", [[[0.1, 0.2]], [0.1, np.nan], [0.1, np.inf]])
