@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, _time_grid, eig_system, evolve, propagator, pure_site_state
+from .dynamics import DensityMatrix, _time_grid, _write_csv, eig_system, evolve, propagator, pure_site_state
 from .measurement import MeasurementChannel, _measured_stack
 from .model import LatticeModel, effective_hamiltonian
 from .open_system import DephasingSpec, _master_stack
@@ -189,6 +189,4 @@ def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> Con
 
 def series_to_csv(series: ConcurrenceSeries, path) -> None:
     """Write a concurrence series as CSV: t,concurrence."""
-    rows = zip(series.times.tolist(), series.values.tolist())
-    with open(path, "w", newline="") as f:
-        f.write("".join(["t,concurrence\n"] + [f"{t:.12g},{c:.12g}\n" for t, c in rows]))
+    _write_csv(path, "t,concurrence", np.column_stack((series.times, series.values)))

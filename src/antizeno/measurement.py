@@ -7,6 +7,7 @@ binomial closed form, and Zeno/anti-Zeno crossover detection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .dynamics import (
     _density_matrices,
     _h_matrix,
     _time_grid,
+    _write_csv,
     density_stack,
     perturbative_average,
     populations,
@@ -27,7 +29,7 @@ from .dynamics import (
     time_averaged_population,
 )
 from .errors import OutOfRegimeError
-from .model import LatticeModel, effective_hamiltonian
+from .model import LatticeModel
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,7 @@ def _measured_stack(h_eff, channel: MeasurementChannel, rho0, times) -> np.ndarr
     if u_tau.shape != rho.shape:
         raise ValueError(f"dimension mismatch: U {u_tau.shape} vs rho {rho.shape}")
     _, keep = channel_masks(rho.shape[0], channel.measured_sites)
-    # fl(k tau) / tau can fall an ulp below k, and from k = 2^13 on that ulp
-    # exceeds an absolute 1e-12 slack, so the slack is relative
-    k_target = np.floor(times / tau * (1 + 1e-12)).astype(np.intp)
+    k_target = _intervals(times, tau)
     # the channel steps run once up to the last output; each output then reads
     # the state just after its last measurement
     ks, k_index = np.unique(k_target, return_inverse=True)
@@ -148,6 +148,13 @@ def _measured_stack(h_eff, channel: MeasurementChannel, rho0, times) -> np.ndarr
         u = scipy.linalg.expm((-1j * _h_matrix(h_eff)) * rem[off][first, None, None])
         out[off] = _conjugate(u[key], out[off])
     return density_stack(out)
+
+
+def _intervals(t, tau: float):
+    """The number of whole intervals tau in each time t: fl(k tau) / tau can
+    fall an ulp below k, and from k = 2^13 on that ulp exceeds an absolute
+    1e-12 slack, so the slack is relative."""
+    return np.floor(np.asarray(t) / tau * (1 + 1e-12)).astype(np.intp)
 
 
 def transition_matrix(h_eff, tau: float) -> TransitionMatrix:
@@ -170,22 +177,25 @@ def repeated_measurement_trajectory(
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     n = model.n_sites
-    h = effective_hamiltonian(model)
     tau = channel.interval
     times = np.arange(n_steps + 1) * tau
-    full_set = channel.measured_sites == frozenset(range(1, n + 1))
-    if full_set:
-        t = transition_matrix(h, tau).matrix
-        p = np.zeros(n)
-        p[model.initial_site - 1] = 1.0
-        traj = np.empty((n_steps + 1, n))
-        traj[0] = p
-        for k in range(1, n_steps + 1):
-            p = t @ p
-            traj[k] = p
+    if channel.measured_sites == frozenset(range(1, n + 1)):
+        traj = np.array(list(itertools.islice(_site_populations(model, tau), n_steps + 1)))
         return MeasuredTrajectory(times=times, populations=traj)
-    stack = _measured_stack(h, channel, pure_site_state(n, model.initial_site), times)
+    stack = _measured_stack(model._h_eff, channel, pure_site_state(n, model.initial_site), times)
     return MeasuredTrajectory(times=times, populations=populations(stack), states=tuple(_density_matrices(stack)))
+
+
+def _site_populations(model: LatticeModel, tau: float):
+    """p(k tau) = T^k p(0) for k = 0, 1, 2, ... under measurement of every
+    site every tau, starting on the initial site: the state stays diagonal,
+    so each interval is one product with T."""
+    t = transition_matrix(model._h_eff, tau).matrix
+    p = np.zeros(model.n_sites)
+    p[model.initial_site - 1] = 1.0
+    while True:
+        yield p
+        p = t @ p
 
 
 def recursive_step(p, tau: float, v: float) -> np.ndarray:
@@ -254,12 +264,8 @@ def crossover_time(model: LatticeModel, tau: float, horizon: float) -> dict:
         p_bar_leading = perturbative_average(model)
     except ValueError:
         p_bar_leading = None
-    t = transition_matrix(effective_hamiltonian(model), tau).matrix
-    p = np.zeros(n)
-    p[model.initial_site - 1] = 1.0
-    n_max = int(np.floor(horizon / tau + 1e-12))
-    for k in range(1, n_max + 1):
-        p = t @ p
+    steps = itertools.islice(_site_populations(model, tau), 1, int(_intervals(horizon, tau)) + 1)
+    for k, p in enumerate(steps, start=1):
         if p[-1] > p_bar:
             return {"t_c": k * tau, "n_c": k, "p_bar": p_bar, "p_bar_leading": p_bar_leading}
     return {"t_c": None, "n_c": None, "p_bar": p_bar, "p_bar_leading": p_bar_leading}
@@ -268,8 +274,5 @@ def crossover_time(model: LatticeModel, tau: float, horizon: float) -> dict:
 def trajectory_to_csv(traj: MeasuredTrajectory, path) -> None:
     """Write a trajectory as CSV with header t,p_1,...,p_n,trace."""
     n = traj.populations.shape[1]
-    lines = ["t," + ",".join(f"p_{i}" for i in range(1, n + 1)) + ",trace"]
-    for t, row, tr in zip(np.asarray(traj.times).tolist(), traj.populations.tolist(), traj.traces.tolist()):
-        lines.append(",".join([f"{x:.12g}" for x in (t, *row, tr)]))
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    header = "t," + ",".join(f"p_{i}" for i in range(1, n + 1)) + ",trace"
+    _write_csv(path, header, np.column_stack((traj.times, traj.populations, traj.traces)))

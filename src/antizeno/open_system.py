@@ -31,13 +31,12 @@ from .dynamics import (
     DensityMatrix,
     _density_matrices,
     _time_grid,
+    _write_csv,
     density_stack,
     eig_system,
-    evolve,
     populations,
-    propagator,
 )
-from .measurement import MeasurementChannel, channel_masks, measured_states
+from .measurement import MeasurementChannel, _measured_stack, channel_masks
 from .model import LatticeModel, _is_integer, effective_hamiltonian
 from .transfer import EfficiencyResult, _poisson_efficiency
 
@@ -169,7 +168,8 @@ def _pure_initial(rho0) -> np.ndarray:
 
 
 _BLOCK = 64  # jumps per trajectory drawn at a time
-_PAIRS = 1 << 16  # (trajectory, output time) pairs summed at a time
+_PAIRS = 1 << 16  # (trajectory, output time) pairs read at a time
+_ROWS = 1024  # trajectories stepped at a time
 
 
 def quantum_jump_ensemble(
@@ -184,15 +184,18 @@ def quantum_jump_ensemble(
     trajectories at that interval exactly.  It is not the periodic counterpart
     of poisson mode: the periodic interval with the same Zeno hop rate is
     2/(2 gamma).  Trajectories carry sub-normalized states under dissipation.
+    At gamma = 0 both modes return integrate_master's states.
 
     poisson mode runs from a pre-drawn schedule of jumps.  The channel's total
     rate is 2 gamma in every state, so the jump times do not depend on the
-    state.  Each block of up to _BLOCK jumps per trajectory is drawn first:
-    the jump times and the uniforms that pick the sites.  Then all
-    trajectories step over jump index, one row each of an (n_traj, n) array of
-    eigenbasis amplitudes, and each output time is read off the last jump at
-    or before it.  Memory is O(n_traj n + n_times n^2) plus one block of
-    O(n_traj _BLOCK).  The random numbers do not depend on this layout.
+    state.  Up to _ROWS trajectories run at a time, in blocks of up to _BLOCK
+    jumps per trajectory.  Each block is drawn first: the jump times and the
+    uniforms that pick the sites.  Then all trajectories step over jump index,
+    one row each of eigenbasis amplitudes, and keep their state after each
+    jump.  Last, every output time of the block is read off the last jump at
+    or before it, in one pass over that history, up to _PAIRS (trajectory,
+    output time) pairs at a time.  Memory is O(_ROWS (_BLOCK + 1) n + n_times n^2)
+    whatever n_traj is.  The random numbers do not depend on this layout.
     Trajectory k draws from its own generator, default_rng(SeedSequence(seed).spawn(n_traj)[k]):
     first its initial waiting time, then per jump the uniform that picks the
     site and the next waiting time.  So each trajectory, and the ensemble
@@ -204,50 +207,38 @@ def quantum_jump_ensemble(
     if mode not in ("poisson", "periodic"):
         raise ValueError(f"unknown mode {mode!r}")
     times = _time_grid(times)
-    model = spec.model
-    n = model.n_sites
-    h = effective_hamiltonian(model).matrix
-
-    if spec.gamma == 0 or mode == "periodic":
-        rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
+    if spec.gamma > 0 and mode == "poisson":
+        sums = _poisson_sums(spec, rho0, times, n_traj, seed)
+        mean_rho = sums.rho / n_traj
+        stack = density_stack((mean_rho + mean_rho.conj().swapaxes(1, 2)) / 2)
+        mean_p = sums.p / n_traj
+        var = np.maximum(sums.d2 / n_traj - (sums.d / n_traj) ** 2, 0.0)
+        se = np.sqrt(var / max(n_traj - 1, 1))
+    else:
         if spec.gamma == 0:
-            states = [evolve(propagator(h, t), rho) for t in times]
+            stack = _master_stack(spec, rho0, times)
         else:
             channel = MeasurementChannel(spec.dephased_sites, 1.0 / (2.0 * spec.gamma))
-            states = measured_states(h, channel, rho, times)
-        pops = np.array([populations(s) for s in states]).reshape(len(times), n)
-        return EnsembleResult(
-            n_traj=n_traj,
-            seed=seed,
-            times=times,
-            mean_states=tuple(states),
-            mean_populations=pops,
-            se_populations=np.zeros_like(pops),
-            mode=mode,
-        )
-
-    sums = _poisson_sums(spec, h, rho0, times, n_traj, seed)
-    mean_rho = sums.rho / n_traj
-    mean_p = sums.p / n_traj
-    var = np.maximum(sums.d2 / n_traj - (sums.d / n_traj) ** 2, 0.0)
-    se = np.sqrt(var / max(n_traj - 1, 1))
-    states = tuple(_density_matrices(density_stack((mean_rho + mean_rho.conj().swapaxes(1, 2)) / 2)))
+            stack = _measured_stack(spec.model._h_eff, channel, rho0, times)
+        mean_p = populations(stack)
+        se = np.zeros_like(mean_p)
     return EnsembleResult(
         n_traj=n_traj,
         seed=seed,
         times=times,
-        mean_states=states,
+        mean_states=tuple(_density_matrices(stack)),
         mean_populations=mean_p,
         se_populations=se,
-        mode="poisson",
+        mode=mode,
     )
 
 
-def _poisson_sums(spec: DephasingSpec, h, rho0, times, n_traj: int, seed: int) -> _OutputSums:
+def _poisson_sums(spec: DephasingSpec, rho0, times, n_traj: int, seed: int) -> _OutputSums:
     """The poisson unraveling's sums over trajectories at each output time, in
-    the eigenbasis of H_eff and block by block of _BLOCK jumps per trajectory."""
-    n = h.shape[0]
-    w, v, vinv, _ = eig_system(h)
+    the eigenbasis of H_eff, _ROWS trajectories and _BLOCK jumps per trajectory
+    at a time."""
+    n = spec.model.n_sites
+    w, v, vinv, _ = eig_system(spec.model._h_eff)
     if vinv is None:
         raise ValueError("defective effective Hamiltonian; poisson unraveling unsupported here")
     psi0 = _pure_initial(rho0)
@@ -262,65 +253,69 @@ def _poisson_sums(spec: DephasingSpec, h, rho0, times, n_traj: int, seed: int) -
     vt, vinvt = v.T, vinv.T  # row-wise basis changes: psi = phi @ v.T, phi = psi @ vinv.T
     n_times = times.shape[0]
     sums = _OutputSums(n_times, n)
-    # the outputs of one group are read for this many rows at a time, so at
-    # most _PAIRS (row, time) pairs, or one row's n_times where that is more
+    # outputs are read for this many rows at a time, so at most _PAIRS
+    # (row, time) pairs, or one row's n_times where that is more
     rows_per_read = max(1, _PAIRS // max(n_times, 1))
-    gens = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
-    # row r of the arrays below is the unfinished trajectory that draws from gens[r]
-    t_next = [wait * g.standard_exponential() for g in gens]  # next jump time
-    phi = np.tile(vinv @ psi0, (n_traj, 1))  # eigenbasis amplitudes just after the last jump
-    t_last = np.zeros(n_traj)  # time of the last jump
-    t_out = np.zeros(n_traj, dtype=np.intp)  # index of the next output time
-    while n_times and gens:
-        n_rows = len(gens)
-        t_jump = np.full((n_rows, _BLOCK), np.inf)
-        u = np.empty((n_rows, _BLOCK))
-        count = np.empty(n_rows, dtype=np.intp)
-        for r, g in enumerate(gens):
-            count[r], t_next[r] = _draw_jumps(g, t_next[r], times[-1], wait, t_jump[r], u[r])
-        more = np.array(t_next) <= times[-1]  # the rows that jump again after this block
-        # with the rows sorted by jump count, the rows that make jump j are a
-        # prefix, and the rows that go on to the next block come first
-        order = np.lexsort((-count, ~more))
-        gens, t_next = [gens[k] for k in order], [t_next[k] for k in order]
-        phi, t_last, t_out, t_jump, u, count, more = (
-            a[order] for a in (phi, t_last, t_out, t_jump, u, count, more)
-        )
-        n_jump = np.searchsorted(-count, -np.arange(count[0]))  # rows that make jump j
-        # group j holds the outputs a row reads between its jumps j - 1 and j
-        # of this block (searchsorted side="right" of the jump times), the
-        # outputs bounds[r, j] to bounds[r, j + 1]; a row that goes on reads
-        # those after its last jump here in the next block
-        before = np.searchsorted(times, t_jump)  # outputs strictly before each jump
-        bounds = np.column_stack((t_out, before, np.where(more, before[:, -1], n_times)))
-        sizes = np.diff(bounds, axis=1)
-        reads = sizes.any(axis=0)
-        for j in range(count[0] + 1):
-            if reads[j]:
-                sel = np.flatnonzero(sizes[:, j])
-                for s in range(0, sel.size, rows_per_read):
-                    rs = sel[s : s + rows_per_read]
-                    c = sizes[rs, j]
-                    rp = np.repeat(rs, c)
-                    ip = np.arange(rp.size) + np.repeat(bounds[rs, j] - (np.cumsum(c) - c), c)
-                    sums.add(ip, (phi[rp] * np.exp(np.multiply.outer(times[ip] - t_last[rp], -1j * w))) @ vt)
-            if j == count[0]:
-                break
-            m = n_jump[j]
-            psi = (phi[:m] * np.exp(np.multiply.outer(t_jump[:m, j] - t_last[:m], -1j * w))) @ vt
-            t_last[:m] = t_jump[:m, j]
-            q = np.abs(psi) ** 2
-            norm2 = q.sum(axis=1)
-            # the first dephased site whose cumulative probability exceeds u * norm2
-            # clicks; the cumulative sums rise, so the sites below it are the misses
-            misses = (np.cumsum(q[:, d_idx], axis=1) <= (norm2 * u[:m, j])[:, None]).sum(axis=1)
-            keep = kept[misses]
-            rem = np.maximum((q * keep).sum(axis=1), 1e-300)
-            phi[:m] = (psi * (keep * np.sqrt(norm2 / rem)[:, None])) @ vinvt
-        n_rows = np.count_nonzero(more)
-        gens, t_next = gens[:n_rows], t_next[:n_rows]
-        phi, t_last, t_out = phi[:n_rows], t_last[:n_rows], before[:n_rows, -1]
-    sums.flush()
+    streams = np.random.SeedSequence(seed)
+    for first in range(0, n_traj if n_times else 0, _ROWS):
+        # consecutive spawns continue one another, so these are spawn(n_traj)[first:first + _ROWS]
+        gens = [np.random.default_rng(s) for s in streams.spawn(min(_ROWS, n_traj - first))]
+        # row r of the arrays below is the unfinished trajectory that draws from gens[r]
+        t_next = [wait * g.standard_exponential() for g in gens]  # next jump time
+        phi = np.tile(vinv @ psi0, (len(gens), 1))  # eigenbasis amplitudes just after the last jump
+        t_last = np.zeros(len(gens))  # time of the last jump
+        t_out = np.zeros(len(gens), dtype=np.intp)  # index of the next output time
+        while gens:
+            n_rows = len(gens)
+            t_jump = np.full((n_rows, _BLOCK), np.inf)
+            u = np.empty((n_rows, _BLOCK))
+            count = np.empty(n_rows, dtype=np.intp)
+            for r, g in enumerate(gens):
+                count[r], t_next[r] = _draw_jumps(g, t_next[r], times[-1], wait, t_jump[r], u[r])
+            more = np.array(t_next) <= times[-1]  # the rows that jump again after this block
+            # with the rows sorted by jump count, the rows that make jump j are a
+            # prefix, and the rows that go on to the next block come first
+            order = np.lexsort((-count, ~more))
+            gens, t_next = [gens[k] for k in order], [t_next[k] for k in order]
+            phi, t_last, t_out, t_jump, u, count, more = (
+                a[order] for a in (phi, t_last, t_out, t_jump, u, count, more)
+            )
+            # step: hist[r, j] is row r's state from time t_hist[r, j] on, the
+            # block's start for j = 0 and its jump j - 1 of this block after that
+            groups = count[0] + 1
+            hist = np.empty((n_rows, groups, n), dtype=complex)
+            hist[:, 0] = phi
+            t_hist = np.column_stack((t_last, t_jump[:, : count[0]]))
+            for j, m in enumerate(np.searchsorted(-count, -np.arange(count[0])).tolist()):
+                psi = (hist[:m, j] * np.exp(np.multiply.outer(t_hist[:m, j + 1] - t_hist[:m, j], -1j * w))) @ vt
+                q = np.abs(psi) ** 2
+                norm2 = q.sum(axis=1)
+                # the first dephased site whose cumulative probability exceeds u * norm2
+                # clicks; the cumulative sums rise, so the sites below it are the misses
+                misses = (np.cumsum(q[:, d_idx], axis=1) <= (norm2 * u[:m, j])[:, None]).sum(axis=1)
+                keep = kept[misses]
+                rem = np.maximum((q * keep).sum(axis=1), 1e-300)
+                hist[:m, j + 1] = (psi * (keep * np.sqrt(norm2 / rem)[:, None])) @ vinvt
+            # read: group j of row r is the outputs bounds[r, j] to bounds[r, j + 1],
+            # which it reads off hist[r, j] (searchsorted side="left" of the jump
+            # times); a row that goes on reads those after its last jump here in
+            # the next block
+            before = np.searchsorted(times, t_jump)  # outputs strictly before each jump
+            bounds = np.column_stack((t_out, before, np.where(more, before[:, -1], n_times)))
+            starts = bounds[:, :groups].ravel()
+            sizes = np.diff(bounds, axis=1)[:, :groups].ravel()
+            cells, t_cells = hist.reshape(-1, n), t_hist.ravel()
+            for lo in range(0, n_rows * groups, rows_per_read * groups):
+                c = sizes[lo : lo + rows_per_read * groups]
+                cell = lo + np.repeat(np.arange(c.size), c)  # row * groups + group of each pair
+                if cell.size:
+                    ip = np.arange(cell.size) + np.repeat(starts[lo : lo + c.size] - (np.cumsum(c) - c), c)
+                    sums.add(ip, (cells[cell] * np.exp(np.multiply.outer(times[ip] - t_cells[cell], -1j * w))) @ vt)
+            n_rows = np.count_nonzero(more)
+            gens, t_next = gens[:n_rows], t_next[:n_rows]
+            # the rows that go on made all _BLOCK jumps, so their last state is in the last group
+            phi = hist[:n_rows, -1]
+            t_last, t_out = t_jump[:n_rows, -1], before[:n_rows, -1]
     return sums
 
 
@@ -343,10 +338,9 @@ def _draw_jumps(gen, t, t_end, wait, t_jump, u) -> tuple:
 class _OutputSums:
     """Sums over trajectories of the states and populations at each output time.
 
-    State rows are added with their output index and summed once _PAIRS or
-    more of them wait, and at flush().  The population variance accumulates
-    deviations from the first sample at each time, so that it is exactly 0
-    where every trajectory holds the same state.
+    The population variance accumulates deviations from the first sample at
+    each time, so that it is exactly 0 where every trajectory holds the same
+    state.
     """
 
     def __init__(self, n_times: int, n: int):
@@ -355,21 +349,9 @@ class _OutputSums:
         self.shift = np.full((n_times, n), np.nan)
         self.d = np.zeros((n_times, n))
         self.d2 = np.zeros((n_times, n))
-        self._waiting: list = []
-        self._n_waiting = 0
 
     def add(self, idx, psi) -> None:
         """Add the state rows psi, row k read at output index idx[k]."""
-        self._waiting.append((idx, psi))
-        self._n_waiting += idx.size
-        if self._n_waiting >= _PAIRS:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._waiting:
-            return
-        idx, psi = (np.concatenate(a) for a in zip(*self._waiting))
-        self._waiting, self._n_waiting = [], 0
         order = np.argsort(idx, kind="stable")
         idx, psi = idx[order], psi[order]
         at, starts = np.unique(idx, return_index=True)
@@ -393,14 +375,5 @@ def ensemble_to_csv(result: EnsembleResult, path) -> None:
         + ",trace,"
         + ",".join(f"se_p_{i}" for i in range(1, n + 1))
     )
-    with open(path, "w", newline="") as f:
-        f.write(header + "\n")
-        for ti, t in enumerate(result.times):
-            tr = float(result.mean_populations[ti].sum())
-            cells = (
-                [f"{t:.12g}"]
-                + [f"{x:.12g}" for x in result.mean_populations[ti]]
-                + [f"{tr:.12g}"]
-                + [f"{x:.12g}" for x in result.se_populations[ti]]
-            )
-            f.write(",".join(cells) + "\n")
+    p = result.mean_populations
+    _write_csv(path, header, np.column_stack((result.times, p, p.sum(axis=1), result.se_populations)))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .dynamics import eig_system
+from .dynamics import _write_csv, eig_system
 from .model import LatticeModel
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -330,9 +330,6 @@ def asymptotic_deficit_no_measurement(model: LatticeModel) -> float:
 
 def scan_to_csv(scan: TauScan, path) -> None:
     """Write a tau scan as CSV: tau,eps_tau,eta,trapped,dissipated,residual."""
-    eps = _model_disorder(scan.model)
-    with open(path, "w", newline="") as f:
-        f.write("tau,eps_tau,eta,trapped,dissipated,residual\n")
-        for t, r in zip(scan.taus, scan.results):
-            cells = [t, eps * t, r.eta, r.trapped, r.dissipated, r.residual]
-            f.write(",".join(f"{x:.12g}" for x in cells) + "\n")
+    results = [(r.eta, r.trapped, r.dissipated, r.residual) for r in scan.results]
+    rows = np.column_stack((scan.taus, _model_disorder(scan.model) * scan.taus, np.reshape(results, (-1, 4))))
+    _write_csv(path, "tau,eps_tau,eta,trapped,dissipated,residual", rows)

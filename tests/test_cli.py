@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import antizeno.cli
 from antizeno.cli import main, run, validate
+from antizeno.transfer import _model_disorder
 
 
 def inline_three_site():
@@ -338,6 +339,16 @@ def per_line_trajectory_csv(traj, path):
             f.write(",".join(cells) + "\n")
 
 
+def per_line_scan_csv(scan, path):
+    """The per-line tau-scan writer that scan_to_csv replaced."""
+    eps = _model_disorder(scan.model)
+    with open(path, "w", newline="") as f:
+        f.write("tau,eps_tau,eta,trapped,dissipated,residual\n")
+        for t, r in zip(scan.taus, scan.results):
+            cells = [t, eps * t, r.eta, r.trapped, r.dissipated, r.residual]
+            f.write(",".join(f"{x:.12g}" for x in cells) + "\n")
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -345,14 +356,23 @@ def per_line_trajectory_csv(traj, path):
         {"scenario": "evolve", "disorder": dict(sweep_disorder(), n_sites=8, seed=3), "two_gamma": 2.0},
         {"scenario": "evolve", "model": inline_two_site(), "times": [0, 1, 2.5]},
         {"scenario": "evolve", "model": inline_three_site(), "tau": 0.3, "measured_sites": [2], "n_steps": 20},
+        {
+            "scenario": "efficiency-scan",
+            "disorder": dict(sweep_disorder(), n_sites=6, seed=2),
+            "tau_range": {"min": 0.01, "max": 2.0, "n": 40},
+        },
     ],
-    ids=["figure3-preset", "evolve-dephasing-n8", "evolve-time-list", "evolve-measured-states"],
+    ids=["figure3-preset", "evolve-dephasing-n8", "evolve-time-list", "evolve-measured-states", "efficiency-scan-n6"],
 )
 def test_csv_writers_equal_the_per_line_writers(config, tmp_path, monkeypatch):
     # each writer the scenario calls also runs its per-line predecessor on the
     # same result; the two files must agree byte for byte
     written = []
-    for name, per_line in (("series_to_csv", per_line_series_csv), ("trajectory_to_csv", per_line_trajectory_csv)):
+    for name, per_line in (
+        ("series_to_csv", per_line_series_csv),
+        ("trajectory_to_csv", per_line_trajectory_csv),
+        ("scan_to_csv", per_line_scan_csv),
+    ):
 
         def both(result, path, writer=getattr(antizeno.cli, name), per_line=per_line):
             writer(result, path)

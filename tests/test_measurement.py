@@ -314,6 +314,16 @@ def test_crossover_two_site():
     assert out["n_c"] * 0.1 == pytest.approx(out["t_c"])
 
 
+def test_crossover_keeps_the_interval_that_ends_at_the_horizon():
+    # fl(54492 tau) / tau falls an ulp below 54492, more than an absolute
+    # 1e-12 slack makes up; the interval that ends at the horizon still counts
+    m = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
+    tau = 0.0006000000000000001
+    assert crossover_time(m, tau, horizon=200.0)["n_c"] == 54492
+    out = crossover_time(m, tau, horizon=54492 * tau)
+    assert out["n_c"] == 54492 and out["t_c"] == 54492 * tau
+
+
 def test_crossover_no_hopping():
     m = build_chain(2, [10.0, 0.0], v=0.0, trap_rate=0.0, decay_rate=0.0)
     out = crossover_time(m, 0.1, horizon=20.0)

@@ -15,6 +15,7 @@ from antizeno import (
     quantum_jump_ensemble,
     repeated_measurement_trajectory,
 )
+from antizeno import open_system
 from antizeno.dynamics import DensityMatrix, eig_system, evolve, populations, propagator, pure_site_state
 from antizeno.measurement import channel_masks
 from antizeno.model import LatticeModel, effective_hamiltonian
@@ -142,7 +143,10 @@ def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
 
     Trajectory k draws from its own generator, spawned from SeedSequence(seed)
     at index k: the first waiting time, then (uniform, waiting time) per jump.
-    Returns (mean populations, their standard errors, mean states).
+    Returns (mean populations, their standard errors, mean states).  The
+    variance is taken in two passes over the kept samples, so it is free of
+    the cancellation of E[p^2] - E[p]^2 where every trajectory holds nearly
+    the same state.
     """
     times = np.asarray(times, dtype=float)
     n = spec.model.n_sites
@@ -154,7 +158,7 @@ def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
     n_times = times.shape[0]
     sum_rho = np.zeros((n_times, n, n), dtype=complex)
     sum_p = np.zeros((n_times, n))
-    sum_p2 = np.zeros((n_times, n))
+    samples = np.zeros((n_traj, n_times, n))
     streams = np.random.SeedSequence(seed).spawn(n_traj)
     for k in range(n_traj):
         rng = np.random.default_rng(streams[k])
@@ -196,10 +200,10 @@ def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
                 sum_rho[ti] += np.outer(psi, psi.conj())
                 p = np.abs(psi) ** 2
                 sum_p[ti] += p
-                sum_p2[ti] += p * p
+                samples[k, ti] = p
                 ti += 1
     mean_p = sum_p / n_traj
-    var = np.maximum(sum_p2 / n_traj - mean_p**2, 0.0)
+    var = samples.var(axis=0)
     se = np.sqrt(var / max(n_traj - 1, 1))
     return mean_p, se, sum_rho / n_traj
 
@@ -212,9 +216,12 @@ def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
         "chain-n8-120-trajectories",
         "figure3-101-times-between-jumps",
         "lossy-chain-across-schedule-blocks",
+        "figure3-1001-times-several-reads-per-block",
+        "chain-n4-several-trajectory-chunks",
+        "lossy-chain-output-before-the-first-jump-across-blocks",
     ],
 )
-def test_jump_poisson_equals_the_per_trajectory_oracle(case):
+def test_jump_poisson_equals_the_per_trajectory_oracle(case, monkeypatch):
     # the scheduled ensemble must consume every trajectory's stream exactly as
     # the one-at-a-time loop does, so the two agree to roundoff
     if case == "figure3-site2":
@@ -232,6 +239,21 @@ def test_jump_poisson_equals_the_per_trajectory_oracle(case):
         m = build_chain(4, [0.0, 3.0, 1.0, 2.0], v=1.0, trap_rate=0.4, decay_rate=0.02)
         spec = DephasingSpec(model=m, gamma=1.5 * _BLOCK / 4.0, dephased_sites=frozenset({2, 3}))
         times, n_traj = [0.5, 2.0, 2.0, 4.0], 60
+    elif case == "figure3-1001-times-several-reads-per-block":
+        # _PAIRS // 1001 = 65 rows are read at a time, fewer than the 100 rows
+        spec, times, n_traj = fig3_spec(10.0), np.linspace(0.0, 10.0, 1001), 100
+    elif case == "chain-n4-several-trajectory-chunks":
+        # 7 trajectories are stepped at a time, so 60 run in 9 chunks
+        monkeypatch.setattr(open_system, "_ROWS", 7)
+        m = build_chain(4, [0.0, 3.0, 1.0, 2.0], v=1.0, trap_rate=0.4, decay_rate=0.02)
+        spec = DephasingSpec(model=m, gamma=1.5, dephased_sites=frozenset({1, 3}))
+        times, n_traj = [0.0, 0.5, 2.0, 4.0], 60
+    elif case == "lossy-chain-output-before-the-first-jump-across-blocks":
+        # about 3 blocks of jumps per trajectory, and the first output falls
+        # before the first jump with probability exp(-0.04) = 0.96
+        m = build_chain(4, [0.0, 3.0, 1.0, 2.0], v=1.0, trap_rate=0.4, decay_rate=0.02)
+        spec = DephasingSpec(model=m, gamma=20.0, dephased_sites=frozenset({1, 2, 3, 4}))
+        times, n_traj = [0.001, 2.5, 5.0], 40
     else:
         m = build_chain(8, np.linspace(0.0, 7.0, 8) % 3.0, v=1.0, trap_rate=0.5, decay_rate=0.01)
         spec = DephasingSpec(model=m, gamma=5.0, dephased_sites=frozenset(range(1, 9)))
@@ -240,14 +262,11 @@ def test_jump_poisson_equals_the_per_trajectory_oracle(case):
     res = quantum_jump_ensemble(spec, rho0, times, n_traj=n_traj, seed=2024)
     mean_p, se, mean_rho = reference_poisson_ensemble(spec, rho0, times, n_traj, 2024)
     assert np.max(np.abs(res.mean_populations - mean_p)) <= 1e-12
-    # at t = 0 every trajectory holds the initial state, so the sample variance
-    # E[p^2] - E[p]^2 is zero up to roundoff of order eps, and the SE taken from
-    # it, sqrt(var / (n_traj - 1)), is roundoff noise of up to about 1e-9 in
-    # either code.  So the variances are compared at every time, the SEs at t > 0
+    # both variances are free of cancellation, so the SEs agree also at and
+    # just after t = 0, where every trajectory holds nearly the same state
     var, ref_var = (n_traj - 1) * res.se_populations**2, (n_traj - 1) * se**2
     assert np.max(np.abs(var - ref_var)) <= 1e-12
-    later = np.asarray(times) > 0
-    assert np.max(np.abs(res.se_populations[later] - se[later])) <= 1e-12
+    assert np.max(np.abs(res.se_populations - se)) <= 1e-12
     states = np.array([s.matrix for s in res.mean_states])
     assert np.max(np.abs(states - (mean_rho + mean_rho.conj().transpose(0, 2, 1)) / 2)) <= 1e-12
 
@@ -558,6 +577,28 @@ def test_efficiency_dephasing_requires_loss():
         efficiency_dephasing(spec)
 
 
+def per_line_ensemble_csv(result, path):
+    """The per-line ensemble writer that ensemble_to_csv replaced."""
+    n = result.mean_populations.shape[1]
+    header = (
+        "t,"
+        + ",".join(f"p_{i}" for i in range(1, n + 1))
+        + ",trace,"
+        + ",".join(f"se_p_{i}" for i in range(1, n + 1))
+    )
+    with open(path, "w", newline="") as f:
+        f.write(header + "\n")
+        for ti, t in enumerate(result.times):
+            tr = float(result.mean_populations[ti].sum())
+            cells = (
+                [f"{t:.12g}"]
+                + [f"{x:.12g}" for x in result.mean_populations[ti]]
+                + [f"{tr:.12g}"]
+                + [f"{x:.12g}" for x in result.se_populations[ti]]
+            )
+            f.write(",".join(cells) + "\n")
+
+
 def test_ensemble_csv_format(tmp_path):
     spec = fig3_spec(10.0)
     res = quantum_jump_ensemble(spec, pure_site_state(3, 2), [0.5, 1.0], n_traj=50, seed=3)
@@ -569,3 +610,12 @@ def test_ensemble_csv_format(tmp_path):
     row = [float(x) for x in lines[1].split(",")]
     assert row[0] == 0.5
     assert row[4] == pytest.approx(sum(row[1:4]), abs=1e-9)
+    # the same bytes as the per-line writer, also on 12 sites, where the
+    # trace sums more populations
+    m = build_chain(12, np.linspace(0.0, 7.0, 12) % 3.0, v=1.0, trap_rate=0.5, decay_rate=0.01)
+    chain = DephasingSpec(model=m, gamma=2.0, dephased_sites=frozenset(range(1, 13, 2)))
+    chain_res = quantum_jump_ensemble(chain, pure_site_state(12, 1), np.linspace(0.0, 5.0, 51), n_traj=40, seed=3)
+    for result in (res, chain_res):
+        ensemble_to_csv(result, path)
+        per_line_ensemble_csv(result, tmp_path / "per-line.csv")
+        assert path.read_bytes() == (tmp_path / "per-line.csv").read_bytes()
