@@ -12,16 +12,6 @@ from .measurement import MeasurementChannel, _measured_stack
 from .model import LatticeModel, effective_hamiltonian
 from .open_system import DephasingSpec, _master_stack
 
-# sigma_y (x) sigma_y in the {gg, ge, eg, ee} basis
-_SY_SY = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
-
 _GG, _GE, _EG, _EE = 0, 1, 2, 3
 
 
@@ -109,7 +99,10 @@ def _pair_stack(rm: np.ndarray, a: int, b: int) -> np.ndarray:
 
 def _wootters(m: np.ndarray) -> np.ndarray:
     """max(0, l1 - l2 - l3 - l4) for each 4x4 matrix of m, shape (..., 4, 4)."""
-    r = m @ _SY_SY @ m.conj() @ _SY_SY
+    # R = m S m* S, S = sigma_y (x) sigma_y in the {gg, ge, eg, ee} basis: column j of
+    # m S is column 3 - j of m, negated for j = 0 and 3, and m* S is its conjugate (S is real)
+    ms = m[..., [3, 2, 1, 0]] * [-1.0, 1.0, 1.0, -1.0]
+    r = ms @ ms.conj()
     ev = np.sort(np.abs(np.real(np.linalg.eigvals(r))), axis=-1)[..., ::-1]
     # roundoff noise on zero eigenvalues would be amplified by the square root
     ev[ev < 1e-14 * np.maximum(ev[..., :1], 1e-300)] = 0.0
@@ -161,7 +154,9 @@ def measured_concurrence(eps: float, v: float, tau: float, t) -> float | np.ndar
 def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> ConcurrenceSeries:
     """Evolve |initial_site>, reduce to the pair, and score concurrence.
 
-    dynamics_spec is "unitary", a MeasurementChannel, or a DephasingSpec.
+    dynamics_spec is "unitary", a MeasurementChannel, or a DephasingSpec of
+    this model (an equal copy will do); a DephasingSpec of another model
+    raises ValueError.
     """
     times = _time_grid(times)
     a, b = int(pair[0]), int(pair[1])
@@ -180,6 +175,8 @@ def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> Con
     elif isinstance(dynamics_spec, MeasurementChannel):
         states = _measured_stack(h, dynamics_spec, rho0, times)
     elif isinstance(dynamics_spec, DephasingSpec):
+        if dynamics_spec.model.to_dict() != model.to_dict():
+            raise ValueError("the DephasingSpec's model differs from the model whose state is evolved")
         states = _master_stack(dynamics_spec, rho0, times)
     else:
         raise ValueError(f"unknown dynamics spec {dynamics_spec!r}")

@@ -112,8 +112,8 @@ def measured_states(h_eff, channel: MeasurementChannel, rho0, times) -> list:
     """States at the sorted times under free evolution with the channel applied
     at every multiple of channel.interval (a time on a multiple is taken just
     after that measurement).  Off-grid remainders share one propagator per
-    distinct value, keyed as in integrate_master, and all of them are taken in
-    one batched exponential and conjugation.  The states fill one stack
+    distinct value of round(remainder, 15), and all of them are taken in one
+    batched exponential and conjugation.  The states fill one stack
     that is checked once; the returned DensityMatrix objects are views of it."""
     return _density_matrices(_measured_stack(h_eff, channel, rho0, times))
 

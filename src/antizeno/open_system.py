@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
 from .dynamics import (
     DensityMatrix,
@@ -91,13 +92,17 @@ def integrate_master(spec: DephasingSpec, rho0, times):
     after 0), exact to roundoff.
 
     The generator is linear and time independent, so the state advances by the
-    matrix exponential exp(L dt) between consecutive times; one exponential is
-    computed per distinct interval.  Returns a list of DensityMatrix, one per
-    requested time; rho0 is checked as one.  The state steps as the real
-    vector Re rho + Im rho, and the Hermitian states are rebuilt from it in
-    one (len(times), n, n) stack after the last step, whose finiteness,
-    population range and DensityMatrix checks run once; the returned objects
-    are views of it.
+    matrix exponential exp(L dt) between consecutive times.  The distinct times
+    fall into runs of one span h: each time lies within 4 of its own ulps of
+    the run's first time plus a multiple of h.  A run takes one exponential
+    S = exp(L h) and reaches its k-th time as S^k by repeated squaring, so a
+    uniform grid takes one exponential and about log2(len(times)) squarings,
+    and an irregular list one exponential per span.  Equal times share a
+    state.  Returns a list of DensityMatrix, one per requested time; rho0 is
+    checked as one.  The state steps as the real vector Re rho + Im rho, and
+    the Hermitian states are rebuilt from it in one (len(times), n, n) stack
+    after the last step, whose finiteness, population range and DensityMatrix
+    checks run once; the returned objects are views of it.
     """
     return _density_matrices(_master_stack(spec, rho0, times))
 
@@ -113,25 +118,22 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
     # y = vec(Re rho + Im rho) fixes a Hermitian rho, rho = (y + y^T)/2 + i (y - y^T)/2, and L keeps
     # rho Hermitian, so dy/dt = Re(L vec rho) + Im(L vec rho) = (Re L + Im L P) y, P: vec(x) -> vec(x^T)
     lr = lv.real + lv.imag[:, np.arange(n * n).reshape(n, n).T.reshape(-1)]
-    # the span stepped before each output: from the last time the state moved
-    # to, or 0 where that is at most 1e-15
-    spans = np.zeros(times.shape)
-    t_now = 0.0
-    for i, t_target in enumerate(times):
-        if t_target - t_now > 1e-15:
-            spans[i] = t_target - t_now
-            t_now = t_target
-    cache: dict = {}
-    ys = np.empty((times.size, n * n))
-    y = (rm.real + rm.imag).reshape(-1)
-    for i, key in enumerate(np.round(spans, 15).tolist()):
-        if spans[i]:
-            if key not in cache:
-                cache[key] = scipy.linalg.expm(lr * spans[i])
-            # not @: after a scipy BLAS call, numpy's @ contends with scipy's separate OpenBLAS thread pool
-            y = np.einsum("ij,j->i", cache[key], y)
-        ys[i] = y
-    ys = ys.reshape(-1, n, n)
+    # row j of ys is the state at td[j], the j-th distinct time of 0 and the outputs
+    td, row = np.unique(np.concatenate(([0.0], times)), return_inverse=True)
+    ys = np.empty((td.size, n * n))
+    ys[0] = (rm.real + rm.imag).reshape(-1)
+    ulps, s = 4 * np.spacing(td), 0
+    while s + 1 < td.size:
+        # a run: the times td[s + k], k = 1, 2, ..., within 4 of their own ulps of td[s] + k h;
+        # each pass checks the next time alone, then as many more as the run has
+        h, count = td[s + 1] - td[s], 2
+        while s + count < td.size and abs(td[s + count] - (td[s] + count * h)) <= ulps[s + count]:
+            k = np.arange(count + 1, min(2 * count, td.size - s))
+            on = np.abs(td[s + k] - (td[s] + k * h)) <= ulps[s + k]
+            count += 1 + int(np.append(on, False).argmin())
+        ys[s : s + count] = _powers(scipy.linalg.expm(lr * h), ys[s], count)
+        s += count - 1
+    ys = ys[row[1:]].reshape(-1, n, n)
     out = (ys + ys.swapaxes(1, 2)) / 2 + 1j * ((ys - ys.swapaxes(1, 2)) / 2)  # Hermitian to the bit
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite state during integration")
@@ -139,6 +141,24 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
     if np.any(pops < -1e-8) or np.any(pops > 1 + 1e-8):
         raise ValueError("populations left [0, 1] during integration")
     return density_stack(out)
+
+
+def _powers(step: np.ndarray, y0: np.ndarray, count: int) -> np.ndarray:
+    """The rows S^k y0, k = 0 .. count - 1, of the step matrix S, in
+    ceil(log2 count) rounds: each round advances the rows filled so far by the
+    current power in one product, then squares the power.  Both products are
+    scipy's dgemm: a numpy @ after scipy's BLAS work contends with scipy's
+    separate OpenBLAS thread pool."""
+    ys = np.empty((count, y0.size))
+    ys[0] = y0
+    power_t, done = step.T, 1  # the current power, transposed: Fortran order, as dgemm takes it
+    while done < count:
+        m = min(done, count - done)
+        ys[done : done + m] = dgemm(1.0, power_t, ys[:m].T, trans_a=True).T
+        done += m
+        if done < count:
+            power_t = dgemm(1.0, power_t, power_t)
+    return ys
 
 
 def efficiency_dephasing(spec: DephasingSpec) -> EfficiencyResult:

@@ -87,6 +87,42 @@ def test_concurrence_fast_path_matches_wootters(rng):
         assert concurrence(state) == pytest.approx(2 * c_mag, abs=1e-10)
 
 
+def test_wootters_matrix_equals_the_sigma_y_products(rng, monkeypatch):
+    # R = m S m* S, S = sigma_y (x) sigma_y, formed by a column permutation and
+    # sign, is bit for bit the four-product form, also on states with an empty
+    # ee block and on the Figure-3 dephased stacks
+    sy_sy = np.array([[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    a = rng.normal(size=(500, 4, 4)) + 1j * rng.normal(size=(500, 4, 4))
+    m = a @ a.conj().swapaxes(1, 2)
+    m[:100, 3, :] = m[:100, :, 3] = 0.0
+    m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    stacks = [m]
+    model = build_chain(3, [1.0, 10.0, 1.0], v=1.0, trap_rate=0.0, decay_rate=0.0, initial_site=2)
+    for two_gamma in (0.1, 10.0, 1000.0):
+        spec = DephasingSpec(model=model, gamma=two_gamma / 2.0, dephased_sites=frozenset({2}))
+        states = integrate_master(spec, pure_site_state(3, 2), np.linspace(0.0, 20.0, 2001))
+        stacks.append(np.array([reduce_to_pair(s, 1, 3).matrix for s in states]))
+    seen = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda r: seen.append(r) or eigvals(r))
+    for m in stacks:
+        _wootters(m)
+        assert seen[-1].tobytes() == (m @ sy_sy @ m.conj() @ sy_sy).tobytes()
+
+
+def test_simulate_concurrence_rejects_a_spec_of_another_model(three_site_degenerate):
+    # the state and its size come from the model argument, the generator from
+    # the spec's model: a spec with v = 2 used to evolve the v = 1 chain's state
+    other = build_chain(3, [1.0, 10.0, 1.0], v=2.0, trap_rate=0.0, decay_rate=0.0, initial_site=2)
+    with pytest.raises(ValueError, match="model differs"):
+        simulate_concurrence(three_site_degenerate, DephasingSpec(other, 5.0, {2}), (1, 3), [0.0, 1.0])
+    # an equal copy of the model passes
+    copy = build_chain(3, [1.0, 10.0, 1.0], v=1.0, trap_rate=0.0, decay_rate=0.0, initial_site=2)
+    same = simulate_concurrence(three_site_degenerate, DephasingSpec(copy, 5.0, {2}), (1, 3), [0.0, 1.0])
+    ref = simulate_concurrence(three_site_degenerate, DephasingSpec(three_site_degenerate, 5.0, {2}), (1, 3), [0.0, 1.0])
+    assert np.array_equal(same.values, ref.values)
+
+
 def test_fast_path_disagreement_raises_value_error():
     # member 1 skipped the state checks: |rho_eg,ge| = 0.5 exceeds
     # sqrt(p_eg p_ge) = 0.25, so the fast path reads 1 and Wootters 0.5

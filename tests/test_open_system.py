@@ -350,27 +350,110 @@ def test_master_states_equal_the_per_state_reference(case):
     assert np.max(np.abs(states - ref)) <= 1e-14
 
 
-@pytest.mark.parametrize("two_gamma", [10.0, 1000.0, 1751.05])
-def test_master_states_equal_a_fresh_exponential(two_gamma):
-    # every output of the Figure-3 grid against exp(L t) vec(rho_0), one
-    # exponential per time, with no stepping and no real coordinates
-    spec, times, rho0 = fig3_spec(two_gamma), np.linspace(0.0, 20.0, 2001), pure_site_state(3, 2)
-    states = np.array([s.matrix for s in integrate_master(spec, rho0, times)])
+def chain8_spec():
+    energies = np.random.default_rng(8).uniform(0.0, 10.0, 8).tolist()
+    m = build_chain(8, energies, v=1.0, trap_rate=0.5, decay_rate=0.001)
+    return DephasingSpec(model=m, gamma=1.0, dephased_sites=frozenset(range(1, 9)))
+
+
+IRREGULAR_GRID = np.concatenate(([0.0, 0.0], np.linspace(0.1, 10.0, 100), [10.0]))
+TWO_RUNS_GRID = np.concatenate((np.linspace(0.0, 1.0, 11), np.linspace(1.5, 3.0, 4)))
+# time lists for the Figure-3 model at 2 gamma = 10
+GRIDS = {
+    "irregular-grid": IRREGULAR_GRID,
+    "no-outputs": [],
+    "one-at-0": [0.0],
+    "one-after-0": [0.7],
+    "two": [0.0, 0.7],
+    "three-after-0": [0.3, 0.6, 0.9],
+    "repeated": [0.5, 0.5, 1.0, 1.0, 1.0, 2.5],
+    "grid-after-0": np.linspace(1.0, 3.0, 21),
+    "two-runs": TWO_RUNS_GRID,
+}
+
+
+@pytest.mark.parametrize("case", [0.1, 10.0, 1000.0, 1751.05, "chain-n8-evolve-grid", *GRIDS])
+def test_master_states_equal_a_fresh_exponential(case):
+    # every output against exp(L t) vec(rho_0), one exponential per time, with
+    # no stepping and no real coordinates.  A number is 2 gamma on the
+    # Figure-3 grid; the n = 8 chain runs on the CLI evolve grid.
+    if case == "chain-n8-evolve-grid":
+        spec, times = chain8_spec(), np.linspace(0.0, 10.0, 201)
+    elif case in GRIDS:
+        spec, times = fig3_spec(10.0), np.asarray(GRIDS[case], dtype=float)
+    else:
+        spec, times = fig3_spec(case), np.linspace(0.0, 20.0, 2001)
+    n = spec.model.n_sites
+    rho0 = pure_site_state(n, spec.model.initial_site)
+    states = np.array([s.matrix for s in integrate_master(spec, rho0, times)]).reshape(-1, n, n)
+    assert states.shape == (times.size, n, n)
     lv = _liouvillian(spec)
     fresh = np.array([scipy.linalg.expm(lv * t) @ rho0.matrix.reshape(-1) for t in times]).reshape(states.shape)
     # Tolerance, to first order in u = 2^-53.  exp is relatively conditioned
     # like ||A|| near a normal A, so the fresh exp(L t) carries about
-    # u ||L||_1 t; the k exponentials stepped to t_k carry u ||L||_1 dt each,
-    # which the contractive dynamics sums to the same u ||L||_1 t.  Each real
-    # matvec on n^2 coordinates adds at most n^2 u, and the entries of a
-    # density matrix are at most 1.  So |stepped - fresh| <= u (2 ||L||_1 t_k + n^2 k);
-    # it reads 0.11, 0.29 and 0.36 of that bound at most (2.4e-14, 1.7e-12 and
-    # 2.2e-12 over the grid).
+    # u ||L||_1 t.  The stepped state at t_k is S^j y in a run of span h, with
+    # S = exp(L h) carrying u ||L||_1 h; a squaring doubles both the span and
+    # the error a power carries, so S^j carries u ||L||_1 j h, and the runs
+    # reach t_k with u ||L||_1 t_k, as k single steps did (the run's time
+    # t_s + j h lies within the ulp of t_k on these grids, a perturbation of
+    # L t of the size its rounding has).  A product on n^2 real coordinates
+    # adds at most n^2 u: S^(2^r) takes r squarings, so it carries at most
+    # (2^r - 1) n^2 u, and row j is popcount(j) products by such powers, so
+    # at most n^2 u j in all, with j <= k.  The entries of a density matrix
+    # are at most 1.  So |stepped - fresh| <= u (2 ||L||_1 t_k + n^2 k); it
+    # reads at most 0.07, 0.07, 0.30 and 0.36 of that bound on the Figure-3
+    # grid at 2 gamma = 0.1, 10, 1000 and 1751.05 (1.1e-13, 1.5e-14, 1.7e-12
+    # and 2.2e-12).
     k = np.arange(times.size)
     bound = 2.0**-53 * (2 * np.abs(lv).sum(axis=0).max() * times + rho0.matrix.size * k)
-    assert np.all(np.abs(states - fresh).max(axis=(1, 2)) <= bound)
+    assert np.all(np.abs(states - fresh).max(axis=(1, 2), initial=0.0) <= bound)
     # the states are rebuilt from real coordinates, so they are Hermitian to the bit
     assert np.array_equal(states, states.conj().swapaxes(1, 2))
+    # equal times share one state, bit for bit
+    for i in np.flatnonzero(np.diff(times) == 0):
+        assert np.array_equal(states[i], states[i + 1])
+
+
+@pytest.mark.parametrize(
+    "times, expected",
+    [
+        (np.linspace(0.0, 20.0, 2001), 1),
+        (np.arange(201) * 0.1, 1),
+        # within one ulp of multiples of 0.1 from 0, so one run after the repeated 0
+        (IRREGULAR_GRID, 1),
+        (TWO_RUNS_GRID, 2),
+        (np.concatenate(([0.0, 0.0], np.linspace(0.5, 2.0, 4), [2.0, 2.0], 2.0 + np.arange(1, 6) * 0.25)), 2),
+        # one exponential per span: 40 distinct spans, the first from 0
+        (np.sort(np.random.default_rng(3).uniform(0.0, 10.0, 40)), 40),
+    ],
+    ids=["figure3-grid", "arange-grid", "irregular-grid", "two-runs", "repeated-times-between-runs", "random-list"],
+)
+def test_master_takes_one_exponential_per_run(monkeypatch, times, expected):
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    integrate_master(fig3_spec(10.0), pure_site_state(3, 2), times)
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("count", range(1, 10))
+def test_powers_equal_repeated_products(count):
+    # S^k y0 by repeated squaring against k single products, with S a step of
+    # the real generator of an n = 8 chain
+    spec = chain8_spec()
+    lv = _liouvillian(spec)
+    lr = lv.real + lv.imag[:, np.arange(64).reshape(8, 8).T.reshape(-1)]
+    step = scipy.linalg.expm(lr * 0.05)
+    y = np.random.default_rng(count).uniform(-1.0, 1.0, 64)
+    rows = open_system._powers(step, y, count)
+    assert rows.shape == (count, 64) and np.array_equal(rows[0], y)
+    expected = [y]
+    for _ in range(count - 1):
+        expected.append(step @ expected[-1])
+    # row k passes through at most 2 k products of length n^2 = 64, the squarings
+    # included, each off by at most 64 u times the row sums of |S^j|, at most growth
+    growth = max(np.abs(np.linalg.matrix_power(step, k)).sum(axis=1).max() for k in range(count))
+    assert np.max(np.abs(rows - np.array(expected))) <= 2.0**-53 * 64 * 2 * count * growth
 
 
 @pytest.mark.parametrize("rho0", [[[1.0, 1.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]], ids=["non-hermitian", "trace-2"])
