@@ -7,7 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, _time_grid, _write_csv, eig_system, evolve, propagator, pure_site_state
+from .dynamics import (
+    DensityMatrix,
+    _first_negative_eig,
+    _time_grid,
+    _write_csv,
+    eig_system,
+    evolve,
+    propagator,
+    pure_site_state,
+)
 from .measurement import MeasurementChannel, _measured_stack
 from .model import LatticeModel, effective_hamiltonian
 from .open_system import DephasingSpec, _master_stack
@@ -31,7 +40,7 @@ def _two_qubit_stack(matrices) -> np.ndarray:
     """A (k, 4, 4) stack as a read-only complex array (frozen in place, as in
     density_stack), after TwoQubitState's checks on every member at once:
     Hermitian to 1e-10, trace 1 to 1e-10 and eigenvalues >= -1e-10 (one
-    batched eigvalsh)."""
+    batched Cholesky, as in density_stack)."""
     m = np.asarray(matrices, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValueError("two-qubit state must be 4x4")
@@ -39,7 +48,7 @@ def _two_qubit_stack(matrices) -> np.ndarray:
         raise ValueError("two-qubit state not Hermitian")
     if np.any(np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0) > 1e-10):
         raise ValueError("two-qubit state trace must be 1")
-    if np.any(np.linalg.eigvalsh(m)[:, 0] < -1e-10):
+    if _first_negative_eig(m) is not None:
         raise ValueError("two-qubit state not positive semidefinite")
     m.setflags(write=False)
     return m
@@ -97,18 +106,50 @@ def _pair_stack(rm: np.ndarray, a: int, b: int) -> np.ndarray:
     return out
 
 
-def _wootters(m: np.ndarray) -> np.ndarray:
-    """max(0, l1 - l2 - l3 - l4) for each 4x4 matrix of m, shape (..., 4, 4)."""
-    # R = m S m* S, S = sigma_y (x) sigma_y in the {gg, ge, eg, ee} basis: column j of
-    # m S is column 3 - j of m, negated for j = 0 and 3, and m* S is its conjugate (S is real)
+def _wootters_matrix(m: np.ndarray) -> np.ndarray:
+    """R = m S m* S for each 4x4 matrix of m, with S = sigma_y (x) sigma_y."""
+    # in the {gg, ge, eg, ee} basis column j of m S is column 3 - j of m, negated
+    # for j = 0 and 3, and m* S is its conjugate (S is real)
     ms = m[..., [3, 2, 1, 0]] * [-1.0, 1.0, 1.0, -1.0]
-    r = ms @ ms.conj()
-    ev = np.sort(np.abs(np.real(np.linalg.eigvals(r))), axis=-1)[..., ::-1]
+    return ms @ ms.conj()
+
+
+def _r_spectrum(r: np.ndarray) -> np.ndarray:
+    """|Re| of the four eigenvalues of each R of a (k, 4, 4) stack.
+
+    Where rows and columns 0 and 3 of R are exactly zero, as for every state
+    _pair_stack builds (no ee weight, no gg coherence), the spectrum is
+    {0, 0} and the two roots of the middle 2x2 block's characteristic
+    polynomial: the root of larger modulus by the quadratic formula, the
+    other as det / that root, so neither cancels.  Only the other members
+    reach np.linalg.eigvals.
+    """
+    ev = np.zeros(r.shape[:-1], dtype=complex)
+    b = r[:, 1:3, 1:3]
+    tr = b[:, 0, 0] + b[:, 1, 1]
+    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+    s = np.sqrt(tr * tr / 4.0 - det)
+    hi = tr / 2.0 + np.where((tr.conj() * s).real < 0.0, -s, s)
+    ev[:, 0] = hi
+    np.divide(det, hi, out=ev[:, 1], where=hi != 0.0)
+    outer = np.any(r[:, [0, 3], :] != 0.0, axis=(1, 2)) | np.any(r[:, :, [0, 3]] != 0.0, axis=(1, 2))
+    full = np.flatnonzero(outer)
+    if full.size:
+        ev[full] = np.linalg.eigvals(r[full])
+    return np.abs(ev.real)
+
+
+def _wootters(m: np.ndarray) -> np.ndarray:
+    """max(0, l1 - l2 - l3 - l4) for each 4x4 matrix of m, shape (..., 4, 4),
+    with l_i^2 the eigenvalues of R = m S m* S: those of a 2x2 block where R
+    has one, np.linalg.eigvals' elsewhere (_r_spectrum)."""
+    r = _wootters_matrix(m)
+    ev = np.sort(_r_spectrum(r.reshape(-1, 4, 4)), axis=-1)[:, ::-1]
     # roundoff noise on zero eigenvalues would be amplified by the square root
-    ev[ev < 1e-14 * np.maximum(ev[..., :1], 1e-300)] = 0.0
+    ev[ev < 1e-14 * np.maximum(ev[:, :1], 1e-300)] = 0.0
     lam = np.sqrt(ev)
-    d = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    return np.where(d > 0.0, d, 0.0)
+    d = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return np.where(d > 0.0, d, 0.0).reshape(m.shape[:-2])
 
 
 def concurrence(state) -> float:
@@ -116,6 +157,9 @@ def concurrence(state) -> float:
 
     For single-excitation reduced states (empty |ee> block) the fast path
     2 |rho_eg,ge| is computed as well and checked against the full formula.
+    Where such a state has no gg coherence either, as every reduce_to_pair
+    result, R's spectrum comes from one 2x2 block, not an eigensolve
+    (_r_spectrum).
     """
     if not isinstance(state, TwoQubitState):
         state = TwoQubitState(state, (0, 0))  # runs the validity checks
@@ -145,10 +189,16 @@ def analytic_concurrence(eps: float, v: float, t) -> float | np.ndarray:
 
 def measured_concurrence(eps: float, v: float, tau: float, t) -> float | np.ndarray:
     """Concurrence under repeated middle-site measurement at interval tau:
-    C_tau(t) = (1/2) {1 - [1 - 2 C(tau)]^(t/tau)}; exact at t = n tau."""
+    C_tau(t) = (1/2) {1 - [1 - 2 C(tau)]^(t/tau)}, exact at t = n tau.
+
+    Off that grid it returns the real part of the principal power,
+    (1/2) {1 - |1 - 2 C(tau)|^(t/tau) cos(pi t/tau)} when 1 - 2 C(tau) < 0:
+    a smooth curve through the grid values, not the concurrence of the state
+    between two measurements."""
     c_tau = float(analytic_concurrence(eps, v, tau))
     base = 1.0 - 2.0 * c_tau
-    return 0.5 * (1.0 - np.sign(base) * np.abs(base) ** (np.asarray(t, dtype=float) / tau))
+    x = np.asarray(t, dtype=float) / tau
+    return 0.5 * (1.0 - np.abs(base) ** x * (np.cos(np.pi * x) if base < 0.0 else 1.0))
 
 
 def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> ConcurrenceSeries:

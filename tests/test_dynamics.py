@@ -14,6 +14,7 @@ from antizeno import (
     time_averaged_population,
 )
 from antizeno.dynamics import _eig_system, density_stack, eig_system
+from antizeno.entanglement import _two_qubit_stack
 from antizeno.model import effective_hamiltonian
 
 
@@ -203,6 +204,37 @@ def test_density_stack_rejects_one_bad_member_with_the_density_matrix_message(ba
     assert str(stacked.value) == str(single.value)
     checked = density_stack(np.delete(stack, 2, axis=0))
     assert not checked.flags.writeable and np.array_equal(checked, np.delete(stack, 2, axis=0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 32])
+def test_psd_floor_is_the_eigenvalue_floor_in_both_checkers(n, monkeypatch):
+    # trace-1 states U diag(low, ...) U^H: the Cholesky pass admits low = -0.9e-10
+    # without an eigensolve; -1.1e-10 fails it, and eigvalsh supplies the min eig
+    a = np.random.default_rng(n).normal(size=(2, n, n))
+    q, _ = np.linalg.qr(a[0] + 1j * a[1])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    for low, ok in ((-0.9e-10, True), (-1.1e-10, False)):
+        d = np.linspace(1.0, 2.0, n)
+        d[0] = 0.0
+        d *= (1.0 - low) / d.sum()
+        d[0] = low
+        rho = (q * d) @ q.conj().T
+        rho = (rho + rho.conj().T) / 2
+        stack = np.array([np.eye(n) / n, rho])
+        checkers = [(density_stack, f"min eig {low:.3e}")]
+        if n == 4:
+            checkers.append((_two_qubit_stack, "two-qubit state not positive semidefinite"))
+        for check, message in checkers:
+            calls.clear()
+            if ok:
+                check(stack.copy())
+                assert not calls
+            else:
+                with pytest.raises(ValueError, match=message):
+                    check(stack.copy())
+                assert len(calls) == 1
 
 
 def test_populations_basic():

@@ -14,7 +14,7 @@ from antizeno import (
     simulate_concurrence,
 )
 from antizeno.dynamics import DensityMatrix, evolve, propagator, pure_site_state
-from antizeno.entanglement import _concurrences, _wootters, series_to_csv
+from antizeno.entanglement import _concurrences, _pair_stack, _r_spectrum, _wootters, _wootters_matrix, series_to_csv
 from antizeno.measurement import measured_states
 from antizeno.model import effective_hamiltonian
 from antizeno.open_system import integrate_master
@@ -103,11 +103,68 @@ def test_wootters_matrix_equals_the_sigma_y_products(rng, monkeypatch):
         states = integrate_master(spec, pure_site_state(3, 2), np.linspace(0.0, 20.0, 2001))
         stacks.append(np.array([reduce_to_pair(s, 1, 3).matrix for s in states]))
     seen = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda r: seen.append(r) or eigvals(r))
+    monkeypatch.setattr("antizeno.entanglement._wootters_matrix", lambda m: seen.append(_wootters_matrix(m)) or seen[-1])
     for m in stacks:
         _wootters(m)
         assert seen[-1].tobytes() == (m @ sy_sy @ m.conj() @ sy_sy).tobytes()
+
+
+def _count_eigvals(monkeypatch):
+    """Patch np.linalg.eigvals to record the stack of each call; returns the list."""
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda r: calls.append(r) or eigvals(r))
+    return calls
+
+
+def test_block_spectrum_equals_eigvals_on_pair_states(rng, monkeypatch):
+    # every state _pair_stack builds leaves R's rows and columns 0 and 3 exactly
+    # zero; the 2x2 block rule gives eigvals' |Re| spectrum to 1e-14 without calling it
+    pa = rng.uniform(0.0, 1.0, 300)
+    pb = rng.uniform(0.0, 1.0 - pa)
+    c = np.sqrt(pa * pb) * rng.uniform(0.0, 1.0, 300) * np.exp(2j * np.pi * rng.uniform(size=300))
+    c[:100] = np.sqrt(pa[:100] * pb[:100]) * np.exp(2j * np.pi * rng.uniform(size=100))  # pure: |c|^2 = pa pb
+    pa[-20:] = pb[-20:] = c[-20:] = 0.0  # all weight in gg
+    full = np.zeros((300, 2, 2), dtype=complex)
+    full[:, 0, 0], full[:, 1, 1], full[:, 0, 1], full[:, 1, 0] = pa, pb, c, c.conj()
+    stacks = [_pair_stack(full, 1, 2), _pair_stack(full, 2, 1)]
+    model = build_chain(3, [1.0, 10.0, 1.0], v=1.0, trap_rate=0.0, decay_rate=0.0, initial_site=2)
+    times = np.linspace(0.0, 20.0, 2001)
+    for two_gamma in (0.1, 10.0, 1000.0):
+        spec = DephasingSpec(model=model, gamma=two_gamma / 2.0, dephased_sites=frozenset({2}))
+        stacks.append(_pair_stack(np.array([s.matrix for s in integrate_master(spec, pure_site_state(3, 2), times)]), 1, 3))
+    channel = MeasurementChannel(frozenset({2}), 0.1)
+    measured = measured_states(effective_hamiltonian(model), channel, pure_site_state(3, 2), times[:201])
+    stacks.append(_pair_stack(np.array([s.matrix for s in measured]), 1, 3))
+    calls = _count_eigvals(monkeypatch)
+    for m in stacks:
+        r = _wootters_matrix(m)
+        block = _r_spectrum(r)
+        assert not calls
+        ref = np.abs(np.linalg.eigvals(r).real)
+        calls.clear()
+        assert np.max(np.abs(np.sort(block, axis=1) - np.sort(ref, axis=1))) <= 1e-14
+
+
+def test_states_outside_the_block_reach_eigvals(rng, monkeypatch):
+    # (|gg> + |ee>)/sqrt 2 and full-rank states fill R's outer rows: each call
+    # sends exactly those members to eigvals, the single-excitation ones not
+    phi = np.zeros((4, 4), dtype=complex)
+    phi[0, 0] = phi[0, 3] = phi[3, 0] = phi[3, 3] = 0.5
+    a = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+    dense = a @ a.conj().swapaxes(1, 2)
+    dense /= np.trace(dense, axis1=1, axis2=2).real[:, None, None]
+    mixed = np.array([bell_state().matrix, phi, dense[0], bell_state().matrix, dense[1]])
+    calls = _count_eigvals(monkeypatch)
+    assert concurrence(TwoQubitState(phi, (1, 2))) == pytest.approx(1.0, abs=1e-12)
+    assert [r.shape for r in calls] == [(1, 4, 4)]
+    _wootters(dense)
+    assert calls[-1].shape == (50, 4, 4)
+    out = _concurrences(mixed)
+    assert len(calls) == 3 and np.array_equal(calls[-1], _wootters_matrix(mixed[[1, 2, 4]]))
+    assert out[[0, 1, 3]] == pytest.approx(1.0)
+    _wootters(np.array([bell_state().matrix, bell_state().matrix]))
+    assert len(calls) == 3
 
 
 def test_simulate_concurrence_rejects_a_spec_of_another_model(three_site_degenerate):
@@ -229,6 +286,18 @@ def test_simulated_measurement_matches_closed_form(three_site_degenerate):
     traj = repeated_measurement_trajectory(three_site_degenerate, channel, 200)
     stepped = [concurrence(reduce_to_pair(s, 1, 3)) for s in traj.states[1:]]
     assert np.array_equal(series.values, np.clip(stepped, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_measured_concurrence_when_one_interval_passes_one_half(eps):
+    # C(tau) > 1/2 makes 1 - 2 C(tau) negative: its even powers are positive,
+    # and its zeroth power gives C = 0 at t = 0
+    tau = 0.8 * np.pi / np.sqrt(8.0 + eps * eps)
+    assert analytic_concurrence(eps, 1.0, tau) > 0.5
+    model = build_chain(3, [0.0, eps, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0, initial_site=2)
+    times = np.arange(7) * tau
+    series = simulate_concurrence(model, MeasurementChannel(frozenset({2}), tau), (1, 3), times)
+    assert np.max(np.abs(series.values - measured_concurrence(eps, 1.0, tau, times))) < 1e-8
 
 
 def test_simulated_dephasing_long_time(three_site_degenerate):
