@@ -188,7 +188,7 @@ def _pure_initial(rho0) -> np.ndarray:
 
 
 _BLOCK = 64  # jumps per trajectory drawn at a time
-_PAIRS = 1 << 16  # (trajectory, output time) pairs read at a time
+_PAIRS = 1 << 14  # (trajectory, output time) pairs read at a time
 _ROWS = 1024  # trajectories stepped at a time
 
 
@@ -213,17 +213,24 @@ def quantum_jump_ensemble(
     uniforms that pick the sites.  Then all trajectories step over jump index,
     one row each of eigenbasis amplitudes, and keep their state after each
     jump.  Last, every output time of the block is read off the last jump at
-    or before it, in one pass over that history, up to _PAIRS (trajectory,
-    output time) pairs at a time.  Memory is O(_ROWS (_BLOCK + 1) n + n_times n^2)
+    or before it, in one pass over that history, and summed on an (output
+    time, trajectory) grid of up to _PAIRS cells, or one trajectory's outputs
+    where that is more.  Memory is O(_ROWS (_BLOCK + 1) n + n_times n^2)
     whatever n_traj is.  The random numbers do not depend on this layout.
-    Trajectory k draws from its own generator, default_rng(SeedSequence(seed).spawn(n_traj)[k]):
-    first its initial waiting time, then per jump the uniform that picks the
-    site and the next waiting time.  So each trajectory, and the ensemble
+    Trajectory k draws from its own generator, default_rng(SeedSequence(seed).spawn(n_traj)[k]),
+    a pair of Generator.random() doubles (x1, x2) per jump, _BLOCK pairs in one
+    call: the waiting time from the jump before is -log1p(-x1) / (2 gamma),
+    the inverse CDF of the exponential, added up in sequence from 0, and x2
+    is the uniform that picks the site.  So each trajectory, and the ensemble
     average up to summation order, is the same as when the trajectories run
-    one at a time.
+    one at a time.  A seed reproduces its ensemble bit for bit on one machine
+    and to roundoff across machines, since numpy may compute log1p in SIMD
+    code.  seed must be an integer >= 0 in every mode.
     """
     if not (_is_integer(n_traj) and n_traj >= 1):
         raise ValueError(f"n_traj must be an integer >= 1, got {n_traj!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if mode not in ("poisson", "periodic"):
         raise ValueError(f"unknown mode {mode!r}")
     times = _time_grid(times)
@@ -256,7 +263,9 @@ def quantum_jump_ensemble(
 def _poisson_sums(spec: DephasingSpec, rho0, times, n_traj: int, seed: int) -> _OutputSums:
     """The poisson unraveling's sums over trajectories at each output time, in
     the eigenbasis of H_eff, _ROWS trajectories and _BLOCK jumps per trajectory
-    at a time."""
+    at a time.  Each block draws every unfinished trajectory's next _BLOCK
+    jumps with one generator call (_draw_block); a trajectory goes on to the
+    next block while all of its jumps fall at or before the last output time."""
     n = spec.model.n_sites
     w, v, vinv, _ = eig_system(spec.model._h_eff)
     if vinv is None:
@@ -281,25 +290,20 @@ def _poisson_sums(spec: DephasingSpec, rho0, times, n_traj: int, seed: int) -> _
         # consecutive spawns continue one another, so these are spawn(n_traj)[first:first + _ROWS]
         gens = [np.random.default_rng(s) for s in streams.spawn(min(_ROWS, n_traj - first))]
         # row r of the arrays below is the unfinished trajectory that draws from gens[r]
-        t_next = [wait * g.standard_exponential() for g in gens]  # next jump time
         phi = np.tile(vinv @ psi0, (len(gens), 1))  # eigenbasis amplitudes just after the last jump
         t_last = np.zeros(len(gens))  # time of the last jump
         t_out = np.zeros(len(gens), dtype=np.intp)  # index of the next output time
         while gens:
             n_rows = len(gens)
-            t_jump = np.full((n_rows, _BLOCK), np.inf)
-            u = np.empty((n_rows, _BLOCK))
-            count = np.empty(n_rows, dtype=np.intp)
-            for r, g in enumerate(gens):
-                count[r], t_next[r] = _draw_jumps(g, t_next[r], times[-1], wait, t_jump[r], u[r])
-            more = np.array(t_next) <= times[-1]  # the rows that jump again after this block
-            # with the rows sorted by jump count, the rows that make jump j are a
-            # prefix, and the rows that go on to the next block come first
-            order = np.lexsort((-count, ~more))
-            gens, t_next = [gens[k] for k in order], [t_next[k] for k in order]
-            phi, t_last, t_out, t_jump, u, count, more = (
-                a[order] for a in (phi, t_last, t_out, t_jump, u, count, more)
-            )
+            t_jump, u = _draw_block(gens, t_last, wait)
+            count = (t_jump <= times[-1]).sum(axis=1)
+            # a row whose jumps all fall at or before the last output goes on to the
+            # next block; with the rows sorted by jump count, the rows that make
+            # jump j are a prefix, and the rows that go on come first
+            order = np.argsort(-count, kind="stable")
+            gens = [gens[k] for k in order]
+            phi, t_last, t_out, t_jump, u, count = (a[order] for a in (phi, t_last, t_out, t_jump, u, count))
+            more = count == _BLOCK
             # step: hist[r, j] is row r's state from time t_hist[r, j] on, the
             # block's start for j = 0 and its jump j - 1 of this block after that
             groups = count[0] + 1
@@ -327,32 +331,32 @@ def _poisson_sums(spec: DephasingSpec, rho0, times, n_traj: int, seed: int) -> _
             cells, t_cells = hist.reshape(-1, n), t_hist.ravel()
             for lo in range(0, n_rows * groups, rows_per_read * groups):
                 c = sizes[lo : lo + rows_per_read * groups]
-                cell = lo + np.repeat(np.arange(c.size), c)  # row * groups + group of each pair
-                if cell.size:
-                    ip = np.arange(cell.size) + np.repeat(starts[lo : lo + c.size] - (np.cumsum(c) - c), c)
-                    sums.add(ip, (cells[cell] * np.exp(np.multiply.outer(times[ip] - t_cells[cell], -1j * w))) @ vt)
+                k = np.repeat(np.arange(c.size), c)  # row * groups + group of each pair, from the read's first row
+                if k.size:
+                    cell = lo + k
+                    ip = np.arange(k.size) + np.repeat(starts[lo : lo + c.size] - (np.cumsum(c) - c), c)
+                    psi = (cells[cell] * np.exp(np.multiply.outer(times[ip] - t_cells[cell], -1j * w))) @ vt
+                    sums.add(ip, k // groups, psi)
             n_rows = np.count_nonzero(more)
-            gens, t_next = gens[:n_rows], t_next[:n_rows]
+            gens = gens[:n_rows]
             # the rows that go on made all _BLOCK jumps, so their last state is in the last group
             phi = hist[:n_rows, -1]
             t_last, t_out = t_jump[:n_rows, -1], before[:n_rows, -1]
     return sums
 
 
-def _draw_jumps(gen, t, t_end, wait, t_jump, u) -> tuple:
-    """Draw a trajectory's jumps at or before t_end from time t on, at most
-    len(t_jump) of them: per jump its time into t_jump and the uniform that
-    picks the site into u, drawn before the waiting time to the next jump.
-    Returns the number of jumps and the time of the next one."""
-    raw, exponential = gen.bit_generator.random_raw, gen.standard_exponential
-    j, size = 0, t_jump.size
-    while j < size and t <= t_end:
-        t_jump[j] = t
-        # for PCG64 this is bit for bit the double Generator.random() returns, at about half the cost
-        u[j] = (raw() >> 11) * 2.0**-53
-        t += wait * exponential()
-        j += 1
-    return j, t
+def _draw_block(gens, t_last, wait) -> tuple:
+    """The next _BLOCK jumps of each trajectory, row r drawn from gens[r] with
+    one call and counted on from its last jump at t_last[r].  Jump k takes the
+    pair of doubles 2k, 2k + 1 of the block: the waiting time from the jump
+    before, -log1p(-x) * wait by the inverse CDF of the exponential of mean
+    wait, then the uniform that picks the site.  Returns (t_jump, u), each
+    (len(gens), _BLOCK); the times add up in sequence, as one at a time."""
+    x = np.empty((len(gens), 2 * _BLOCK))
+    for r, g in enumerate(gens):
+        g.random(out=x[r])
+    t_jump = np.cumsum(np.column_stack((t_last, -np.log1p(-x[:, 0::2]) * wait)), axis=1)[:, 1:]
+    return t_jump, x[:, 1::2]
 
 
 class _OutputSums:
@@ -370,20 +374,28 @@ class _OutputSums:
         self.d = np.zeros((n_times, n))
         self.d2 = np.zeros((n_times, n))
 
-    def add(self, idx, psi) -> None:
-        """Add the state rows psi, row k read at output index idx[k]."""
-        order = np.argsort(idx, kind="stable")
-        idx, psi = idx[order], psi[order]
-        at, starts = np.unique(idx, return_index=True)
-        p = np.abs(psi) ** 2
-        first = np.isnan(self.shift[at, 0])
-        self.shift[at[first]] = p[starts[first]]
-        d = p - self.shift[idx]
-        self.p[at] += np.add.reduceat(p, starts)
-        self.d[at] += np.add.reduceat(d, starts)
-        self.d2[at] += np.add.reduceat(d * d, starts)
-        for t, rows in zip(at.tolist(), np.split(psi, starts[1:])):
-            self.rho[t] += rows.T @ rows.conj()
+    def add(self, idx, row, psi) -> None:
+        """Add the state rows psi, psi[k] trajectory row[k]'s state at output
+        index idx[k], each (trajectory, output) pair at most once.  The states
+        are laid out on an (output, trajectory) grid over the outputs idx
+        spans, zero where a trajectory has no state, so that each sum over
+        trajectories is one array operation, for the states one batched
+        product."""
+        lo, n_rows, n = idx.min(), row.max() + 1, psi.shape[1]
+        span = slice(lo, idx.max() + 1)
+        cell = (idx - lo) * n_rows + row
+        grid = np.zeros((span.stop - lo, n_rows, n), dtype=complex)
+        grid.reshape(-1, n)[cell] = psi
+        held = np.zeros(grid.shape[:2], dtype=bool)
+        held.reshape(-1)[cell] = True
+        p = np.abs(grid) ** 2
+        first = np.isnan(self.shift[span, 0]) & held.any(axis=1)
+        self.shift[span][first] = p[first, held[first].argmax(axis=1)]
+        d = np.where(held[:, :, None], p - self.shift[span, None], 0.0)
+        self.p[span] += p.sum(axis=1)
+        self.d[span] += d.sum(axis=1)
+        self.d2[span] += (d * d).sum(axis=1)
+        self.rho[span] += grid.transpose(0, 2, 1) @ grid.conj()
 
 
 def ensemble_to_csv(result: EnsembleResult, path) -> None:

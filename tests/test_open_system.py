@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from antizeno import (
     DephasingSpec,
@@ -19,7 +20,7 @@ from antizeno import open_system
 from antizeno.dynamics import DensityMatrix, eig_system, evolve, populations, propagator, pure_site_state
 from antizeno.measurement import channel_masks
 from antizeno.model import LatticeModel, effective_hamiltonian
-from antizeno.open_system import _BLOCK, _draw_jumps, _liouvillian, _pure_initial, ensemble_to_csv
+from antizeno.open_system import _BLOCK, _draw_block, _liouvillian, _pure_initial, ensemble_to_csv
 
 
 def fig3_spec(two_gamma, sites=frozenset({2})):
@@ -142,7 +143,10 @@ def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
     """The poisson unraveling one trajectory at a time: the stream oracle.
 
     Trajectory k draws from its own generator, spawned from SeedSequence(seed)
-    at index k: the first waiting time, then (uniform, waiting time) per jump.
+    at index k, one Generator.random() double at a time: the first waiting
+    time, then (uniform, waiting time) per jump, each waiting time
+    -log1p(-x) / (2 gamma) from its double x.  np.log1p, not math.log1p: numpy
+    may compute it in SIMD code, which can differ from libm's in the last bit.
     Returns (mean populations, their standard errors, mean states).  The
     variance is taken in two passes over the kept samples, so it is free of
     the cancellation of E[p^2] - E[p]^2 where every trajectory holds nearly
@@ -154,7 +158,7 @@ def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
     psi0 = _pure_initial(rho0)
     measured, _ = channel_masks(n, spec.dephased_sites)
     d_idx = np.flatnonzero(measured)
-    rate = 2.0 * spec.gamma
+    wait = 1.0 / (2.0 * spec.gamma)
     n_times = times.shape[0]
     sum_rho = np.zeros((n_times, n, n), dtype=complex)
     sum_p = np.zeros((n_times, n))
@@ -165,7 +169,7 @@ def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
         phi = vinv @ psi0  # state in eigenbasis
         t_now = 0.0
         ti = 0
-        t_jump = rng.exponential(1.0 / rate)
+        t_jump = -np.log1p(-rng.random()) * wait
         while ti < n_times:
             t_next = min(t_jump, times[ti])
             if t_next > t_now:
@@ -175,7 +179,7 @@ def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
                 psi = v @ phi
                 norm2 = float(np.real(psi.conj() @ psi))
                 probs = np.abs(psi[d_idx]) ** 2
-                u = rng.uniform(0.0, norm2)
+                u = norm2 * rng.random()
                 acc = 0.0
                 hit = -1
                 for j, pj in zip(d_idx, probs):
@@ -194,7 +198,7 @@ def reference_poisson_ensemble(spec, rho0, times, n_traj, seed):
                     scale = math.sqrt(norm2 / max(rem, 1e-300))
                 psi = new * scale
                 phi = vinv @ psi
-                t_jump = t_now + rng.exponential(1.0 / rate)
+                t_jump = t_now + -np.log1p(-rng.random()) * wait
             else:
                 psi = v @ phi
                 sum_rho[ti] += np.outer(psi, psi.conj())
@@ -240,7 +244,7 @@ def test_jump_poisson_equals_the_per_trajectory_oracle(case, monkeypatch):
         spec = DephasingSpec(model=m, gamma=1.5 * _BLOCK / 4.0, dephased_sites=frozenset({2, 3}))
         times, n_traj = [0.5, 2.0, 2.0, 4.0], 60
     elif case == "figure3-1001-times-several-reads-per-block":
-        # _PAIRS // 1001 = 65 rows are read at a time, fewer than the 100 rows
+        # _PAIRS // 1001 = 16 rows are read at a time, fewer than the 100 rows
         spec, times, n_traj = fig3_spec(10.0), np.linspace(0.0, 10.0, 1001), 100
     elif case == "chain-n4-several-trajectory-chunks":
         # 7 trajectories are stepped at a time, so 60 run in 9 chunks
@@ -271,27 +275,71 @@ def test_jump_poisson_equals_the_per_trajectory_oracle(case, monkeypatch):
     assert np.max(np.abs(states - (mean_rho + mean_rho.conj().transpose(0, 2, 1)) / 2)) <= 1e-12
 
 
-def test_drawn_jumps_follow_the_generator_stream():
-    # the schedule draws each site-picking uniform as (random_raw() >> 11) * 2**-53,
-    # between waiting times; for PCG64 that is the double Generator.random()
-    # returns, so the streams are those of the one-at-a-time loop.  Checked on
-    # 10^4 jumps from streams spawned as the ensemble spawns them
-    wait = 0.25
-    for stream in np.random.SeedSequence(2024).spawn(4):
-        ref, gen = np.random.default_rng(stream), np.random.default_rng(stream)
-        assert type(gen.bit_generator) is np.random.PCG64
-        t_jump, u = np.empty(2500), np.empty(2500)
-        t0 = wait * gen.standard_exponential()
-        count, t_next = _draw_jumps(gen, t0, np.inf, wait, t_jump, u)
-        t, want_t, want_u = wait * ref.standard_exponential(), [], []
-        for _ in range(2500):
+def test_drawn_jumps_follow_pairs_of_generator_doubles():
+    # per jump the schedule takes two consecutive Generator.random() doubles:
+    # the waiting time -log1p(-x1) * wait from the jump before, then the
+    # site-picking uniform x2.  Checked bit for bit against a scalar loop over
+    # 4 x 2560 jumps, from streams spawned as the ensemble spawns them and
+    # drawn a block at a time as the ensemble draws them
+    wait, blocks = 0.25, 40
+    streams = np.random.SeedSequence(2024).spawn(4)
+    gens = [np.random.default_rng(s) for s in streams]
+    t_last, t_jump, u = np.zeros(4), [], []
+    for _ in range(blocks):
+        t, x = _draw_block(gens, t_last, wait)
+        assert t.shape == x.shape == (4, _BLOCK)
+        t_jump.append(t)
+        u.append(x)
+        t_last = t[:, -1]
+    t_jump, u = np.hstack(t_jump), np.hstack(u)
+    for k, stream in enumerate(streams):
+        ref = np.random.default_rng(stream)
+        t, want_t, want_u = 0.0, [], []
+        for _ in range(blocks * _BLOCK):
+            t = t + -np.log1p(-ref.random()) * wait
             want_t.append(t)
             want_u.append(ref.random())
-            t += wait * ref.standard_exponential()
-        assert count == 2500
-        assert t_jump.tolist() == want_t
-        assert u.tolist() == want_u
-        assert t_next == t
+        assert t_jump[k].tolist() == want_t
+        assert u[k].tolist() == want_u
+
+
+def test_drawn_waiting_times_and_uniforms_follow_their_laws():
+    # the oracle shares the recipe, so it cannot catch a slip in it (a dropped
+    # sign in log1p, the rate in place of the mean, one double used twice):
+    # 10^5 waiting times against Exp(rate 2 gamma) and the uniforms against
+    # U(0, 1), each by a Kolmogorov-Smirnov test at level 1e-4, and the two
+    # draws of a jump uncorrelated to 5 standard errors
+    wait = 1.0 / (2.0 * 3.5)
+    gens = [np.random.default_rng(s) for s in np.random.SeedSequence(99).spawn(100)]
+    t_last, waits, u = np.zeros(100), [], []
+    for _ in range(-(-1000 // _BLOCK)):
+        t, x = _draw_block(gens, t_last, wait)
+        waits.append(np.diff(np.column_stack((t_last, t)), axis=1))
+        u.append(x)
+        t_last = t[:, -1]
+    waits, u = np.hstack(waits)[:, :1000].ravel(), np.hstack(u)[:, :1000].ravel()
+    assert waits.size == u.size == 10**5
+    assert scipy.stats.kstest(waits, scipy.stats.expon(scale=wait).cdf).pvalue > 1e-4
+    assert scipy.stats.kstest(u, "uniform").pvalue > 1e-4
+    assert abs(np.corrcoef(waits, u)[0, 1]) < 5.0 / math.sqrt(u.size)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_jump_poisson_ensemble_does_not_depend_on_the_block_size(block, monkeypatch):
+    # a trajectory uses its pairs in order however many a block draws, so the
+    # ensemble is the same up to summation order; the lossy chain makes about
+    # 48 jumps per trajectory to t = 4, across outputs between and at jumps
+    m = build_chain(4, [0.0, 3.0, 1.0, 2.0], v=1.0, trap_rate=0.4, decay_rate=0.02)
+    spec = DephasingSpec(model=m, gamma=6.0, dephased_sites=frozenset({1, 2, 4}))
+    rho0 = pure_site_state(4, 1)
+    times = [0.0, 0.05, 0.5, 0.5, 2.0, 4.0]
+    ref = quantum_jump_ensemble(spec, rho0, times, n_traj=50, seed=7)
+    monkeypatch.setattr(open_system, "_BLOCK", block)
+    res = quantum_jump_ensemble(spec, rho0, times, n_traj=50, seed=7)
+    assert np.max(np.abs(res.mean_populations - ref.mean_populations)) <= 1e-12
+    assert np.max(np.abs(res.se_populations - ref.se_populations)) <= 1e-12
+    states, ref_states = (np.array([s.matrix for s in r.mean_states]) for r in (res, ref))
+    assert np.max(np.abs(states - ref_states)) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["figure3-site2", "lossy-chain-all-sites"])
@@ -488,6 +536,16 @@ def test_jump_validation(two_site_disordered):
         with pytest.raises(ValueError, match="n_traj must be an integer"):
             quantum_jump_ensemble(spec, rho0, [1.0], n_traj=bad, seed=0)
     assert quantum_jump_ensemble(spec, rho0, [1.0], n_traj=np.int64(3), seed=0).n_traj == 3
+    # an unseeded ensemble cannot be reproduced, so seed is checked in every mode
+    for mode in ("poisson", "periodic"):
+        for bad in (None, True, -1, 1.5, "3", np.float64(2.0)):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                quantum_jump_ensemble(spec, rho0, [1.0], n_traj=3, seed=bad, mode=mode)
+    for seed in (np.int64(5), np.uint64(2**64 - 1)):
+        assert quantum_jump_ensemble(spec, rho0, [1.0], n_traj=3, seed=seed).seed == seed
+    free = DephasingSpec(model=two_site_disordered, gamma=0.0, dephased_sites=frozenset())
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        quantum_jump_ensemble(free, rho0, [1.0], n_traj=3, seed=None)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
