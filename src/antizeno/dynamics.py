@@ -11,7 +11,14 @@ import scipy.linalg
 from .errors import OutOfRegimeError
 from .model import EffectiveHamiltonian, LatticeModel, effective_hamiltonian
 
+# eig_system's Vinv rule; efficiency_measured's eigen kernel and the Poisson unraveling
+# keep it while perfbench's exceptional-point gate pins that kernel's eta (ROADMAP item 1).
 _COND_CUTOFF = 1e8
+# _propagators' rule.  V exp(-i w t) Vinv is off expm by k cond(V) u, u = 2^-53, with
+# k = 0.4-1.03 on dimers with eps = Gamma = 0 and kappa/v from 2 (the exceptional point,
+# cond 9.0e7) to 2.001 (cond 63), t in [0, 5].  A 1e-10 error allows cond(V) up to
+# 1e-10 / (1.03 u) = 8.7e5; the cutoff keeps a margin of 8.7.  Seeded disorder models read < 15.
+_EIGEN_COND = 1e5
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 
@@ -144,14 +151,30 @@ def _eig_system(n: int, data: bytes):
 
 
 def propagator(h_eff, t: float) -> Propagator:
-    """exp(-i H_eff t) by scaling and squaring, exact to roundoff also where
-    H_eff is defective (an exceptional point)."""
+    """exp(-i H_eff t) from _propagators, exact to roundoff also where H_eff
+    is defective (an exceptional point)."""
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("t must be nonnegative and finite")
+    return Propagator(duration=float(t), matrix=_propagators(h_eff, [t])[0])
+
+
+def _propagators(h_eff, times) -> np.ndarray:
+    """exp(-i H_eff t) for each t of a 1-D array as an (m, n, n) stack, U(0) = I
+    exactly and one member per distinct t.  Where cond(V) of H_eff = V diag(w) Vinv
+    is under _EIGEN_COND: one (m, n) x (n, n^2) product of exp(-i t w) with the
+    table V[i,j] Vinv[j,k]; else one stacked expm, exact at an exceptional point."""
     h = _h_matrix(h_eff)
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError("t must be nonnegative and finite")
-    return Propagator(duration=float(t), matrix=scipy.linalg.expm(-1j * h * t))
+    t, at = np.unique(np.asarray(times, dtype=float), return_inverse=True)
+    w, v, vinv, cond = eig_system(h)
+    if cond >= _EIGEN_COND:
+        return scipy.linalg.expm((-1j * h) * t[:, None, None])[at]
+    n = w.shape[0]
+    table = (v.T[:, :, None] * vinv[:, None, :]).reshape(n, n * n)
+    u = (np.exp(np.multiply.outer(t, -1j * w)) @ table).reshape(-1, n, n)
+    u[t == 0] = np.eye(n)
+    return u[at]
 
 
 def _time_grid(times) -> np.ndarray:
@@ -215,12 +238,7 @@ def perturbative_average(model: LatticeModel) -> float:
     (L+1)(v/eps)^(2L) with eps = eps_1 - eps_n."""
     n = model.n_sites
     c = model.couplings
-    off = np.abs(c) > 0
-    chain_mask = np.zeros_like(off)
-    idx = np.arange(n - 1)
-    chain_mask[idx, idx + 1] = True
-    chain_mask[idx + 1, idx] = True
-    if np.any(off & ~chain_mask):
+    if np.any(c - np.triu(np.tril(c, 1), -1)):  # a coupling off the nearest-neighbour band
         raise ValueError("perturbative average requires chain topology")
     eps = float(model.site_energies[0] - model.site_energies[-1])
     if eps == 0.0:

@@ -10,15 +10,13 @@ import numpy as np
 from .dynamics import (
     DensityMatrix,
     _first_negative_eig,
+    _propagators,
     _time_grid,
     _write_csv,
-    eig_system,
-    evolve,
-    propagator,
     pure_site_state,
 )
 from .measurement import MeasurementChannel, _measured_stack
-from .model import LatticeModel, effective_hamiltonian
+from .model import LatticeModel
 from .open_system import DephasingSpec, _master_stack
 
 _GG, _GE, _EG, _EE = 0, 1, 2, 3
@@ -210,20 +208,12 @@ def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> Con
     """
     times = _time_grid(times)
     a, b = int(pair[0]), int(pair[1])
-    n = model.n_sites
-    rho0 = pure_site_state(n, model.initial_site)
-    h = effective_hamiltonian(model)
+    rho0 = pure_site_state(model.n_sites, model.initial_site)
     if dynamics_spec == "unitary":
-        w, v, vinv, _ = eig_system(h.matrix)
-        if vinv is not None:
-            psi0 = vinv @ rho0.matrix.diagonal() ** 0.5  # initial amplitude in eigenbasis
-            # v @ (one column per time) is the matrix-vector product of one time at a time, bit for bit
-            psis = (v @ (np.exp(np.multiply.outer(times, -1j * w)) * psi0)[:, :, None])[:, :, 0]
-            states = psis[:, :, None] * psis.conj()[:, None, :]
-        else:
-            states = np.array([evolve(propagator(h, t), rho0).matrix for t in times]).reshape(-1, n, n)
+        psis = _propagators(model._h_eff, times)[:, :, model.initial_site - 1]
+        states = psis[:, :, None] * psis.conj()[:, None, :]
     elif isinstance(dynamics_spec, MeasurementChannel):
-        states = _measured_stack(h, dynamics_spec, rho0, times)
+        states = _measured_stack(model._h_eff, dynamics_spec, rho0, times)
     elif isinstance(dynamics_spec, DephasingSpec):
         if dynamics_spec.model.to_dict() != model.to_dict():
             raise ValueError("the DephasingSpec's model differs from the model whose state is evolved")

@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import (
     DensityMatrix,
     _conjugate,
     _density_matrices,
-    _h_matrix,
+    _propagators,
     _time_grid,
     _write_csv,
     density_stack,
@@ -111,10 +110,9 @@ def apply_channel(channel: MeasurementChannel, rho) -> DensityMatrix:
 def measured_states(h_eff, channel: MeasurementChannel, rho0, times) -> list:
     """States at the sorted times under free evolution with the channel applied
     at every multiple of channel.interval (a time on a multiple is taken just
-    after that measurement).  Off-grid remainders share one propagator per
-    distinct value of round(remainder, 15), and all of them are taken in one
-    batched exponential and conjugation.  The states fill one stack
-    that is checked once; the returned DensityMatrix objects are views of it."""
+    after that measurement).  U(tau) and the remainders off that grid take one
+    stack of propagators, the remainders one batched conjugation.  The states
+    fill one stack that is checked once; the returned objects are views of it."""
     return _density_matrices(_measured_stack(h_eff, channel, rho0, times))
 
 
@@ -123,12 +121,14 @@ def _measured_stack(h_eff, channel: MeasurementChannel, rho0, times) -> np.ndarr
     evolve's and apply_channel's arithmetic on plain arrays, unchecked."""
     times = _time_grid(times)
     tau = channel.interval
-    u_tau = propagator(h_eff, tau).matrix
     rho = (rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)).matrix
-    if u_tau.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: U {u_tau.shape} vs rho {rho.shape}")
-    _, keep = channel_masks(rho.shape[0], channel.measured_sites)
     k_target = _intervals(times, tau)
+    rem = times - k_target * tau
+    off = np.flatnonzero(rem > 1e-15)
+    u = _propagators(h_eff, np.append(tau, rem[off]))  # U(tau), then the off-grid remainders'
+    if u.shape[1:] != rho.shape:
+        raise ValueError(f"dimension mismatch: U {u.shape[1:]} vs rho {rho.shape}")
+    _, keep = channel_masks(rho.shape[0], channel.measured_sites)
     # the channel steps run once up to the last output; each output then reads
     # the state just after its last measurement
     ks, k_index = np.unique(k_target, return_inverse=True)
@@ -136,17 +136,11 @@ def _measured_stack(h_eff, channel: MeasurementChannel, rho0, times) -> np.ndarr
     k_done = 0
     for i, k in enumerate(ks.tolist()):
         while k_done < k:
-            rho = np.where(keep, _conjugate(u_tau, rho), 0.0)
+            rho = np.where(keep, _conjugate(u[0], rho), 0.0)
             k_done += 1
         after[i] = rho
     out = after[k_index]
-    rem = times - k_target * tau
-    off = np.flatnonzero(rem > 1e-15)
-    if off.size:
-        # one propagator per distinct remainder: the first remainder of each key
-        _, first, key = np.unique(np.round(rem[off], 15), return_index=True, return_inverse=True)
-        u = scipy.linalg.expm((-1j * _h_matrix(h_eff)) * rem[off][first, None, None])
-        out[off] = _conjugate(u[key], out[off])
+    out[off] = _conjugate(u[1:], out[off])
     return density_stack(out)
 
 

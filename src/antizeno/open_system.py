@@ -30,7 +30,9 @@ from scipy.linalg.blas import dgemm
 
 from .dynamics import (
     DensityMatrix,
+    _conjugate,
     _density_matrices,
+    _propagators,
     _time_grid,
     _write_csv,
     density_stack,
@@ -80,10 +82,9 @@ def _liouvillian(spec: DephasingSpec) -> np.ndarray:
     n = spec.model.n_sites
     eye = np.eye(n)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
-    if spec.gamma > 0:
-        # the channel keeps rho_ab iff a == b or neither site is dephased
-        _, keep = channel_masks(n, spec.dephased_sites)
-        lv[np.diag_indices(n * n)] -= 2.0 * spec.gamma * ~keep.ravel()
+    # the channel keeps rho_ab iff a == b or neither site is dephased
+    _, keep = channel_masks(n, spec.dephased_sites)
+    lv[np.diag_indices(n * n)] -= 2.0 * spec.gamma * ~keep.ravel()
     return lv
 
 
@@ -98,11 +99,11 @@ def integrate_master(spec: DephasingSpec, rho0, times):
     S = exp(L h) and reaches its k-th time as S^k by repeated squaring, so a
     uniform grid takes one exponential and about log2(len(times)) squarings,
     and an irregular list one exponential per span.  Equal times share a
-    state.  Returns a list of DensityMatrix, one per requested time; rho0 is
-    checked as one.  The state steps as the real vector Re rho + Im rho, and
-    the Hermitian states are rebuilt from it in one (len(times), n, n) stack
-    after the last step, whose finiteness, population range and DensityMatrix
-    checks run once; the returned objects are views of it.
+    state.  The state steps as the real vector Re rho + Im rho, and the states
+    are rebuilt from it in one (len(times), n, n) stack; at gamma = 0 the stack
+    is U rho0 U^dag, U = exp(-i H_eff t) from one stack of propagators.  Its
+    finiteness, population range and DensityMatrix checks run once.  Returns a
+    list of DensityMatrix, views of it, one per time; rho0 is checked as one.
     """
     return _density_matrices(_master_stack(spec, rho0, times))
 
@@ -114,27 +115,30 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
     n = rm.shape[0]
     if n != spec.model.n_sites:
         raise ValueError("state dimension does not match model")
-    lv = _liouvillian(spec)
-    # y = vec(Re rho + Im rho) fixes a Hermitian rho, rho = (y + y^T)/2 + i (y - y^T)/2, and L keeps
-    # rho Hermitian, so dy/dt = Re(L vec rho) + Im(L vec rho) = (Re L + Im L P) y, P: vec(x) -> vec(x^T)
-    lr = lv.real + lv.imag[:, np.arange(n * n).reshape(n, n).T.reshape(-1)]
-    # row j of ys is the state at td[j], the j-th distinct time of 0 and the outputs
-    td, row = np.unique(np.concatenate(([0.0], times)), return_inverse=True)
-    ys = np.empty((td.size, n * n))
-    ys[0] = (rm.real + rm.imag).reshape(-1)
-    ulps, s = 4 * np.spacing(td), 0
-    while s + 1 < td.size:
-        # a run: the times td[s + k], k = 1, 2, ..., within 4 of their own ulps of td[s] + k h;
-        # each pass checks the next time alone, then as many more as the run has
-        h, count = td[s + 1] - td[s], 2
-        while s + count < td.size and abs(td[s + count] - (td[s] + count * h)) <= ulps[s + count]:
-            k = np.arange(count + 1, min(2 * count, td.size - s))
-            on = np.abs(td[s + k] - (td[s] + k * h)) <= ulps[s + k]
-            count += 1 + int(np.append(on, False).argmin())
-        ys[s : s + count] = _powers(scipy.linalg.expm(lr * h), ys[s], count)
-        s += count - 1
-    ys = ys[row[1:]].reshape(-1, n, n)
-    out = (ys + ys.swapaxes(1, 2)) / 2 + 1j * ((ys - ys.swapaxes(1, 2)) / 2)  # Hermitian to the bit
+    if spec.gamma == 0:
+        out = _conjugate(_propagators(spec.model._h_eff, times), rm)
+    else:
+        lv = _liouvillian(spec)
+        # y = vec(Re rho + Im rho) fixes a Hermitian rho, rho = (y + y^T)/2 + i (y - y^T)/2, and L keeps
+        # rho Hermitian, so dy/dt = Re(L vec rho) + Im(L vec rho) = (Re L + Im L P) y, P: vec(x) -> vec(x^T)
+        lr = lv.real + lv.imag[:, np.arange(n * n).reshape(n, n).T.reshape(-1)]
+        # row j of ys is the state at td[j], the j-th distinct time of 0 and the outputs
+        td, row = np.unique(np.concatenate(([0.0], times)), return_inverse=True)
+        ys = np.empty((td.size, n * n))
+        ys[0] = (rm.real + rm.imag).reshape(-1)
+        ulps, s = 4 * np.spacing(td), 0
+        while s + 1 < td.size:
+            # a run: the times td[s + k], k = 1, 2, ..., within 4 of their own ulps of td[s] + k h;
+            # each pass checks the next time alone, then as many more as the run has
+            h, count = td[s + 1] - td[s], 2
+            while s + count < td.size and abs(td[s + count] - (td[s] + count * h)) <= ulps[s + count]:
+                k = np.arange(count + 1, min(2 * count, td.size - s))
+                on = np.abs(td[s + k] - (td[s] + k * h)) <= ulps[s + k]
+                count += 1 + int(np.append(on, False).argmin())
+            ys[s : s + count] = _powers(scipy.linalg.expm(lr * h), ys[s], count)
+            s += count - 1
+        ys = ys[row[1:]].reshape(-1, n, n)
+        out = (ys + ys.swapaxes(1, 2)) / 2 + 1j * ((ys - ys.swapaxes(1, 2)) / 2)  # Hermitian to the bit
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite state during integration")
     pops = populations(out)

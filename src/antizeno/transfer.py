@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .dynamics import _write_csv, eig_system
+from .dynamics import _propagators, _write_csv, eig_system
 from .model import LatticeModel
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -126,18 +126,11 @@ def _interval_integrals_eigen(f: _Factors, tau):
 
 
 def _interval_integrals_quadrature(h, tau, panels=4, nodes=16):
-    """Composite Gauss-Legendre fallback for the per-interval integrals."""
+    """Composite Gauss-Legendre fallback for the per-interval integrals, on one propagator stack."""
     x, wts = np.polynomial.legendre.leggauss(nodes)
-    n = h.shape[0]
-    acc = np.zeros((n, n))
     width = tau / panels
-    for p in range(panels):
-        a = p * width
-        s = a + (x + 1) * width / 2
-        for si, wi in zip(s, wts):
-            u = scipy.linalg.expm(-1j * h * si)
-            acc += wi * (width / 2) * np.abs(u) ** 2
-    return acc
+    s = (np.arange(panels)[:, None] * width + (x + 1) * width / 2).ravel()
+    return np.tensordot(np.tile(wts, panels) * (width / 2), np.abs(_propagators(h, s)) ** 2, axes=1)
 
 
 def _require_lossy(model):
@@ -232,7 +225,7 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
         u = (v * np.exp(f.mjw * tau)) @ vinv
         a = _interval_integrals_eigen(f, tau)
     else:
-        u = scipy.linalg.expm(-1j * h * tau)
+        u = _propagators(h, [tau])[0]
         a = _interval_integrals_quadrature(h, tau)
     return _series_result(model, np.abs(u) ** 2, a, float(tau), "series")
 

@@ -4,17 +4,23 @@ import scipy.linalg
 
 from antizeno import (
     DensityMatrix,
+    DephasingSpec,
+    MeasurementChannel,
     OutOfRegimeError,
     build_chain,
     evolve,
+    integrate_master,
     perturbative_average,
     populations,
     propagator,
     pure_site_state,
+    quantum_jump_ensemble,
+    simulate_concurrence,
     time_averaged_population,
 )
 from antizeno.dynamics import _eig_system, density_stack, eig_system
 from antizeno.entanglement import _two_qubit_stack
+from antizeno.measurement import measured_states
 from antizeno.model import effective_hamiltonian
 
 
@@ -135,6 +141,43 @@ def test_propagator_at_the_exceptional_point():
     for t in np.linspace(0.05, 5.0, 100):
         exact = np.exp(-t) * (np.eye(2) - 1j * t * nil)
         assert np.max(np.abs(propagator(h, t).matrix - exact)) < 1e-13
+
+
+def ep_propagator(t):
+    """exp(-i H_eff t) = e^{-t} (I - i t N) of the exceptional-point dimer."""
+    nil = np.array([[1j, 1.0], [1.0, -1j]])
+    return np.exp(-t) * (np.eye(2) - 1j * t * nil)
+
+
+@pytest.mark.parametrize("entry", ["measured", "unitary-concurrence", "master", "jump"])
+def test_entry_points_at_the_exceptional_point(entry):
+    # every engine path built on exp(-i H_eff t) against the closed form at
+    # the resonant dimer with kappa = 2v, Gamma = 0 (cond(V) = 9.0e7), to the
+    # 1e-13 of test_propagator_at_the_exceptional_point.  The eigenbasis
+    # would miss it by up to 1e-8 there.
+    m = build_chain(2, [0.0, 0.0], v=1.0, trap_rate=2.0, decay_rate=0.0)
+    times = np.linspace(0.0, 5.0, 101)
+    rho0 = pure_site_state(2, 1)
+    free = DephasingSpec(model=m, gamma=0.0, dephased_sites=frozenset())
+    want = np.array([ep_propagator(t) @ rho0.matrix @ ep_propagator(t).conj().T for t in times])
+    if entry == "measured":
+        # both sites measured every 0.3: just after the k-th measurement the
+        # state is diag(T^k e_1), T = |U(0.3)|^2
+        tau = 0.3
+        k = np.floor(times / tau * (1 + 1e-12)).astype(int)
+        p = [np.linalg.matrix_power(np.abs(ep_propagator(tau)) ** 2, j) @ [1.0, 0.0] for j in k]
+        u = np.array([ep_propagator(t) for t in times - k * tau])
+        want = u @ (np.array(p)[:, :, None] * np.eye(2)) @ u.conj().swapaxes(1, 2)
+        got = [s.matrix for s in measured_states(m._h_eff, MeasurementChannel(frozenset({1, 2}), tau), rho0, times)]
+    elif entry == "unitary-concurrence":
+        # U e_1 = e^{-t} (1 + t, -i t), so C = 2 |rho_12| = 2 t (1 + t) e^{-2t}
+        got = simulate_concurrence(m, "unitary", (1, 2), times).values
+        want = 2 * times * (1 + times) * np.exp(-2 * times)
+    elif entry == "master":
+        got = [s.matrix for s in integrate_master(free, rho0, times)]
+    else:
+        got = [s.matrix for s in quantum_jump_ensemble(free, rho0, times, n_traj=3, seed=0).mean_states]
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-13
 
 
 def test_propagator_rejects_bad_input():

@@ -15,7 +15,7 @@ from antizeno import (
     repeated_measurement_trajectory,
     transition_matrix,
 )
-from antizeno.dynamics import DensityMatrix, evolve, propagator, pure_site_state
+from antizeno.dynamics import _EIGEN_COND, DensityMatrix, eig_system, evolve, propagator, pure_site_state
 from antizeno.measurement import TransitionMatrix, measured_states, trajectory_to_csv
 from antizeno.model import effective_hamiltonian
 
@@ -148,32 +148,48 @@ def test_measured_states_rejects_bad_times(three_site_degenerate, times):
         measured_states(h, channel, pure_site_state(3, 2), times)
 
 
-def test_measured_states_reuses_remainder_propagators(three_site_degenerate, monkeypatch):
-    # the Fig. 3 grid at tau = 0.1: 1,800 off-grid times, 33 distinct
-    # remainders (to 1e-15), one exponential each, all in one batched call,
-    # plus the one for tau
+def ep_dimer(kappa=2.0):
+    # eps = 0, Gamma = 0: kappa = 2v is the exceptional point
+    return build_chain(2, [0.0, 0.0], v=1.0, trap_rate=kappa, decay_rate=0.0)
+
+
+def test_measured_states_take_expm_only_past_the_cutoff(three_site_degenerate, monkeypatch):
+    # the Fig. 3 model (cond(V) near 1) takes the eigenbasis and no expm; the
+    # exceptional-point dimer (cond(V) = 9.0e7) takes one stacked expm for
+    # U(tau) and its remainders; near-EP dimers with cond(V) from 63 up to
+    # just under the cutoff take the eigenbasis and agree with expm to 1e-10
+    times = np.linspace(0.0, 5.0, 101)
+    channel = MeasurementChannel(frozenset({1}), 0.37)
+    near = [ep_dimer(2.0 + d) for d in (1e-3, 1e-6, 1e-9, 4.5e-10)]
+    conds = [eig_system(m._h_eff)[3] for m in near]
+    assert 50 < conds[0] and conds[-1] < _EIGEN_COND < 1.2 * conds[-1]
+    refs = [reference_measured_states(m._h_eff, channel, pure_site_state(2, 1), times) for m in near]
     stacks = []
     expm = scipy.linalg.expm
 
     def counting(a):
-        stacks.append(np.asarray(a).reshape((-1,) + np.shape(a)[-2:]))
+        stacks.append(np.shape(a))
         return expm(a)
 
     monkeypatch.setattr(scipy.linalg, "expm", counting)
-    channel = MeasurementChannel(frozenset({2}), 0.1)
-    h = effective_hamiltonian(three_site_degenerate)
-    times = np.linspace(0.0, 20.0, 2001)
-    states = measured_states(h, channel, pure_site_state(3, 2), times)
-    assert len(states) == 2001
-    assert [len(s) for s in stacks] == [1, 33]
-    assert len({m.tobytes() for m in stacks[1]}) == 33
+    fig3, fig3_channel = effective_hamiltonian(three_site_degenerate), MeasurementChannel(frozenset({2}), 0.1)
+    states = measured_states(fig3, fig3_channel, pure_site_state(3, 2), np.linspace(0.0, 20.0, 2001))
+    assert len(states) == 2001 and stacks == []
+    for m, ref in zip(near, refs):
+        states = measured_states(m._h_eff, channel, pure_site_state(2, 1), times)
+        assert np.max(np.abs(np.array([s.matrix for s in states]) - [r.matrix for r in ref])) <= 1e-10
+    assert stacks == []
+    measured_states(ep_dimer()._h_eff, channel, pure_site_state(2, 1), times)
+    assert len(stacks) == 1 and len(stacks[0]) == 3 and stacks[0][0] > 1
 
 
 def reference_measured_states(h, channel, rho0, times):
     """The per-state loop that measured_states replaced: evolve and
-    apply_channel on DensityMatrix at every step."""
+    apply_channel on DensityMatrix at every step, each propagator a fresh
+    scipy.linalg.expm."""
+    hm = np.asarray(getattr(h, "matrix", h))
     tau = channel.interval
-    u = propagator(h, tau)
+    u = scipy.linalg.expm(-1j * hm * tau)
     rho, k_done, states = rho0, 0, []
     for t in times:
         k_target = int(np.floor(t / tau * (1 + 1e-12)))
@@ -181,7 +197,7 @@ def reference_measured_states(h, channel, rho0, times):
             rho = apply_channel(channel, evolve(u, rho))
             k_done += 1
         rem = t - k_done * tau
-        states.append(rho if rem <= 1e-15 else evolve(propagator(h, rem), rho))
+        states.append(rho if rem <= 1e-15 else evolve(scipy.linalg.expm(-1j * hm * rem), rho))
     return states
 
 

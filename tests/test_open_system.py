@@ -17,7 +17,7 @@ from antizeno import (
     repeated_measurement_trajectory,
 )
 from antizeno import open_system
-from antizeno.dynamics import DensityMatrix, eig_system, evolve, populations, propagator, pure_site_state
+from antizeno.dynamics import DensityMatrix, eig_system, evolve, populations, pure_site_state
 from antizeno.measurement import channel_masks
 from antizeno.model import LatticeModel, effective_hamiltonian
 from antizeno.open_system import _BLOCK, _draw_block, _liouvillian, _pure_initial, ensemble_to_csv
@@ -32,7 +32,7 @@ def test_master_reduces_to_unitary_at_gamma_zero(two_site_disordered):
     spec = DephasingSpec(model=two_site_disordered, gamma=0.0, dephased_sites=frozenset())
     rho0 = pure_site_state(2, 1)
     out = integrate_master(spec, rho0, [1.0])[0]
-    ref = evolve(propagator(effective_hamiltonian(two_site_disordered), 1.0), rho0)
+    ref = evolve(scipy.linalg.expm(-1j * effective_hamiltonian(two_site_disordered).matrix), rho0)
     assert np.max(np.abs(out.matrix - ref.matrix)) < 1e-12
 
 
@@ -104,7 +104,7 @@ def test_jump_single_trajectory_gamma_zero(two_site_disordered):
     res = quantum_jump_ensemble(spec, rho0, times, n_traj=1, seed=0)
     h = effective_hamiltonian(two_site_disordered)
     for i, t in enumerate(times):
-        ref = evolve(propagator(h, t), rho0)
+        ref = evolve(scipy.linalg.expm(-1j * h.matrix * t), rho0)
         assert np.max(np.abs(res.mean_states[i].matrix - ref.matrix)) < 1e-12
 
 
@@ -398,10 +398,10 @@ def test_master_states_equal_the_per_state_reference(case):
     assert np.max(np.abs(states - ref)) <= 1e-14
 
 
-def chain8_spec():
-    energies = np.random.default_rng(8).uniform(0.0, 10.0, 8).tolist()
-    m = build_chain(8, energies, v=1.0, trap_rate=0.5, decay_rate=0.001)
-    return DephasingSpec(model=m, gamma=1.0, dephased_sites=frozenset(range(1, 9)))
+def chain_spec(n=8, gamma=1.0):
+    energies = np.random.default_rng(n).uniform(0.0, 10.0, n).tolist()
+    m = build_chain(n, energies, v=1.0, trap_rate=0.5, decay_rate=0.001)
+    return DephasingSpec(model=m, gamma=gamma, dephased_sites=frozenset(range(1, n + 1)))
 
 
 IRREGULAR_GRID = np.concatenate(([0.0, 0.0], np.linspace(0.1, 10.0, 100), [10.0]))
@@ -420,13 +420,20 @@ GRIDS = {
 }
 
 
-@pytest.mark.parametrize("case", [0.1, 10.0, 1000.0, 1751.05, "chain-n8-evolve-grid", *GRIDS])
+GAMMA0_CHAINS = {"chain-n8-gamma0": 8, "chain-n16-gamma0": 16}
+
+
+@pytest.mark.parametrize("case", [0.1, 10.0, 1000.0, 1751.05, "chain-n8-evolve-grid", *GAMMA0_CHAINS, *GRIDS])
 def test_master_states_equal_a_fresh_exponential(case):
     # every output against exp(L t) vec(rho_0), one exponential per time, with
     # no stepping and no real coordinates.  A number is 2 gamma on the
-    # Figure-3 grid; the n = 8 chain runs on the CLI evolve grid.
+    # Figure-3 grid; the n = 8 chain runs on the CLI evolve grid.  At gamma = 0
+    # the states are conjugations by a stack of propagators, checked on every
+    # 20th time of that grid (a 256 x 256 exponential per time at n = 16).
     if case == "chain-n8-evolve-grid":
-        spec, times = chain8_spec(), np.linspace(0.0, 10.0, 201)
+        spec, times = chain_spec(), np.linspace(0.0, 10.0, 201)
+    elif case in GAMMA0_CHAINS:
+        spec, times = chain_spec(GAMMA0_CHAINS[case], 0.0), np.linspace(0.0, 10.0, 11)
     elif case in GRIDS:
         spec, times = fig3_spec(10.0), np.asarray(GRIDS[case], dtype=float)
     else:
@@ -455,7 +462,7 @@ def test_master_states_equal_a_fresh_exponential(case):
     k = np.arange(times.size)
     bound = 2.0**-53 * (2 * np.abs(lv).sum(axis=0).max() * times + rho0.matrix.size * k)
     assert np.all(np.abs(states - fresh).max(axis=(1, 2), initial=0.0) <= bound)
-    # the states are rebuilt from real coordinates, so they are Hermitian to the bit
+    # the states are rebuilt from real coordinates (symmetrized at gamma = 0), so they are Hermitian to the bit
     assert np.array_equal(states, states.conj().swapaxes(1, 2))
     # equal times share one state, bit for bit
     for i in np.flatnonzero(np.diff(times) == 0):
@@ -488,7 +495,7 @@ def test_master_takes_one_exponential_per_run(monkeypatch, times, expected):
 def test_powers_equal_repeated_products(count):
     # S^k y0 by repeated squaring against k single products, with S a step of
     # the real generator of an n = 8 chain
-    spec = chain8_spec()
+    spec = chain_spec()
     lv = _liouvillian(spec)
     lr = lv.real + lv.imag[:, np.arange(64).reshape(8, 8).T.reshape(-1)]
     step = scipy.linalg.expm(lr * 0.05)
