@@ -140,8 +140,8 @@ def _max_workers() -> int:
 
 
 def _dump_json(result, path) -> None:
-    with open(path, "w") as f:
-        json.dump(result, f, indent=2)
+    with open(path, "w") as f:  # one write: json.dump with indent writes chunk by chunk
+        f.write(json.dumps(result, indent=2))
 
 
 def _execute(jobs, out_dir, workers) -> list:

@@ -62,67 +62,76 @@ class TauScan:
 
 
 class _Factors(NamedTuple):
-    """The tau-independent factors of the measured series for one eigendecomposition.
+    """The tau-independent factors of the measured series for one model and its eigendecomposition.
 
-    The (a, b) and (b, a) terms of A are complex conjugates, so the pairs run
-    over a <= b only, m = n(n+1)/2 of them, and the off-diagonal ones count twice.
+    The (a, b) and (b, a) terms of A are complex conjugates, so the pairs run over a <= b only (m = n(n+1)/2,
+    off-diagonal ones twice); per tau the weights L A take one (2 x 2m)(2m x n) product, A an (n x 2m)(2m x n) one.
     """
 
     mjw: np.ndarray  # -i w
     abs_delta: np.ndarray  # (m,) |delta_ab|, delta_ab = w_a - conj w_b
     min_abs_delta: float
     mjdelta: np.ndarray  # (m,) -i delta_ab, and -i where delta_ab = 0
-    jdelta: np.ndarray  # (m,) i delta_ab, and i where delta_ab = 0
-    p: np.ndarray  # (n, m) complex, C order: P[i,(a,b)] = V[i,a] conj V[i,b]
     q: np.ndarray  # (2m, n) real: rows Re and -Im of Q[(a,b),j] = (2 - [a = b]) Vinv[a,j] conj Vinv[b,j]
+    lp: np.ndarray  # (2, m) complex: L P, the loss rows L of _model_terms times P[i,(a,b)] = V[i,a] conj V[i,b]
+    eye: np.ndarray  # (n, n) identity
+    start: np.ndarray  # (n,) the initial site's column of it, p(0)
 
 
-_MEMO = threading.local()  # per thread: the eig_system result last used, and its _Factors
+_MEMO = threading.local()  # per thread: the model and eig_system result last used, and their _Factors
 
 
-def _series_factors(eig) -> _Factors:
-    """The factors for an eig_system result (w, V, Vinv, cond) whose Vinv is not None.
+def _model_terms(model):
+    """(L, I, p(0)): the loss rows L = [2 kappa; 2 Gamma 1] (L A: trapped and dissipated weights), I and p(0)."""
+    n, eye = model.n_sites, np.eye(model.n_sites)
+    return np.array([2.0 * model.trap_rates, [2.0 * model.decay_rate] * n]), eye, eye[model.initial_site - 1]
 
-    Memoized per thread on that result's identity (eig_system returns the same
-    read-only tuple for an equal H), one entry each: a scan runs one H at a
-    time.  P and Q hold n^2 (n+1)/2 complex values each, 0.54 MB per thread
-    at n = 32; the previous entry is dropped before a new one is built.
+
+def _series_factors(model, eig) -> _Factors:
+    """The factors for a model and its eig_system result (w, V, Vinv, cond) whose Vinv is not None.
+
+    Memoized per thread on the identities of both (two models can share an
+    equal H, for which eig_system returns the same read-only tuple, and differ
+    in L or p(0)), one entry: a scan runs one model at a time.  Q holds
+    n^2 (n+1)/2 complex values, 0.27 MB per thread at n = 32.
     """
     last = getattr(_MEMO, "last", None)
-    if last is not None and last[0] is eig:
-        return last[1]
+    if last is not None and last[0] is model and last[1] is eig:
+        return last[2]
     _MEMO.last = None
     w, v, vinv, _ = eig
     n = w.shape[0]
     ia, ib = np.triu_indices(n)
     delta = w[ia] - w[ib].conj()
     abs_delta = np.abs(delta)
-    safe = np.where(abs_delta == 0, 1.0, delta)
     q = np.where(ia == ib, 1.0, 2.0)[:, None] * vinv[ia] * vinv[ib].conj()
+    l, eye, start = _model_terms(model)
     factors = _Factors(
         mjw=-1j * w,
         abs_delta=abs_delta,
         min_abs_delta=float(abs_delta.min()),
-        mjdelta=-1j * safe,
-        jdelta=1j * safe,
-        p=np.ascontiguousarray(v[:, ia] * v[:, ib].conj()),
+        mjdelta=-1j * np.where(abs_delta == 0, 1.0, delta),
         q=np.stack([q.real, -q.imag], axis=1).reshape(-1, n),
+        lp=l @ (v[:, ia] * v[:, ib].conj()),
+        eye=eye,
+        start=start,
     )
-    _MEMO.last = (eig, factors)
+    _MEMO.last = (model, eig, factors)
     return factors
 
 
-def _interval_integrals_eigen(f: _Factors, tau):
-    """A[i,j] = int_0^tau |<i|U(s)|j>|^2 ds from an eigendecomposition's factors.
+def _interval_integrals_eigen(f: _Factors, rows, tau):
+    """R A for the (k, m) rows R P of a real (k, n) R, A[i,j] = int_0^tau |<i|U(s)|j>|^2 ds:
+    rows = P (C order) gives A itself and rows = f.lp the weights L A.
 
-    With E_ab = int_0^tau exp(-i delta_ab s) ds, A = Re[(P . E) Q] is one real
-    (n x 2m)(2m x n) product: P . E viewed as reals interleaves its real and
+    With E_ab = int_0^tau exp(-i delta_ab s) ds, R A = Re[((R P) . E) Q] is one real
+    (k x 2m)(2m x n) product: (R P) . E viewed as reals interleaves its real and
     imaginary parts, as the rows of q do.  E_ab = tau where |delta_ab| tau < 1e-10.
     """
-    e = (1.0 - np.exp(f.mjdelta * tau)) / f.jdelta
+    e = (np.exp(f.mjdelta * tau) - 1.0) / f.mjdelta
     if f.min_abs_delta * tau < 1e-10:
         e = np.where(f.abs_delta * tau < 1e-10, tau, e)
-    return (f.p * e).view(float) @ f.q
+    return (rows * e).view(float) @ f.q
 
 
 def _interval_integrals_quadrature(h, tau, panels=4, nodes=16):
@@ -157,9 +166,9 @@ def _poisson_integrals(model, rate):
     return a
 
 
-def _series_result(model, t, a, tau, method) -> EfficiencyResult:
-    """eta = w . (I - T)^-1 p(0) from the transition matrix T and the interval
-    integrals A, which give the per-start-site trapped and dissipated weights."""
+def _series_result(t, weights, eye, start, tau, method) -> EfficiencyResult:
+    """eta = w . (I - T)^-1 p(0) from the transition matrix T and the (2, n)
+    per-start-site trapped and dissipated weights L A, whose first row is w."""
     # rho(T) <= ||T||_1, the largest column sum of |T|: each column of T plus
     # its per-interval loss is 1, so eigvals is needed only where some site
     # loses (almost) nothing within an interval; a NaN also takes that path
@@ -167,17 +176,12 @@ def _series_result(model, t, a, tau, method) -> EfficiencyResult:
         radius = float(np.max(np.abs(np.linalg.eigvals(t))))
         if radius >= 1 - 1e-12:
             raise ValueError(f"series non-convergent: spectral radius {radius}")
-    trapped_w, dissipated_w = 2.0 * model.trap_rates @ a, 2.0 * model.decay_rate * a.sum(axis=0)
     # gesv itself: np.linalg.solve's wrapper costs several times the solve at n = 2
-    eye = np.eye(model.n_sites)
-    _, _, x, info = scipy.linalg.lapack.dgesv(eye - t, eye[model.initial_site - 1])
+    _, _, x, info = scipy.linalg.lapack.dgesv(eye - t, start)
     if info:
         raise np.linalg.LinAlgError("Singular matrix")
-    trapped = float(trapped_w @ x)
-    dissipated = float(dissipated_w @ x)
-    return EfficiencyResult(
-        eta=trapped, trapped=trapped, dissipated=dissipated, residual=0.0, tau=tau, method=method
-    )
+    trapped, dissipated = (weights @ x).tolist()
+    return EfficiencyResult(eta=trapped, trapped=trapped, dissipated=dissipated, residual=0.0, tau=tau, method=method)
 
 
 def _poisson_efficiency(model, rate, method) -> EfficiencyResult:
@@ -190,7 +194,8 @@ def _poisson_efficiency(model, rate, method) -> EfficiencyResult:
     """
     _require_lossy(model)
     a = _poisson_integrals(model, rate)
-    res = _series_result(model, rate * a, a, 1.0 / rate if rate > 0 else None, method)
+    l, eye, start = _model_terms(model)
+    res = _series_result(rate * a, l @ a, eye, start, 1.0 / rate if rate > 0 else None, method)
     if not abs(res.trapped + res.dissipated - 1.0) <= 1e-8:
         raise ValueError(f"non-decaying mode: trapped + dissipated = {res.trapped + res.dissipated:.12g}")
     return res
@@ -210,9 +215,9 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
     """Efficiency under repeated full-site measurements with interval tau,
     summed in closed form as w . (I - T)^-1 p(0).
 
-    H_eff is built once per model, and the tau-independent factors once per
-    eigendecomposition (see _series_factors), so a tau scan pays per tau only
-    for U = V exp(-i w tau) Vinv, E(tau), one matrix product and one solve.
+    H_eff is built once per model, and the tau-independent factors once per model and
+    eigendecomposition (_series_factors): a tau costs T = |V exp(-i w tau) Vinv|^2, E(tau),
+    one (2 x 2m)(2m x n) product for the two weight rows (never A itself) and one solve.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError("tau must be positive and finite")
@@ -221,13 +226,14 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
     eig = eig_system(h)
     _, v, vinv, _ = eig
     if vinv is not None:
-        f = _series_factors(eig)
+        f = _series_factors(model, eig)
         u = (v * np.exp(f.mjw * tau)) @ vinv
-        a = _interval_integrals_eigen(f, tau)
+        weights, eye, start = _interval_integrals_eigen(f, f.lp, tau), f.eye, f.start
     else:
+        l, eye, start = _model_terms(model)
         u = _propagators(h, [tau])[0]
-        a = _interval_integrals_quadrature(h, tau)
-    return _series_result(model, np.abs(u) ** 2, a, float(tau), "series")
+        weights = l @ _interval_integrals_quadrature(h, tau)
+    return _series_result(np.abs(u) ** 2, weights, eye, start, float(tau), "series")
 
 
 def _checked_grid(tau_grid) -> np.ndarray:

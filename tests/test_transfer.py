@@ -23,6 +23,7 @@ from antizeno.transfer import (
     TauScan,
     _interval_integrals_eigen,
     _interval_integrals_quadrature,
+    _model_terms,
     _series_factors,
     scan_to_csv,
 )
@@ -88,6 +89,13 @@ def reference_interval_integrals(w, v, vinv, tau):
     return np.real(np.einsum("aij,bij,ab->ij", c, c.conj(), e))
 
 
+def pair_rows(v):
+    """P[i,(a,b)] = V[i,a] conj V[i,b] over a <= b in C order: the rows R P
+    with R = I, for which _interval_integrals_eigen gives A itself."""
+    ia, ib = np.triu_indices(v.shape[0])
+    return np.ascontiguousarray(v[:, ia] * v[:, ib].conj())
+
+
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
 @pytest.mark.parametrize("lossless", [False, True])
 def test_interval_integrals_equal_the_einsum_and_quadrature_forms(n, lossless):
@@ -97,21 +105,24 @@ def test_interval_integrals_equal_the_einsum_and_quadrature_forms(n, lossless):
     # 4 x 16-node Gauss-Legendre rule resolves the frequencies
     # |w_a - w_b| <= 11.5 of these chains far below 1e-10 (2.2e-14 at most
     # here).  The factors are built once and serve every tau; no 0/0 may
-    # warn where delta_ab = 0.
+    # warn where delta_ab = 0.  The rows P give A itself (L = I); the loss
+    # rows L P give L A, zero where the chain is lossless.
     e = np.random.default_rng(n).uniform(0.0, 10.0, n)
     m = build_chain(n, e, v=1.0, trap_rate=0.0 if lossless else 0.5, decay_rate=0.0 if lossless else 0.001)
     h = effective_hamiltonian(m).matrix
     w, v, vinv, _ = eig = eig_system(h)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        f = _series_factors(eig)
+        f = _series_factors(m, eig)
+        loss, rows = _model_terms(m)[0], pair_rows(v)
         for tau in (0.01, 0.3, 2.0):
             if lossless:  # real spectrum: the diagonal of E takes the small-delta branch
                 assert np.all(np.abs(w.imag) * 2 * tau < 1e-10)
                 assert f.min_abs_delta * tau < 1e-10
-            a = _interval_integrals_eigen(f, tau)
+            a = _interval_integrals_eigen(f, rows, tau)
             assert np.max(np.abs(a - reference_interval_integrals(w, v, vinv, tau))) < 1e-13
             assert np.max(np.abs(a - _interval_integrals_quadrature(h, tau))) < 1e-10
+            assert np.max(np.abs(_interval_integrals_eigen(f, f.lp, tau) - loss @ a)) < 1e-13
 
 
 def test_measured_takes_the_quadrature_path_at_a_defective_h():
@@ -169,23 +180,47 @@ def test_tau_scan_equals_fresh_per_tau_results():
 def test_series_factor_memo():
     m = build_chain(6, np.linspace(10.0, 0.0, 6), v=1.0, trap_rate=0.5, decay_rate=0.01)
     eig = eig_system(m._h_eff.matrix)
-    f = _series_factors(eig)
-    assert _series_factors(eig_system(m._h_eff.matrix.copy())) is f  # an equal H hits the memo
+    f = _series_factors(m, eig)
+    assert _series_factors(m, eig_system(m._h_eff.matrix.copy())) is f  # an equal H hits the memo
     # one ulp in one site energy is another H, with its own factors
     e = m.site_energies.copy()
     e[2] = np.nextafter(e[2], np.inf)
     m2 = dataclasses.replace(m, site_energies=e)
-    f2 = _series_factors(eig_system(m2._h_eff.matrix))
-    assert f2 is not f and not np.array_equal(f2.p, f.p)
+    f2 = _series_factors(m2, eig_system(m2._h_eff.matrix))
+    assert f2 is not f and not np.array_equal(f2.q, f.q)
     transfer._MEMO.__dict__.clear()
-    fresh = _series_factors(eig_system(m2._h_eff.matrix))
+    fresh = _series_factors(m2, eig_system(m2._h_eff.matrix))
     assert fresh is not f2 and all(np.array_equal(x, y) for x, y in zip(fresh, f2))
-    # bounded: one entry per thread, the last H used
+    # bounded: one entry per thread, the last model and H used
     for k in range(20):
-        tau_scan(build_chain(6, np.linspace(10.0 + k, 0.0, 6), v=1.0, trap_rate=0.5, decay_rate=0.01), [0.1, 0.2])
+        last = build_chain(6, np.linspace(10.0 + k, 0.0, 6), v=1.0, trap_rate=0.5, decay_rate=0.01)
+        tau_scan(last, [0.1, 0.2])
     assert len(vars(transfer._MEMO)) == 1
-    last = build_chain(6, np.linspace(29.0, 0.0, 6), v=1.0, trap_rate=0.5, decay_rate=0.01)
-    assert transfer._MEMO.last[0] is eig_system(last._h_eff.matrix)
+    assert transfer._MEMO.last[0] is last and transfer._MEMO.last[1] is eig_system(last._h_eff.matrix)
+
+
+def test_series_factor_memo_tells_apart_models_that_share_h():
+    # the first two dimers have bit-identical H_eff (the same eig_system
+    # result) but another split of the loss between kappa and Gamma; the
+    # third differs from the first only in its initial site.  Alternating
+    # between them must give each model its own factors
+    c = np.array([[0.0, 1.0], [1.0, 0.0]])
+    models = [
+        LatticeModel(np.array([10.0, 0.0]), c, np.array([0.0, 0.5]), 0.001, 1),
+        LatticeModel(np.array([10.0, 0.0]), c, np.array([0.001, 0.501]), 0.0, 1),
+        LatticeModel(np.array([10.0, 0.0]), c, np.array([0.0, 0.5]), 0.001, 2),
+    ]
+    assert all(m._h_eff.matrix.tobytes() == models[0]._h_eff.matrix.tobytes() for m in models)
+    taus = (0.05, 0.3, 1.0)
+    fresh = [[_fresh_result(m, t) for t in taus] for m in models]
+    for _ in range(2):
+        for m, want in zip(models, fresh):
+            for t, r in zip(taus, want):
+                got = efficiency_measured(m, t)
+                assert (got.eta, got.dissipated) == (r.eta, r.dissipated)
+    for t in range(len(taus)):
+        results = [(f[t].eta, f[t].dissipated) for f in fresh]
+        assert len(set(results)) == 3
 
 
 def test_tau_scans_on_worker_threads_equal_serial_scans():
@@ -218,7 +253,7 @@ def test_measured_series_vs_direct_summation(rng):
         eta = efficiency_measured(m, tau).eta
         h = effective_hamiltonian(m).matrix
         w, v_, vinv, _ = eig = eig_system(h)
-        a = _interval_integrals_eigen(_series_factors(eig), tau)
+        a = _interval_integrals_eigen(_series_factors(m, eig), pair_rows(v_), tau)
         weights = 2.0 * m.trap_rates @ a
         t = np.abs((v_ * np.exp(-1j * w * tau)) @ vinv) ** 2
         p = np.zeros(n)
