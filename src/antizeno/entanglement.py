@@ -1,5 +1,11 @@
 """Reduced two-site states, Wootters concurrence, and closed-form concurrence
-under repeated measurement of the middle site of a degenerate three-site chain."""
+under repeated measurement of the middle site of a degenerate three-site chain.
+
+Every pair state of a single-excitation state has no |ee> weight and no |gg>
+coherence.  Wootters' R = rho S rho* S (S = sigma_y (x) sigma_y) of such a
+state has the spectrum {(sqrt(p_a p_b) +- |rho_ab|)^2, 0, 0}, so its
+concurrence is C = 2 min(|rho_ab|, sqrt(p_a p_b)) in closed form
+(_pair_concurrence); only other two-qubit states reach np.linalg.eigvals."""
 
 from __future__ import annotations
 
@@ -10,7 +16,6 @@ import numpy as np
 from .dynamics import (
     DensityMatrix,
     _first_negative_eig,
-    _propagators,
     _time_grid,
     _write_csv,
     pure_site_state,
@@ -30,26 +35,20 @@ class TwoQubitState:
     sites: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _two_qubit_stack(np.array(self.matrix, dtype=complex)[None])[0])
+        """Checks: 4x4, Hermitian to 1e-10, trace 1 to 1e-10 and eigenvalues
+        >= -1e-10 (a Cholesky, as in density_stack)."""
+        m = np.array(self.matrix, dtype=complex)
+        if m.shape != (4, 4):
+            raise ValueError("two-qubit state must be 4x4")
+        if np.any(np.abs(m - m.conj().T) > 1e-10):
+            raise ValueError("two-qubit state not Hermitian")
+        if abs(np.trace(m).real - 1.0) > 1e-10:
+            raise ValueError("two-qubit state trace must be 1")
+        if _first_negative_eig(m[None]) is not None:
+            raise ValueError("two-qubit state not positive semidefinite")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
-
-
-def _two_qubit_stack(matrices) -> np.ndarray:
-    """A (k, 4, 4) stack as a read-only complex array (frozen in place, as in
-    density_stack), after TwoQubitState's checks on every member at once:
-    Hermitian to 1e-10, trace 1 to 1e-10 and eigenvalues >= -1e-10 (one
-    batched Cholesky, as in density_stack)."""
-    m = np.asarray(matrices, dtype=complex)
-    if m.ndim != 3 or m.shape[1:] != (4, 4):
-        raise ValueError("two-qubit state must be 4x4")
-    if np.any(np.abs(m - m.conj().swapaxes(1, 2)) > 1e-10):
-        raise ValueError("two-qubit state not Hermitian")
-    if np.any(np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0) > 1e-10):
-        raise ValueError("two-qubit state trace must be 1")
-    if _first_negative_eig(m) is not None:
-        raise ValueError("two-qubit state not positive semidefinite")
-    m.setflags(write=False)
-    return m
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,8 @@ class ConcurrenceSeries:
         c = np.array(self.values, dtype=float)
         if t.shape != c.shape:
             raise ValueError("times and values must have equal length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(c))):
+            raise ValueError("times and values must be finite")
         if np.any(c < -1e-10) or np.any(c > 1 + 1e-10):
             raise ValueError("concurrence values must lie in [0, 1]")
         t.setflags(write=False)
@@ -84,7 +85,8 @@ def reduce_to_pair(rho_full, a: int, b: int) -> TwoQubitState:
 
 
 def _pair_stack(rm: np.ndarray, a: int, b: int) -> np.ndarray:
-    """reduce_to_pair along an (m, n, n) stack; the (m, 4, 4) result is not yet checked."""
+    """reduce_to_pair along an (m, n, n) stack, after checking the pair and
+    p_a + p_b <= 1; the (m, 4, 4) result is not checked as a TwoQubitState."""
     n = rm.shape[-1]
     if a == b:
         raise ValueError("pair sites must differ")
@@ -112,68 +114,36 @@ def _wootters_matrix(m: np.ndarray) -> np.ndarray:
     return ms @ ms.conj()
 
 
-def _r_spectrum(r: np.ndarray) -> np.ndarray:
-    """|Re| of the four eigenvalues of each R of a (k, 4, 4) stack.
-
-    Where rows and columns 0 and 3 of R are exactly zero, as for every state
-    _pair_stack builds (no ee weight, no gg coherence), the spectrum is
-    {0, 0} and the two roots of the middle 2x2 block's characteristic
-    polynomial: the root of larger modulus by the quadratic formula, the
-    other as det / that root, so neither cancels.  Only the other members
-    reach np.linalg.eigvals.
-    """
-    ev = np.zeros(r.shape[:-1], dtype=complex)
-    b = r[:, 1:3, 1:3]
-    tr = b[:, 0, 0] + b[:, 1, 1]
-    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    s = np.sqrt(tr * tr / 4.0 - det)
-    hi = tr / 2.0 + np.where((tr.conj() * s).real < 0.0, -s, s)
-    ev[:, 0] = hi
-    np.divide(det, hi, out=ev[:, 1], where=hi != 0.0)
-    outer = np.any(r[:, [0, 3], :] != 0.0, axis=(1, 2)) | np.any(r[:, :, [0, 3]] != 0.0, axis=(1, 2))
-    full = np.flatnonzero(outer)
-    if full.size:
-        ev[full] = np.linalg.eigvals(r[full])
-    return np.abs(ev.real)
-
-
 def _wootters(m: np.ndarray) -> np.ndarray:
     """max(0, l1 - l2 - l3 - l4) for each 4x4 matrix of m, shape (..., 4, 4),
-    with l_i^2 the eigenvalues of R = m S m* S: those of a 2x2 block where R
-    has one, np.linalg.eigvals' elsewhere (_r_spectrum)."""
-    r = _wootters_matrix(m)
-    ev = np.sort(_r_spectrum(r.reshape(-1, 4, 4)), axis=-1)[:, ::-1]
+    with l_i^2 the eigenvalues of R = m S m* S from np.linalg.eigvals."""
+    ev = np.sort(np.abs(np.linalg.eigvals(_wootters_matrix(m)).real), axis=-1)[..., ::-1]
     # roundoff noise on zero eigenvalues would be amplified by the square root
-    ev[ev < 1e-14 * np.maximum(ev[:, :1], 1e-300)] = 0.0
+    ev[ev < 1e-14 * np.maximum(ev[..., :1], 1e-300)] = 0.0
     lam = np.sqrt(ev)
-    d = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
-    return np.where(d > 0.0, d, 0.0).reshape(m.shape[:-2])
+    return np.maximum(lam[..., 0] - lam[..., 1:].sum(axis=-1), 0.0)
+
+
+def _pair_concurrence(m: np.ndarray) -> np.ndarray:
+    """2 min(|m_eg,ge|, sqrt(m_eg,eg m_ge,ge)) along a (..., 4, 4) stack: Wootters'
+    l1 - l2 where R's spectrum is {(sqrt(p_a p_b) +- |rho_ab|)^2, 0, 0}, that is
+    for states with no ee weight and no gg coherence."""
+    pp = m[..., _EG, _EG].real * m[..., _GE, _GE].real
+    return 2.0 * np.minimum(np.abs(m[..., _EG, _GE]), np.sqrt(np.maximum(pp, 0.0)))
 
 
 def concurrence(state) -> float:
     """Wootters concurrence C = max(0, l1 - l2 - l3 - l4).
 
-    For single-excitation reduced states (empty |ee> block) the fast path
-    2 |rho_eg,ge| is computed as well and checked against the full formula.
-    Where such a state has no gg coherence either, as every reduce_to_pair
-    result, R's spectrum comes from one 2x2 block, not an eigensolve
-    (_r_spectrum).
+    A state with no |ee> weight and no |gg> coherence, as every reduce_to_pair
+    result, takes the closed form 2 min(|rho_eg,ge|, sqrt(p_eg p_ge))
+    (_pair_concurrence); only other states reach np.linalg.eigvals.
     """
     if not isinstance(state, TwoQubitState):
         state = TwoQubitState(state, (0, 0))  # runs the validity checks
-    return float(_concurrences(state.matrix[None])[0])
-
-
-def _concurrences(m: np.ndarray) -> np.ndarray:
-    """concurrence of each member of a (k, 4, 4) stack that _two_qubit_stack checked.
-    A fast path that disagrees with Wootters raises ValueError."""
-    full = _wootters(m)
-    ee_mass = np.abs(m[:, _EE, :]).max(axis=1) + np.abs(m[:, :, _EE]).max(axis=1)
-    fast = 2.0 * np.abs(m[:, _EG, _GE])
-    bad = np.flatnonzero((ee_mass < 1e-12) & (np.abs(fast - full) > 1e-8))
-    if bad.size:
-        raise ValueError(f"fast-path concurrence {fast[bad[0]]} disagrees with Wootters {full[bad[0]]}")
-    return full
+    m = state.matrix
+    outer = m[_EE].any() or m[:, _EE].any() or m[_GG, 1:3].any() or m[1:3, _GG].any()
+    return float(_wootters(m) if outer else _pair_concurrence(m))
 
 
 def analytic_concurrence(eps: float, v: float, t) -> float | np.ndarray:
@@ -202,25 +172,24 @@ def measured_concurrence(eps: float, v: float, tau: float, t) -> float | np.ndar
 def simulate_concurrence(model: LatticeModel, dynamics_spec, pair, times) -> ConcurrenceSeries:
     """Evolve |initial_site>, reduce to the pair, and score concurrence.
 
-    dynamics_spec is "unitary", a MeasurementChannel, or a DephasingSpec of
-    this model (an equal copy will do); a DephasingSpec of another model
-    raises ValueError.
+    dynamics_spec is "unitary" (dephasing at gamma = 0), a MeasurementChannel,
+    or a DephasingSpec of this model (an equal copy will do); a DephasingSpec
+    of another model raises ValueError.  The concurrence is the closed form of
+    concurrence(), read off the state stack that the dynamics already checked.
     """
     times = _time_grid(times)
-    a, b = int(pair[0]), int(pair[1])
     rho0 = pure_site_state(model.n_sites, model.initial_site)
     if dynamics_spec == "unitary":
-        psis = _propagators(model._h_eff, times)[:, :, model.initial_site - 1]
-        states = psis[:, :, None] * psis.conj()[:, None, :]
-    elif isinstance(dynamics_spec, MeasurementChannel):
+        dynamics_spec = DephasingSpec(model, 0.0, frozenset())
+    if isinstance(dynamics_spec, MeasurementChannel):
         states = _measured_stack(model._h_eff, dynamics_spec, rho0, times)
     elif isinstance(dynamics_spec, DephasingSpec):
-        if dynamics_spec.model.to_dict() != model.to_dict():
+        if dynamics_spec.model != model:
             raise ValueError("the DephasingSpec's model differs from the model whose state is evolved")
         states = _master_stack(dynamics_spec, rho0, times)
     else:
         raise ValueError(f"unknown dynamics spec {dynamics_spec!r}")
-    values = _concurrences(_two_qubit_stack(_pair_stack(states, a, b)))
+    values = _pair_concurrence(_pair_stack(states, int(pair[0]), int(pair[1])))
     return ConcurrenceSeries(times=times, values=np.clip(values, 0.0, 1.0), provenance="simulated")
 
 

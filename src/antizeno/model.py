@@ -84,6 +84,10 @@ class LatticeModel:
         object.__setattr__(self, "decay_rate", float(self.decay_rate))
         object.__setattr__(self, "initial_site", int(self.initial_site))
 
+    def __eq__(self, other):
+        """Value equality of the to_dict() mappings; hashing stays the dataclass's."""
+        return isinstance(other, LatticeModel) and self.to_dict() == other.to_dict()
+
     @property
     def n_sites(self) -> int:
         return self.site_energies.shape[0]

@@ -411,14 +411,6 @@ def test_fan_out_is_serial_unless_zt_threads_is_set(tmp_path, monkeypatch):
     assert len((tmp_path / "figure2_eps10.csv").read_text().splitlines()) == 13
 
 
-def test_fast_path_disagreement_exits_1(tmp_path, capsys, monkeypatch):
-    # a disagreement is an engine error with a diagnostic, not a traceback
-    monkeypatch.setattr("antizeno.entanglement._wootters", lambda m: np.zeros(m.shape[:-2]))
-    cfg = {"scenario": "concurrence", "model": inline_three_site(), "times": [0.0, 0.5], "out": str(tmp_path)}
-    assert run(cfg) == 1
-    assert "engine error: fast-path concurrence" in capsys.readouterr().err
-
-
 def test_main_overrides(tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text(

@@ -19,7 +19,7 @@ from antizeno import (
     time_averaged_population,
 )
 from antizeno.dynamics import _eig_system, density_stack, eig_system
-from antizeno.entanglement import _two_qubit_stack
+from antizeno.entanglement import TwoQubitState
 from antizeno.measurement import measured_states
 from antizeno.model import effective_hamiltonian
 
@@ -268,7 +268,7 @@ def test_psd_floor_is_the_eigenvalue_floor_in_both_checkers(n, monkeypatch):
         stack = np.array([np.eye(n) / n, rho])
         checkers = [(density_stack, f"min eig {low:.3e}")]
         if n == 4:
-            checkers.append((_two_qubit_stack, "two-qubit state not positive semidefinite"))
+            checkers.append((lambda s: [TwoQubitState(m, (1, 2)) for m in s], "two-qubit state not positive semidefinite"))
         for check, message in checkers:
             calls.clear()
             if ok:

@@ -15,7 +15,7 @@ from antizeno import (
     simulate_concurrence,
 )
 from antizeno.dynamics import DensityMatrix, evolve, pure_site_state
-from antizeno.entanglement import _concurrences, _pair_stack, _r_spectrum, _wootters, _wootters_matrix, series_to_csv
+from antizeno.entanglement import ConcurrenceSeries, _wootters, _wootters_matrix, series_to_csv
 from antizeno.measurement import measured_states
 from antizeno.model import effective_hamiltonian
 from antizeno.open_system import integrate_master
@@ -118,54 +118,32 @@ def _count_eigvals(monkeypatch):
     return calls
 
 
-def test_block_spectrum_equals_eigvals_on_pair_states(rng, monkeypatch):
-    # every state _pair_stack builds leaves R's rows and columns 0 and 3 exactly
-    # zero; the 2x2 block rule gives eigvals' |Re| spectrum to 1e-14 without calling it
-    pa = rng.uniform(0.0, 1.0, 300)
-    pb = rng.uniform(0.0, 1.0 - pa)
-    c = np.sqrt(pa * pb) * rng.uniform(0.0, 1.0, 300) * np.exp(2j * np.pi * rng.uniform(size=300))
-    c[:100] = np.sqrt(pa[:100] * pb[:100]) * np.exp(2j * np.pi * rng.uniform(size=100))  # pure: |c|^2 = pa pb
-    pa[-20:] = pb[-20:] = c[-20:] = 0.0  # all weight in gg
-    full = np.zeros((300, 2, 2), dtype=complex)
-    full[:, 0, 0], full[:, 1, 1], full[:, 0, 1], full[:, 1, 0] = pa, pb, c, c.conj()
-    stacks = [_pair_stack(full, 1, 2), _pair_stack(full, 2, 1)]
-    model = build_chain(3, [1.0, 10.0, 1.0], v=1.0, trap_rate=0.0, decay_rate=0.0, initial_site=2)
-    times = np.linspace(0.0, 20.0, 2001)
-    for two_gamma in (0.1, 10.0, 1000.0):
-        spec = DephasingSpec(model=model, gamma=two_gamma / 2.0, dephased_sites=frozenset({2}))
-        stacks.append(_pair_stack(np.array([s.matrix for s in integrate_master(spec, pure_site_state(3, 2), times)]), 1, 3))
-    channel = MeasurementChannel(frozenset({2}), 0.1)
-    measured = measured_states(effective_hamiltonian(model), channel, pure_site_state(3, 2), times[:201])
-    stacks.append(_pair_stack(np.array([s.matrix for s in measured]), 1, 3))
-    calls = _count_eigvals(monkeypatch)
-    for m in stacks:
-        r = _wootters_matrix(m)
-        block = _r_spectrum(r)
-        assert not calls
-        ref = np.abs(np.linalg.eigvals(r).real)
-        calls.clear()
-        assert np.max(np.abs(np.sort(block, axis=1) - np.sort(ref, axis=1))) <= 1e-14
-
-
 def test_states_outside_the_block_reach_eigvals(rng, monkeypatch):
-    # (|gg> + |ee>)/sqrt 2 and full-rank states fill R's outer rows: each call
-    # sends exactly those members to eigvals, the single-excitation ones not
+    # states with no ee weight and no gg coherence, every reduce_to_pair result
+    # among them, take the closed form through concurrence(); (|gg> + |ee>)/sqrt 2,
+    # full-rank states and a single-excitation state with gg coherence reach eigvals
     phi = np.zeros((4, 4), dtype=complex)
     phi[0, 0] = phi[0, 3] = phi[3, 0] = phi[3, 3] = 0.5
-    a = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+    a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
     dense = a @ a.conj().swapaxes(1, 2)
     dense /= np.trace(dense, axis1=1, axis2=2).real[:, None, None]
-    mixed = np.array([bell_state().matrix, phi, dense[0], bell_state().matrix, dense[1]])
+    w = np.array([0.6, 0.4j, np.sqrt(0.48), 0.0])  # 0.6 |gg> + 0.4i |ge> + sqrt(0.48) |eg>
+    gg_coherent = np.outer(w, w.conj())
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[0, 0], rho[2, 2], rho[1, 1] = 0.3, 0.5, 0.1
+    rho[0, 2] = 0.2 * np.exp(0.3j)
+    rho[2, 0] = np.conj(rho[0, 2])
     calls = _count_eigvals(monkeypatch)
+    assert concurrence(bell_state()) == pytest.approx(1.0)
+    assert concurrence(reduce_to_pair(rho, 1, 3)) == 2 * abs(rho[0, 2])
+    assert concurrence(reduce_to_pair(rho, 3, 2)) == 0.0
+    assert not calls
     assert concurrence(TwoQubitState(phi, (1, 2))) == pytest.approx(1.0, abs=1e-12)
-    assert [r.shape for r in calls] == [(1, 4, 4)]
-    _wootters(dense)
-    assert calls[-1].shape == (50, 4, 4)
-    out = _concurrences(mixed)
-    assert len(calls) == 3 and np.array_equal(calls[-1], _wootters_matrix(mixed[[1, 2, 4]]))
-    assert out[[0, 1, 3]] == pytest.approx(1.0)
-    _wootters(np.array([bell_state().matrix, bell_state().matrix]))
-    assert len(calls) == 3
+    assert [r.shape for r in calls] == [(4, 4)]
+    for m in dense:
+        assert concurrence(TwoQubitState(m, (1, 2))) == _wootters(m)
+    assert concurrence(TwoQubitState(gg_coherent, (1, 2))) == pytest.approx(2 * 0.4 * np.sqrt(0.48), abs=1e-12)
+    assert len(calls) == 8  # one per concurrence() and one per _wootters() of the last two lines
 
 
 def test_simulate_concurrence_rejects_a_spec_of_another_model(three_site_degenerate):
@@ -179,17 +157,6 @@ def test_simulate_concurrence_rejects_a_spec_of_another_model(three_site_degener
     same = simulate_concurrence(three_site_degenerate, DephasingSpec(copy, 5.0, {2}), (1, 3), [0.0, 1.0])
     ref = simulate_concurrence(three_site_degenerate, DephasingSpec(three_site_degenerate, 5.0, {2}), (1, 3), [0.0, 1.0])
     assert np.array_equal(same.values, ref.values)
-
-
-def test_fast_path_disagreement_raises_value_error():
-    # member 1 skipped the state checks: |rho_eg,ge| = 0.5 exceeds
-    # sqrt(p_eg p_ge) = 0.25, so the fast path reads 1 and Wootters 0.5
-    forged = np.zeros((4, 4), dtype=complex)
-    forged[0, 0] = 0.5
-    forged[1, 1] = forged[2, 2] = 0.25
-    forged[1, 2] = forged[2, 1] = 0.5
-    with pytest.raises(ValueError, match="fast-path concurrence 1.0 disagrees with Wootters"):
-        _concurrences(np.array([bell_state().matrix, forged]))
 
 
 def test_concurrence_invariances():
@@ -287,6 +254,29 @@ def test_simulated_measurement_matches_closed_form(three_site_degenerate):
     traj = repeated_measurement_trajectory(three_site_degenerate, channel, 200)
     stepped = [concurrence(reduce_to_pair(s, 1, 3)) for s in traj.states[1:]]
     assert np.array_equal(series.values, np.clip(stepped, 0.0, 1.0))
+
+
+def test_near_pure_measured_state_scores_two_abs_rho_ab():
+    # sites 1 and 4 are unmeasured, so their pair state is near pure and R's
+    # second eigenvalue, 7.7e-19, falls under eigvals' roundoff floor of
+    # 1e-14 l1^2: Wootters through eigvals read sqrt(p_a p_b) + |rho_ab| there,
+    # 8.8e-10 above 2 |rho_ab|
+    energies = [0.480854, 1.980386, 1.795775, -0.159819, 1.030915, -0.010309, 0.117249, 1.143143]
+    model = build_chain(8, energies, v=1.0, trap_rate=0.3, decay_rate=0.01, initial_site=4)
+    channel = MeasurementChannel(frozenset({6}), 0.2)
+    value = simulate_concurrence(model, channel, (1, 4), [0.4]).values[0]
+    (state,) = measured_states(effective_hamiltonian(model), channel, pure_site_state(8, 4), [0.4])
+    assert abs(value - 2 * abs(state.matrix[0, 3])) <= 1e-15
+    assert value == concurrence(reduce_to_pair(state, 1, 4))
+
+
+def test_concurrence_series_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="must be finite"):
+        ConcurrenceSeries([0.0, np.nan], [np.nan, 0.5], "simulated")
+    with pytest.raises(ValueError, match="must be finite"):
+        ConcurrenceSeries([0.0, 1.0], [0.5, np.nan], "simulated")
+    with pytest.raises(ValueError, match="must be finite"):
+        ConcurrenceSeries([0.0, np.inf], [0.5, 0.5], "simulated")
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0])

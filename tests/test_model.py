@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antizeno import (
+    DephasingSpec,
     DisorderSpec,
     LatticeModel,
     build_chain,
@@ -65,6 +66,22 @@ def test_lattice_model_invariants():
 def test_model_is_immutable(two_site_disordered):
     with pytest.raises(ValueError):
         two_site_disordered.site_energies[0] = 99.0
+
+
+def test_model_equality_is_value_equality():
+    # equal copies built separately compare equal (array fields used to make
+    # == raise), a one-ulp change in one energy does not, and a DephasingSpec
+    # compares its model by value too; hashing is left as the dataclass's
+    def chain(e2=10.0):
+        return build_chain(3, [1.0, e2, 1.0], v=1.0, trap_rate=0.0, decay_rate=0.0, initial_site=2)
+
+    a, b, c = chain(), chain(), chain(np.nextafter(10.0, 11.0))
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert DephasingSpec(a, 5.0, {2}) == DephasingSpec(b, 5.0, {2})
+    assert DephasingSpec(a, 5.0, {2}) != DephasingSpec(c, 5.0, {2})
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_effective_hamiltonian_diagonal(two_site_disordered):
