@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm, dgemv
 
 from .errors import OutOfRegimeError
 from .model import EffectiveHamiltonian, LatticeModel, effective_hamiltonian
@@ -185,14 +186,68 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
+def _from_real(y: np.ndarray) -> np.ndarray:
+    """The (m, n, n) Hermitian stack rho = (y + y^T)/2 + i (y - y^T)/2 of the
+    real stack y = Re rho + Im rho, Hermitian to the bit."""
+    yt = y.swapaxes(1, 2)
+    return (y + yt) / 2 + 1j * ((y - yt) / 2)
+
+
+def _powers(step: np.ndarray, y0: np.ndarray, ks) -> np.ndarray:
+    """The rows S^k y0 of the real step matrix S for the sorted distinct
+    integers k >= 0 of ks, as a (len(ks), len(y0)) array.
+
+    The ks split where two neighbours differ by more than 3.  Filling every
+    row across a gap g computes g - 1 rows that no k needs; jumping it takes
+    popcount(g) products of their own, where filled rows share the products
+    of their piece.  g - 1 <= popcount(g) holds exactly for g <= 3, so a
+    larger gap is jumped: the row advances by S^(2^j) for each set bit j of g.
+    Each piece is then filled from its first row in ceil(log2(rows)) rounds: a
+    round advances the rows filled so far by the current power in one
+    product.  The powers S^(2^j) are squared as first needed and kept, so the
+    work is about log2(max k) squarings plus the row products, and memory
+    grows with len(ks) (at most 3 filled rows per k) and log2(max k), not
+    with max k.  Every product is scipy's dgemm or dgemv: a numpy @ after
+    scipy's BLAS work contends with scipy's separate OpenBLAS thread pool."""
+    ks = np.asarray(ks, dtype=np.intp)
+    out = np.empty((ks.size, y0.size))
+    table = [step.T]  # table[j] is S^(2^j), transposed: Fortran order, as dgemm takes it
+
+    def power(j):
+        while len(table) <= j:
+            table.append(dgemm(1.0, table[-1], table[-1]))
+        return table[j]
+
+    starts = np.flatnonzero(np.diff(ks, prepend=-4) > 3).tolist()  # the first index of each piece
+    y, at = y0, 0
+    for i0, i1 in zip(starts, starts[1:] + [ks.size]):
+        lo, hi = int(ks[i0]), int(ks[i1 - 1])
+        gap, j = lo - at, 0
+        while gap:
+            if gap & 1:
+                y = dgemv(1.0, power(j), y, trans=1)
+            gap, j = gap >> 1, j + 1
+        count = hi - lo + 1
+        rows = out[i0:i1] if count == i1 - i0 else np.empty((count, y0.size))
+        rows[0] = y
+        done, j = 1, 0
+        while done < count:
+            m = min(done, count - done)
+            rows[done : done + m] = dgemm(1.0, power(j), rows[:m].T, trans_a=True).T
+            done, j = done + m, j + 1
+        if count != i1 - i0:
+            out[i0:i1] = rows[ks[i0:i1] - lo]
+        y, at = rows[-1], hi
+    return out
+
+
 def _write_csv(path, header: str, rows) -> None:
     """Write the header line and one line per row of numbers, each as %.12g."""
     rows = np.asarray(rows, dtype=float)
-    # on a float, % is bit for bit format(x, ".12g"), at about two thirds of the cost per line
-    line = ",".join(["%.12g"] * rows.shape[1])
-    lines = [header] + [line % tuple(row) for row in rows.tolist()]
+    # on a float, % is bit for bit format(x, ".12g"); one % formats every row at once
+    line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(header + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 def evolve(u, rho) -> DensityMatrix:

@@ -5,7 +5,8 @@ Every pair state of a single-excitation state has no |ee> weight and no |gg>
 coherence.  Wootters' R = rho S rho* S (S = sigma_y (x) sigma_y) of such a
 state has the spectrum {(sqrt(p_a p_b) +- |rho_ab|)^2, 0, 0}, so its
 concurrence is C = 2 min(|rho_ab|, sqrt(p_a p_b)) in closed form
-(_pair_concurrence); only other two-qubit states reach np.linalg.eigvals."""
+(_pair_concurrence); only other two-qubit states reach Wootters' general
+form (_wootters)."""
 
 from __future__ import annotations
 
@@ -115,12 +116,17 @@ def _wootters_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def _wootters(m: np.ndarray) -> np.ndarray:
-    """max(0, l1 - l2 - l3 - l4) for each 4x4 matrix of m, shape (..., 4, 4),
-    with l_i^2 the eigenvalues of R = m S m* S from np.linalg.eigvals."""
-    ev = np.sort(np.abs(np.linalg.eigvals(_wootters_matrix(m)).real), axis=-1)[..., ::-1]
-    # roundoff noise on zero eigenvalues would be amplified by the square root
-    ev[ev < 1e-14 * np.maximum(ev[..., :1], 1e-300)] = 0.0
-    lam = np.sqrt(ev)
+    """max(0, l1 - l2 - l3 - l4) for each 4x4 matrix of m, shape (..., 4, 4).
+
+    The l_i, the square roots of the eigenvalues of R = m S m* S, are the
+    singular values of sqrt(m) S sqrt(m)*, since sqrt(m) S m* S sqrt(m) is
+    that matrix times its adjoint; and of sqrt(m) S sqrt(m)* S, since S is
+    orthogonal.  So they come out nonnegative from one batched SVD, with no
+    cutoff on small eigenvalues of R; sqrt(m) clips roundoff-negative
+    eigenvalues of m to 0."""
+    w, v = np.linalg.eigh(m)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    lam = np.linalg.svd(_wootters_matrix(root), compute_uv=False)
     return np.maximum(lam[..., 0] - lam[..., 1:].sum(axis=-1), 0.0)
 
 
@@ -137,7 +143,7 @@ def concurrence(state) -> float:
 
     A state with no |ee> weight and no |gg> coherence, as every reduce_to_pair
     result, takes the closed form 2 min(|rho_eg,ge|, sqrt(p_eg p_ge))
-    (_pair_concurrence); only other states reach np.linalg.eigvals.
+    (_pair_concurrence); only other states reach _wootters, one SVD.
     """
     if not isinstance(state, TwoQubitState):
         state = TwoQubitState(state, (0, 0))  # runs the validity checks

@@ -26,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm
 
 from .dynamics import (
     DensityMatrix,
     _conjugate,
     _density_matrices,
+    _from_real,
+    _powers,
     _propagators,
     _time_grid,
     _write_csv,
@@ -135,34 +136,16 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
                 k = np.arange(count + 1, min(2 * count, td.size - s))
                 on = np.abs(td[s + k] - (td[s] + k * h)) <= ulps[s + k]
                 count += 1 + int(np.append(on, False).argmin())
-            ys[s : s + count] = _powers(scipy.linalg.expm(lr * h), ys[s], count)
+            ys[s : s + count] = _powers(scipy.linalg.expm(lr * h), ys[s], range(count))
             s += count - 1
         ys = ys[row[1:]].reshape(-1, n, n)
-        out = (ys + ys.swapaxes(1, 2)) / 2 + 1j * ((ys - ys.swapaxes(1, 2)) / 2)  # Hermitian to the bit
+        out = _from_real(ys)
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite state during integration")
     pops = populations(out)
     if np.any(pops < -1e-8) or np.any(pops > 1 + 1e-8):
         raise ValueError("populations left [0, 1] during integration")
     return density_stack(out)
-
-
-def _powers(step: np.ndarray, y0: np.ndarray, count: int) -> np.ndarray:
-    """The rows S^k y0, k = 0 .. count - 1, of the step matrix S, in
-    ceil(log2 count) rounds: each round advances the rows filled so far by the
-    current power in one product, then squares the power.  Both products are
-    scipy's dgemm: a numpy @ after scipy's BLAS work contends with scipy's
-    separate OpenBLAS thread pool."""
-    ys = np.empty((count, y0.size))
-    ys[0] = y0
-    power_t, done = step.T, 1  # the current power, transposed: Fortran order, as dgemm takes it
-    while done < count:
-        m = min(done, count - done)
-        ys[done : done + m] = dgemm(1.0, power_t, ys[:m].T, trans_a=True).T
-        done += m
-        if done < count:
-            power_t = dgemm(1.0, power_t, power_t)
-    return ys
 
 
 def efficiency_dephasing(spec: DephasingSpec) -> EfficiencyResult:

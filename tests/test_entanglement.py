@@ -71,6 +71,17 @@ def test_concurrence_mixed():
     assert concurrence(TwoQubitState(m, (1, 3))) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("p", [1e-4, 1e-8, 1e-12])
+def test_wootters_keeps_small_eigenvalues_of_r(p):
+    # (1 - p) |Phi+><Phi+| + (p/2)(|ge><ge| + |eg><eg|) has C = 1 - 2p, and R's
+    # small eigenvalues p^2/4 carry the 2p: a cutoff at 1e-14 l1^2 on R's
+    # spectrum dropped them below p = 2e-7 and read 1 - p
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[0, 3] = m[3, 0] = m[3, 3] = (1 - p) / 2
+    m[1, 1] = m[2, 2] = p / 2
+    assert abs(concurrence(TwoQubitState(m, (1, 2))) - (1 - 2 * p)) <= 1e-14
+
+
 def test_concurrence_fast_path_matches_wootters(rng):
     for _ in range(20):
         # random single-excitation reduced state
@@ -88,7 +99,7 @@ def test_concurrence_fast_path_matches_wootters(rng):
         assert concurrence(state) == pytest.approx(2 * c_mag, abs=1e-10)
 
 
-def test_wootters_matrix_equals_the_sigma_y_products(rng, monkeypatch):
+def test_wootters_matrix_equals_the_sigma_y_products(rng):
     # R = m S m* S, S = sigma_y (x) sigma_y, formed by a column permutation and
     # sign, is bit for bit the four-product form, also on states with an empty
     # ee block and on the Figure-3 dephased stacks
@@ -103,25 +114,23 @@ def test_wootters_matrix_equals_the_sigma_y_products(rng, monkeypatch):
         spec = DephasingSpec(model=model, gamma=two_gamma / 2.0, dephased_sites=frozenset({2}))
         states = integrate_master(spec, pure_site_state(3, 2), np.linspace(0.0, 20.0, 2001))
         stacks.append(np.array([reduce_to_pair(s, 1, 3).matrix for s in states]))
-    seen = []
-    monkeypatch.setattr("antizeno.entanglement._wootters_matrix", lambda m: seen.append(_wootters_matrix(m)) or seen[-1])
     for m in stacks:
-        _wootters(m)
-        assert seen[-1].tobytes() == (m @ sy_sy @ m.conj() @ sy_sy).tobytes()
+        assert _wootters_matrix(m).tobytes() == (m @ sy_sy @ m.conj() @ sy_sy).tobytes()
 
 
-def _count_eigvals(monkeypatch):
-    """Patch np.linalg.eigvals to record the stack of each call; returns the list."""
+def _count_svd(monkeypatch):
+    """Patch np.linalg.svd to record the stack of each call; returns the list."""
     calls = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda r: calls.append(r) or eigvals(r))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda r, **kw: calls.append(r) or svd(r, **kw))
     return calls
 
 
-def test_states_outside_the_block_reach_eigvals(rng, monkeypatch):
+def test_states_outside_the_block_reach_wootters(rng, monkeypatch):
     # states with no ee weight and no gg coherence, every reduce_to_pair result
     # among them, take the closed form through concurrence(); (|gg> + |ee>)/sqrt 2,
-    # full-rank states and a single-excitation state with gg coherence reach eigvals
+    # full-rank states and a single-excitation state with gg coherence reach
+    # Wootters' general form, one SVD each
     phi = np.zeros((4, 4), dtype=complex)
     phi[0, 0] = phi[0, 3] = phi[3, 0] = phi[3, 3] = 0.5
     a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
@@ -133,7 +142,7 @@ def test_states_outside_the_block_reach_eigvals(rng, monkeypatch):
     rho[0, 0], rho[2, 2], rho[1, 1] = 0.3, 0.5, 0.1
     rho[0, 2] = 0.2 * np.exp(0.3j)
     rho[2, 0] = np.conj(rho[0, 2])
-    calls = _count_eigvals(monkeypatch)
+    calls = _count_svd(monkeypatch)
     assert concurrence(bell_state()) == pytest.approx(1.0)
     assert concurrence(reduce_to_pair(rho, 1, 3)) == 2 * abs(rho[0, 2])
     assert concurrence(reduce_to_pair(rho, 3, 2)) == 0.0
@@ -258,8 +267,8 @@ def test_simulated_measurement_matches_closed_form(three_site_degenerate):
 
 def test_near_pure_measured_state_scores_two_abs_rho_ab():
     # sites 1 and 4 are unmeasured, so their pair state is near pure and R's
-    # second eigenvalue, 7.7e-19, falls under eigvals' roundoff floor of
-    # 1e-14 l1^2: Wootters through eigvals read sqrt(p_a p_b) + |rho_ab| there,
+    # second eigenvalue, 7.7e-19, fell under the 1e-14 l1^2 cutoff that
+    # Wootters through eigvals once had: it read sqrt(p_a p_b) + |rho_ab| there,
     # 8.8e-10 above 2 |rho_ab|
     energies = [0.480854, 1.980386, 1.795775, -0.159819, 1.030915, -0.010309, 0.117249, 1.143143]
     model = build_chain(8, energies, v=1.0, trap_rate=0.3, decay_rate=0.01, initial_site=4)

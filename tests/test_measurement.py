@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,18 @@ from antizeno import (
     transition_matrix,
 )
 from antizeno.dynamics import _EIGEN_COND, DensityMatrix, eig_system, evolve, propagator, pure_site_state
-from antizeno.measurement import TransitionMatrix, measured_states, trajectory_to_csv
+from antizeno.entanglement import measured_concurrence, simulate_concurrence
+from antizeno.measurement import (
+    TransitionMatrix,
+    _after_by_powers,
+    _after_by_steps,
+    _by_powers,
+    channel_masks,
+    measured_states,
+    trajectory_to_csv,
+)
 from antizeno.model import effective_hamiltonian
+from antizeno.open_system import DephasingSpec, quantum_jump_ensemble
 
 
 def random_density(rng, n):
@@ -215,6 +226,85 @@ def test_measured_states_equal_the_per_state_reference(three_site_degenerate, ca
     ref = np.array([s.matrix for s in reference_measured_states(h, channel, rho0, times)])
     assert states.shape == ref.shape
     assert np.max(np.abs(states - ref)) <= 1e-14
+
+
+def superoperator(h, channel, n):
+    """One interval, U(tau) rho U(tau)^dag and then the channel, as an n^2 x n^2
+    complex matrix on row-major vec(rho), from scipy.linalg.expm."""
+    u = scipy.linalg.expm(-1j * np.asarray(h.matrix) * channel.interval)
+    keep = np.ones((n, n), dtype=bool)
+    for i in channel.measured_sites:
+        keep[i - 1, :] = keep[:, i - 1] = False
+        keep[i - 1, i - 1] = True
+    return keep.reshape(-1, 1) * np.kron(u, u.conj())
+
+
+@pytest.mark.parametrize("sites", [{1, 2, 3}, {2}], ids=["all-sites", "middle-site"])
+def test_measured_states_on_a_sparse_grid_equal_superoperator_powers(sites):
+    # three outputs, 10^5 and 10^6 intervals in: the states come from jumps by
+    # powers of the step matrix, and no array grows with the interval count
+    # (10^6 rows of d = 5 doubles would be 40 MB)
+    model = build_chain(3, [1.0, 4.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0, initial_site=2)
+    h = effective_hamiltonian(model)
+    channel = MeasurementChannel(frozenset(sites), 0.1)
+    times = np.array([0.0, 1e5, 1e6]) * channel.interval
+    rho0 = pure_site_state(3, 2)
+    tracemalloc.start()
+    try:
+        states = measured_states(h, channel, rho0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    s = superoperator(h, channel, 3)
+    assert states[0].matrix.tobytes() == rho0.matrix.tobytes()
+    for k, state in zip((10**5, 10**6), states[1:]):
+        ref = (np.linalg.matrix_power(s, k) @ rho0.matrix.reshape(-1)).reshape(3, 3)
+        # both sides square about log2 k times; an error in M^j grows at most
+        # linearly in j on a channel, so each entry is off by about d u k,
+        # d <= n^2 = 9 the length of a row product, u = 2^-53
+        assert np.max(np.abs(state.matrix - ref)) <= 9 * 2.0**-53 * k
+
+
+def test_measurement_paths_agree_on_both_sides_of_the_rule():
+    # an 8-site chain measured on every other site (d = 4 + 4^2 = 20): the rule
+    # steps k_star - 1 intervals one at a time and k_star by powers; the two
+    # paths agree on either side, and periodic mode is the measured trajectory
+    # bit for bit on both
+    rng = np.random.default_rng(8)
+    model = build_chain(8, rng.uniform(0.0, 3.0, 8), v=1.0, trap_rate=0.5, decay_rate=0.001)
+    sites, gamma = frozenset({1, 3, 5, 7}), 5.0
+    tau = 1.0 / (2.0 * gamma)
+    channel = MeasurementChannel(sites, tau)
+    _, keep = channel_masks(8, sites)
+    k_star = next(k for k in range(1, 10**4) if _by_powers(20, 8, k))
+    assert int(keep.sum()) == 20 and k_star > 2
+    u = propagator(model._h_eff, tau).matrix
+    rho0 = pure_site_state(8, 1)
+    spec = DephasingSpec(model, gamma, sites)
+    for k in (k_star - 1, k_star):
+        assert _by_powers(20, 8, k) == (k == k_star)
+        ks = np.arange(k + 1)
+        steps = _after_by_steps(u, keep, rho0.matrix, ks)
+        powers = _after_by_powers(u, keep, rho0.matrix, ks)
+        assert np.max(np.abs(steps - powers)) <= 1e-13
+        periodic = quantum_jump_ensemble(spec, rho0, np.arange(k + 1) * tau, n_traj=1, seed=0, mode="periodic")
+        traj = repeated_measurement_trajectory(model, channel, k)
+        assert np.array_equal(periodic.mean_populations, traj.populations)
+        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(periodic.mean_states, traj.states))
+
+
+def test_measured_concurrence_over_6300_intervals(three_site_degenerate):
+    # t = 630 on the Fig. 3 model at tau = 0.1: the state after k intervals is
+    # M^(k-1) y1 for the d = 5 step matrix M.  Each of the k products that
+    # M^(k-1) stands for adds about d u to entries of size <= 1, and a channel
+    # does not amplify them, so the entries are off by at most d u k and
+    # C = 2 min(|rho_13|, sqrt(p_1 p_3)) by at most 2 d u k = 7.0e-12
+    tau, k, d = 0.1, 6300, 5
+    times = np.linspace(0.0, k * tau, k + 1)
+    series = simulate_concurrence(three_site_degenerate, MeasurementChannel(frozenset({2}), tau), (1, 3), times)
+    err = np.max(np.abs(series.values - measured_concurrence(9.0, 1.0, tau, times)))
+    assert err <= 2 * d * 2.0**-53 * k
 
 
 def test_trajectory_column_sums_contract():

@@ -16,7 +16,7 @@ from antizeno import (
     quantum_jump_ensemble,
     repeated_measurement_trajectory,
 )
-from antizeno import open_system
+from antizeno import dynamics, open_system
 from antizeno.dynamics import DensityMatrix, eig_system, evolve, populations, pure_site_state
 from antizeno.measurement import channel_masks
 from antizeno.model import LatticeModel, effective_hamiltonian
@@ -500,7 +500,7 @@ def test_powers_equal_repeated_products(count):
     lr = lv.real + lv.imag[:, np.arange(64).reshape(8, 8).T.reshape(-1)]
     step = scipy.linalg.expm(lr * 0.05)
     y = np.random.default_rng(count).uniform(-1.0, 1.0, 64)
-    rows = open_system._powers(step, y, count)
+    rows = dynamics._powers(step, y, range(count))
     assert rows.shape == (count, 64) and np.array_equal(rows[0], y)
     expected = [y]
     for _ in range(count - 1):
@@ -509,6 +509,22 @@ def test_powers_equal_repeated_products(count):
     # included, each off by at most 64 u times the row sums of |S^j|, at most growth
     growth = max(np.abs(np.linalg.matrix_power(step, k)).sum(axis=1).max() for k in range(count))
     assert np.max(np.abs(rows - np.array(expected))) <= 2.0**-53 * 64 * 2 * count * growth
+
+
+def test_powers_fill_small_gaps_and_jump_large_ones():
+    # gaps of 1 to 3 are filled row by row, a gap of 4 or more is jumped by the
+    # binary digits of the gap; every row against an explicit matrix power
+    spec = chain_spec()
+    lv = _liouvillian(spec)
+    lr = lv.real + lv.imag[:, np.arange(64).reshape(8, 8).T.reshape(-1)]
+    step = scipy.linalg.expm(lr * 0.05)
+    y = np.random.default_rng(0).uniform(-1.0, 1.0, 64)
+    ks = [0, 1, 3, 6, 10, 11, 200, 203]
+    rows = dynamics._powers(step, y, ks)
+    expected = np.array([np.linalg.matrix_power(step, k) @ y for k in ks])
+    # as above: at most 2 k products of length 64 per row, here k <= 203
+    growth = max(np.abs(np.linalg.matrix_power(step, k)).sum(axis=1).max() for k in range(204))
+    assert np.max(np.abs(rows - expected)) <= 2.0**-53 * 64 * 2 * 203 * growth
 
 
 @pytest.mark.parametrize("rho0", [[[1.0, 1.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]], ids=["non-hermitian", "trace-2"])
