@@ -6,8 +6,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dgemm, dgemv
 
 from .errors import OutOfRegimeError
 from .model import EffectiveHamiltonian, LatticeModel, effective_hamiltonian
@@ -170,6 +168,9 @@ def _propagators(h_eff, times) -> np.ndarray:
     t, at = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     w, v, vinv, cond = eig_system(h)
     if cond >= _EIGEN_COND:
+        # scipy loads on first use (README, Installation): the numpy-only paths skip its import
+        import scipy.linalg
+
         return scipy.linalg.expm((-1j * h) * t[:, None, None])[at]
     n = w.shape[0]
     table = (v.T[:, :, None] * vinv[:, None, :]).reshape(n, n * n)
@@ -209,6 +210,8 @@ def _powers(step: np.ndarray, y0: np.ndarray, ks) -> np.ndarray:
     grows with len(ks) (at most 3 filled rows per k) and log2(max k), not
     with max k.  Every product is scipy's dgemm or dgemv: a numpy @ after
     scipy's BLAS work contends with scipy's separate OpenBLAS thread pool."""
+    from scipy.linalg.blas import dgemm, dgemv
+
     ks = np.asarray(ks, dtype=np.intp)
     out = np.empty((ks.size, y0.size))
     table = [step.T]  # table[j] is S^(2^j), transposed: Fortran order, as dgemm takes it

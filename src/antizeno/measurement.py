@@ -30,7 +30,7 @@ from .dynamics import (
     time_averaged_population,
 )
 from .errors import OutOfRegimeError
-from .model import LatticeModel
+from .model import LatticeModel, _is_integer
 
 
 @dataclass(frozen=True)
@@ -236,8 +236,8 @@ def repeated_measurement_trajectory(
     the exact matrix iteration p(t_k) = T^k p(0); otherwise the full density
     matrix is propagated.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
+    if not (_is_integer(n_steps) and n_steps >= 0):
+        raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     n = model.n_sites
     tau = channel.interval
     times = np.arange(n_steps + 1) * tau

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import (
     DensityMatrix,
@@ -119,6 +118,9 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
     if spec.gamma == 0:
         out = _conjugate(_propagators(spec.model._h_eff, times), rm)
     else:
+        # scipy loads on first use (README, Installation): the numpy-only paths skip its import
+        import scipy.linalg
+
         lv = _liouvillian(spec)
         # y = vec(Re rho + Im rho) fixes a Hermitian rho, rho = (y + y^T)/2 + i (y - y^T)/2, and L keeps
         # rho Hermitian, so dy/dt = Re(L vec rho) + Im(L vec rho) = (Re L + Im L P) y, P: vec(x) -> vec(x^T)
@@ -167,7 +169,7 @@ def efficiency_dephasing(spec: DephasingSpec) -> EfficiencyResult:
 
 
 def _pure_initial(rho0) -> np.ndarray:
-    rm = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
+    rm = (rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)).matrix
     ev, vec = np.linalg.eigh(rm)
     if ev[-1] < np.trace(rm).real - 1e-10:
         raise ValueError("quantum-jump unraveling needs a pure initial state")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import _propagators, _write_csv, eig_system
 from .model import LatticeModel
@@ -156,6 +155,9 @@ def _poisson_integrals(model, rate):
     triangular solve and diag X = diag(Z Y Z^dag).  At rate 0, T = 0, so only
     the initial site's column is solved.
     """
+    # scipy loads on first use (README, Installation): the numpy-only paths skip its import
+    import scipy.linalg
+
     n = model.n_sites
     h = model._h_eff.matrix
     s, z = scipy.linalg.schur(-1j * h - 0.5 * rate * np.eye(n), output="complex")
@@ -176,6 +178,8 @@ def _series_result(t, weights, eye, start, tau, method) -> EfficiencyResult:
         radius = float(np.max(np.abs(np.linalg.eigvals(t))))
         if radius >= 1 - 1e-12:
             raise ValueError(f"series non-convergent: spectral radius {radius}")
+    import scipy.linalg
+
     # gesv itself: np.linalg.solve's wrapper costs several times the solve at n = 2
     _, _, x, info = scipy.linalg.lapack.dgesv(eye - t, start)
     if info:

@@ -128,6 +128,16 @@ def test_trajectory_zero_steps(two_site_disordered):
     assert np.array_equal(traj.populations, [[1.0, 0.0]])
 
 
+@pytest.mark.parametrize("sites", [frozenset([1, 2, 3]), frozenset([2])], ids=["all-sites", "middle-site"])
+def test_trajectory_rejects_a_non_integer_step_count(three_site_degenerate, sites):
+    # 2.5 used to give 4 rows (or an islice error with every site measured) and True one step
+    ch = MeasurementChannel(sites, 0.1)
+    for bad in (2.5, True, -1, "3", None, np.float64(2.0)):
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 0"):
+            repeated_measurement_trajectory(three_site_degenerate, ch, bad)
+    assert repeated_measurement_trajectory(three_site_degenerate, ch, np.int64(3)).populations.shape == (4, 3)
+
+
 def test_trajectory_fast_path_matches_density_path():
     m = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
     ch = MeasurementChannel(frozenset([1, 2]), 0.1)

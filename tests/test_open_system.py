@@ -535,6 +535,27 @@ def test_master_rejects_an_invalid_initial_state(two_site_disordered, rho0):
         integrate_master(spec, np.array(rho0), [0.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "rho0",
+    [
+        [[0.0, 0.0, 0.0], [0.0, 1.0, 0.7], [0.0, 0.0, 0.0]],
+        [[1.2, 0.0, 0.0], [0.0, -0.2, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 0.0]],
+    ],
+    ids=["non-hermitian", "non-psd", "trace-1.5"],
+)
+def test_jump_modes_reject_an_invalid_initial_state_alike(rho0):
+    # poisson mode used to read only the lower triangle, so the non-Hermitian
+    # array ran as |2><2|; both modes now check an array rho0 as a DensityMatrix
+    spec = fig3_spec(10.0)
+    errors = []
+    for mode in ("poisson", "periodic"):
+        with pytest.raises(ValueError, match="not Hermitian|not positive semidefinite|trace 1.5") as err:
+            quantum_jump_ensemble(spec, np.array(rho0), [0.0, 1.0], n_traj=4, seed=0, mode=mode)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
 def test_jump_standard_error_scaling():
     spec = fig3_spec(10.0)
     ses = []
