@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,13 @@ _COND_CUTOFF = 1e8
 _EIGEN_COND = 1e5
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
+# Higham's theta_m (2005; the same in Al-Mohy and Higham 2009): the largest ||a||_1, or
+# eta, at which the degree-m Pade approximant has backward error at most 2^-53;
+# degree 13 scales eta down to Al-Mohy and Higham's _THETA13
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1), (9, 2.097847961257068))
+_THETA13 = 4.25
+# the [m/m] Pade approximant of exp is p(x) / p(-x), p(x) = sum_j b_j x^j, b_j = (2m - j)! / (j! (m - j)!)
+_PADE = {m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))) for j in range(m + 1)] for m in (3, 5, 7, 9, 13)}
 
 
 @dataclass(frozen=True)
@@ -161,22 +169,87 @@ def _propagators(h_eff, times) -> np.ndarray:
     """exp(-i H_eff t) for each t of a 1-D array as an (m, n, n) stack, U(0) = I
     exactly and one member per distinct t.  Where cond(V) of H_eff = V diag(w) Vinv
     is under _EIGEN_COND: one (m, n) x (n, n^2) product of exp(-i t w) with the
-    table V[i,j] Vinv[j,k]; else one stacked expm, exact at an exceptional point."""
+    table V[i,j] Vinv[j,k]; else one stacked _expm, exact at an exceptional point."""
     h = _h_matrix(h_eff)
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
     t, at = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     w, v, vinv, cond = eig_system(h)
     if cond >= _EIGEN_COND:
-        # scipy loads on first use (README, Installation): the numpy-only paths skip its import
-        import scipy.linalg
-
-        return scipy.linalg.expm((-1j * h) * t[:, None, None])[at]
+        return _expm((-1j * h) * t[:, None, None])[at]
     n = w.shape[0]
     table = (v.T[:, :, None] * vinv[:, None, :]).reshape(n, n * n)
     u = (np.exp(np.multiply.outer(t, -1j * w)) @ table).reshape(-1, n, n)
     u[t == 0] = np.eye(n)
     return u[at]
+
+
+def _expm(a) -> np.ndarray:
+    """exp(a) for each matrix of a real or complex floating-point (..., n, n)
+    stack, by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
+    1179, 2005).
+
+    The stack shares one Pade degree m and one scaling s, chosen for its
+    member of largest norm.  Where ||a||_1 is at most theta_m for m = 3, 5 or
+    7 (Higham's rule), that m is taken; otherwise scipy's expm rule (Al-Mohy
+    and Higham, ibid. 31, 970, 2009) picks m and s from eta = ||a^k||_1^(1/k)
+    of the even powers the approximant uses anyway, without their extra
+    squarings for non-normal matrices.  ||a||_1 bounds every eta, so both
+    rules keep the backward error within 2^-53, and neither forms more
+    products than scipy forms.  The approximant r_m = (V - U)^-1 (V + U) of
+    a / 2^s, with U and V its odd and even parts, is evaluated as
+    I + 2 (V - U)^-1 U, which keeps the small correction to I apart from I
+    and holds the trace of a long master-equation run (README, Tests) to the
+    1e-12 that scipy's reaches; then it is squared s times."""
+    a = np.asarray(a)
+    diag = np.arange(a.shape[-1])
+    # pw[k] = a^(2k) for k = 1 to 4, formed as first needed; the identity pw[0] is never formed
+    pw = np.empty((5,) + a.shape, dtype=a.dtype)
+    np.matmul(a, a, out=pw[1])
+    formed = 1
+
+    def power(k):
+        nonlocal formed
+        while formed < k:
+            formed += 1
+            np.matmul(pw[formed - 1], pw[1], out=pw[formed])
+        return pw[k]
+
+    def eta(x, k):  # ||x||_1^(1/k) for x = a^k, the largest over the stack
+        return float(np.abs(x).sum(axis=-2).max(initial=0.0)) ** (1 / k)
+
+    bound, s = eta(a, 1), 0
+    m = next((deg for deg, theta in _THETA[:3] if bound <= theta), 0)
+    if not m:
+        bound = max(eta(power(2), 4), eta(power(3), 6))
+        m = next((deg for deg, theta in _THETA[:2] if bound <= theta), 0)
+    if not m:
+        bound = max(eta(power(3), 6), eta(power(4), 8))
+        m = next((deg for deg, theta in _THETA[2:] if bound <= theta), 13)
+    b = _PADE[m]
+    # uv = (U a^-1, V): the sums of the even powers, both in one product, then the identity terms
+    if m < 13:
+        power(m // 2)
+        uv = np.tensordot([b[3::2], b[2::2]], pw[1 : m // 2 + 1], axes=1)
+    else:
+        bound = min(bound, max(eta(pw[4], 8), eta(pw[2] @ pw[3], 10)))
+        s = max(math.ceil(math.log2(bound / _THETA13)), 0)
+        a = a * 2.0**-s
+        pw[1:4] *= (2.0 ** (-2.0 * s * np.arange(1, 4))).reshape((3,) + (1,) * a.ndim)
+        uv = np.tensordot([b[3:8:2], b[2:8:2]], pw[1:4], axes=1)
+        uv += pw[3] @ np.tensordot([b[9::2], b[8::2]], pw[1:4], axes=1)
+    uv[0][..., diag, diag] += b[1]
+    uv[1][..., diag, diag] += b[0]
+    u = np.matmul(a, uv[0], out=pw[1])  # U, written over a^2, which is no longer needed
+    uv[1] -= u
+    # U and V - U are polynomials in a, so (V - U)^-1 U = U (V - U)^-1: solved from the right,
+    # as the transposed system, whose arrays numpy's solve copies to LAPACK's order unpermuted
+    r = np.linalg.solve(uv[1].swapaxes(-1, -2), u.swapaxes(-1, -2)).swapaxes(-1, -2)
+    r *= 2
+    r[..., diag, diag] += 1
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _time_grid(times) -> np.ndarray:
@@ -208,17 +281,15 @@ def _powers(step: np.ndarray, y0: np.ndarray, ks) -> np.ndarray:
     product.  The powers S^(2^j) are squared as first needed and kept, so the
     work is about log2(max k) squarings plus the row products, and memory
     grows with len(ks) (at most 3 filled rows per k) and log2(max k), not
-    with max k.  Every product is scipy's dgemm or dgemv: a numpy @ after
-    scipy's BLAS work contends with scipy's separate OpenBLAS thread pool."""
-    from scipy.linalg.blas import dgemm, dgemv
-
+    with max k.  The rows are row vectors, so each product is a numpy @ from
+    the right by a table entry (S^(2^j))^T."""
     ks = np.asarray(ks, dtype=np.intp)
     out = np.empty((ks.size, y0.size))
-    table = [step.T]  # table[j] is S^(2^j), transposed: Fortran order, as dgemm takes it
+    table = [step.T]  # table[j] is (S^(2^j))^T: y^T (S^k)^T = (S^k y)^T
 
     def power(j):
         while len(table) <= j:
-            table.append(dgemm(1.0, table[-1], table[-1]))
+            table.append(table[-1] @ table[-1])
         return table[j]
 
     starts = np.flatnonzero(np.diff(ks, prepend=-4) > 3).tolist()  # the first index of each piece
@@ -228,7 +299,7 @@ def _powers(step: np.ndarray, y0: np.ndarray, ks) -> np.ndarray:
         gap, j = lo - at, 0
         while gap:
             if gap & 1:
-                y = dgemv(1.0, power(j), y, trans=1)
+                y = y @ power(j)
             gap, j = gap >> 1, j + 1
         count = hi - lo + 1
         rows = out[i0:i1] if count == i1 - i0 else np.empty((count, y0.size))
@@ -236,7 +307,7 @@ def _powers(step: np.ndarray, y0: np.ndarray, ks) -> np.ndarray:
         done, j = 1, 0
         while done < count:
             m = min(done, count - done)
-            rows[done : done + m] = dgemm(1.0, power(j), rows[:m].T, trans_a=True).T
+            rows[done : done + m] = rows[:m] @ power(j)
             done, j = done + m, j + 1
         if count != i1 - i0:
             out[i0:i1] = rows[ks[i0:i1] - lo]

@@ -156,8 +156,8 @@ def _by_powers(d: int, n: int, k: int) -> bool:
     OpenBLAS).  An interval of _after_by_steps is about 8 us of numpy
     dispatch plus two complex n x n products at 0.75 n^3 ns.  _after_by_powers
     pays about 100 us of fixed work and 30 ns per entry of the step matrix it
-    builds, then dgemm at about 80 GFlop/s: ceil(log2 k) squarings of d^3 / 40
-    ns each and at most k rows of d^2 / 40 ns each."""
+    builds, then numpy products at about 80 GFlop/s: ceil(log2 k) squarings
+    of d^3 / 40 ns each and at most k rows of d^2 / 40 ns each."""
     steps = k * (8e3 + 0.75 * n**3)
     powers = 1e5 + 30 * d**2 + (math.ceil(math.log2(max(k, 1))) * d**3 + k * d**2) / 40
     return powers <= steps

@@ -30,6 +30,7 @@ from .dynamics import (
     DensityMatrix,
     _conjugate,
     _density_matrices,
+    _expm,
     _from_real,
     _powers,
     _propagators,
@@ -111,16 +112,11 @@ def integrate_master(spec: DephasingSpec, rho0, times):
 def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
     """integrate_master's states as one checked (len(times), n, n) stack."""
     times = _time_grid(times)
-    rm = (rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)).matrix
+    rm = _initial_state(spec, rho0).matrix
     n = rm.shape[0]
-    if n != spec.model.n_sites:
-        raise ValueError("state dimension does not match model")
     if spec.gamma == 0:
         out = _conjugate(_propagators(spec.model._h_eff, times), rm)
     else:
-        # scipy loads on first use (README, Installation): the numpy-only paths skip its import
-        import scipy.linalg
-
         lv = _liouvillian(spec)
         # y = vec(Re rho + Im rho) fixes a Hermitian rho, rho = (y + y^T)/2 + i (y - y^T)/2, and L keeps
         # rho Hermitian, so dy/dt = Re(L vec rho) + Im(L vec rho) = (Re L + Im L P) y, P: vec(x) -> vec(x^T)
@@ -138,7 +134,7 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
                 k = np.arange(count + 1, min(2 * count, td.size - s))
                 on = np.abs(td[s + k] - (td[s] + k * h)) <= ulps[s + k]
                 count += 1 + int(np.append(on, False).argmin())
-            ys[s : s + count] = _powers(scipy.linalg.expm(lr * h), ys[s], range(count))
+            ys[s : s + count] = _powers(_expm(lr * h), ys[s], range(count))
             s += count - 1
         ys = ys[row[1:]].reshape(-1, n, n)
         out = _from_real(ys)
@@ -148,6 +144,14 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
     if np.any(pops < -1e-8) or np.any(pops > 1 + 1e-8):
         raise ValueError("populations left [0, 1] during integration")
     return density_stack(out)
+
+
+def _initial_state(spec: DephasingSpec, rho0) -> DensityMatrix:
+    """rho0 checked as a DensityMatrix with the model's dimension."""
+    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
+    if rho.n_sites != spec.model.n_sites:
+        raise ValueError("state dimension does not match model")
+    return rho
 
 
 def efficiency_dephasing(spec: DephasingSpec) -> EfficiencyResult:
@@ -223,6 +227,7 @@ def quantum_jump_ensemble(
     if mode not in ("poisson", "periodic"):
         raise ValueError(f"unknown mode {mode!r}")
     times = _time_grid(times)
+    rho0 = _initial_state(spec, rho0)
     if spec.gamma > 0 and mode == "poisson":
         sums = _poisson_sums(spec, rho0, times, n_traj, seed)
         mean_rho = sums.rho / n_traj

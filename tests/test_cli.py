@@ -465,29 +465,31 @@ fig3 = build_chain(3, [1.0, 10.0, 1.0], v=1.0, trap_rate=0.0, decay_rate=0.0, in
 spec = DephasingSpec(fig3, 5.0, frozenset({2}))
 times = np.linspace(0.0, 20.0, 201)
 quantum_jump_ensemble(spec, pure_site_state(3, 2), times, n_traj=8, seed=1)
+quantum_jump_ensemble(spec, pure_site_state(3, 2), times, n_traj=1, seed=1, mode="periodic")
 simulate_concurrence(fig3, "unitary", (1, 3), times)
-assert "scipy.linalg" not in sys.modules, "the poisson or unitary path loaded scipy.linalg"
+rho = integrate_master(spec, pure_site_state(3, 2), times)[-1]
+assert abs(rho.trace - 1.0) < 1e-10
+assert simulate_concurrence(fig3, MeasurementChannel(frozenset({2}), 0.1), (1, 3), times).values.max() > 0.1
+# the exceptional-point dimer takes the _expm fallback: exp(-i H_eff t) = e^-t (I - i t N)
+ep = build_chain(2, [0.0, 0.0], v=1.0, trap_rate=2.0, decay_rate=0.0)
+nil = np.array([[1j, 1.0], [1.0, -1j]])
+assert np.max(np.abs(propagator(ep._h_eff, 1.5).matrix - np.exp(-1.5) * (np.eye(2) - 1.5j * nil))) < 1e-13
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "time evolution loaded scipy"
 
 chain = build_chain(3, [0.0, 1.0, 2.0], v=1.0, trap_rate=0.5, decay_rate=0.001)
 assert 0.0 < efficiency_measured(chain, 0.5).eta < 1.0
 assert 0.0 < efficiency_dephasing(DephasingSpec(chain, 1.0, frozenset({1, 2, 3}))).eta < 1.0
-rho = integrate_master(spec, pure_site_state(3, 2), times)[-1]
-assert abs(rho.trace - 1.0) < 1e-10
-assert simulate_concurrence(fig3, MeasurementChannel(frozenset({2}), 0.1), (1, 3), times).values.max() > 0.1
-# the exceptional-point dimer takes the expm fallback: exp(-i H_eff t) = e^-t (I - i t N)
-ep = build_chain(2, [0.0, 0.0], v=1.0, trap_rate=2.0, decay_rate=0.0)
-nil = np.array([[1j, 1.0], [1.0, -1j]])
-assert np.max(np.abs(propagator(ep._h_eff, 1.5).matrix - np.exp(-1.5) * (np.eye(2) - 1.5j * nil))) < 1e-13
 assert "scipy.linalg" in sys.modules
 """
 
 
 def test_scipy_is_loaded_only_by_the_kernels_that_call_it():
     # scipy.linalg costs 0.25-0.33 s of import (its array-API layer loads
-    # numpy.f2py, numpy.testing and numpy.ma), which the CLI import, the
-    # poisson unraveling and unitary concurrence do not need.  In one fresh
-    # interpreter: the import loads no scipy, those paths keep scipy.linalg
-    # out, and one op per scipy call site still runs on first use
+    # numpy.f2py, numpy.testing and numpy.ma), which the CLI import and time
+    # evolution do not need.  In one fresh interpreter: the import loads no
+    # scipy, nor do both jump-ensemble modes, unitary and measured
+    # concurrence, the dephased master equation and the exceptional-point
+    # propagator; then the two efficiency solves load scipy.linalg on first use
     proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_USE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

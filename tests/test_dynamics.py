@@ -18,7 +18,8 @@ from antizeno import (
     simulate_concurrence,
     time_averaged_population,
 )
-from antizeno.dynamics import _eig_system, density_stack, eig_system
+from antizeno import dynamics
+from antizeno.dynamics import _eig_system, _expm, density_stack, eig_system
 from antizeno.entanglement import TwoQubitState
 from antizeno.measurement import measured_states
 from antizeno.model import effective_hamiltonian
@@ -141,6 +142,65 @@ def test_propagator_at_the_exceptional_point():
     for t in np.linspace(0.05, 5.0, 100):
         exact = np.exp(-t) * (np.eye(2) - 1j * t * nil)
         assert np.max(np.abs(propagator(h, t).matrix - exact)) < 1e-13
+
+
+# a signed cyclic permutation: every power of x P has 1-norm x^k, so _expm's eta is x
+SIGNED_CYCLE = np.array([[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+
+
+class _Recording(dict):
+    """The Pade coefficient table, recording which degrees are read."""
+
+    def __getitem__(self, m):
+        self.read.append(m)
+        return super().__getitem__(m)
+
+
+def expm_band_cases():
+    for x, degree in ((0.01, 3), (0.2, 5), (0.9, 7), (2.0, 9), (4.0, 13), (40.0, 13)):
+        for name, phase in (("real", 1.0), ("complex", np.exp(0.3j)), ("imaginary", 1j)):
+            yield pytest.param(x * phase * SIGNED_CYCLE, degree, id=f"{name}-{x}")
+    # ||N||_1 = 15, past every theta_m, but N^4 = 0: eta = 0 takes degree 3
+    yield pytest.param(np.triu(np.full((4, 4), 5.0), 1), 3, id="nilpotent")
+
+
+@pytest.mark.parametrize("a, degree", expm_band_cases())
+def test_expm_matches_scipy_in_each_degree_band(monkeypatch, a, degree):
+    # x P in the band of each Pade degree, the last scaled by 2^-4; ||x P||_1 = x,
+    # so degrees 3 to 7 come from Higham's bound on ||a||_1, 9 and 13 from eta.
+    # Both are scaling and squaring to a backward error of u; against exp(x P)
+    # to 50 digits (mpmath), scipy is off by up to 2.4e-13 of the largest entry
+    # (real, x = 4) and _expm by up to 1.5e-14, so they agree to 1e-12 of it
+    table = _Recording(dynamics._PADE)
+    table.read = []
+    monkeypatch.setattr(dynamics, "_PADE", table)
+    want = scipy.linalg.expm(a)
+    got = _expm(a)
+    assert table.read == [degree]
+    assert got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_expm_stack_shares_the_scaling_of_its_largest_member():
+    # members from 1e-6 to 30 times one random complex matrix take the degree
+    # and 2^-s of the largest (s = 5); the small ones are squared far more than
+    # scipy squares them, and still agree with it to 1e-13 of their largest
+    # entry (read: 4.7e-15 at 1e-6, 4.3e-15 at 30)
+    rng = np.random.default_rng(1)
+    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    stack = np.array([1e-6 * g, 1e-3 * g, g, 30.0 * g])
+    got = _expm(stack)
+    for a, e in zip(stack, got):
+        want = scipy.linalg.expm(a)
+        assert np.max(np.abs(e - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_expm_of_zero_and_of_an_empty_stack():
+    for zero in (np.zeros((3, 3)), np.zeros((2, 3, 3), dtype=complex)):
+        assert np.array_equal(_expm(zero), scipy.linalg.expm(zero))
+        assert np.array_equal(_expm(zero), np.broadcast_to(np.eye(3), zero.shape))
+    empty = np.zeros((0, 3, 3), dtype=complex)
+    assert _expm(empty).shape == scipy.linalg.expm(empty).shape == (0, 3, 3)
 
 
 def ep_propagator(t):

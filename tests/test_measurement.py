@@ -16,6 +16,7 @@ from antizeno import (
     repeated_measurement_trajectory,
     transition_matrix,
 )
+from antizeno import dynamics
 from antizeno.dynamics import _EIGEN_COND, DensityMatrix, eig_system, evolve, propagator, pure_site_state
 from antizeno.entanglement import measured_concurrence, simulate_concurrence
 from antizeno.measurement import (
@@ -186,13 +187,13 @@ def test_measured_states_take_expm_only_past_the_cutoff(three_site_degenerate, m
     assert 50 < conds[0] and conds[-1] < _EIGEN_COND < 1.2 * conds[-1]
     refs = [reference_measured_states(m._h_eff, channel, pure_site_state(2, 1), times) for m in near]
     stacks = []
-    expm = scipy.linalg.expm
+    expm = dynamics._expm
 
     def counting(a):
         stacks.append(np.shape(a))
         return expm(a)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    monkeypatch.setattr(dynamics, "_expm", counting)
     fig3, fig3_channel = effective_hamiltonian(three_site_degenerate), MeasurementChannel(frozenset({2}), 0.1)
     states = measured_states(fig3, fig3_channel, pure_site_state(3, 2), np.linspace(0.0, 20.0, 2001))
     assert len(states) == 2001 and stacks == []

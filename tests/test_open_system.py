@@ -485,8 +485,8 @@ def test_master_states_equal_a_fresh_exponential(case):
 )
 def test_master_takes_one_exponential_per_run(monkeypatch, times, expected):
     calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    expm = open_system._expm
+    monkeypatch.setattr(open_system, "_expm", lambda a: calls.append(a) or expm(a))
     integrate_master(fig3_spec(10.0), pure_site_state(3, 2), times)
     assert len(calls) == expected
 
@@ -541,16 +541,19 @@ def test_master_rejects_an_invalid_initial_state(two_site_disordered, rho0):
         [[0.0, 0.0, 0.0], [0.0, 1.0, 0.7], [0.0, 0.0, 0.0]],
         [[1.2, 0.0, 0.0], [0.0, -0.2, 0.0], [0.0, 0.0, 0.0]],
         [[0.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 0.0]],
+        [[1.0, 0.0], [0.0, 0.0]],
     ],
-    ids=["non-hermitian", "non-psd", "trace-1.5"],
+    ids=["non-hermitian", "non-psd", "trace-1.5", "two-site"],
 )
 def test_jump_modes_reject_an_invalid_initial_state_alike(rho0):
     # poisson mode used to read only the lower triangle, so the non-Hermitian
-    # array ran as |2><2|; both modes now check an array rho0 as a DensityMatrix
+    # array ran as |2><2|; both modes now check an array rho0 as a DensityMatrix,
+    # and a 2-site state on the 3-site model as integrate_master does
     spec = fig3_spec(10.0)
     errors = []
     for mode in ("poisson", "periodic"):
-        with pytest.raises(ValueError, match="not Hermitian|not positive semidefinite|trace 1.5") as err:
+        pattern = "not Hermitian|not positive semidefinite|trace 1.5|state dimension does not match model"
+        with pytest.raises(ValueError, match=pattern) as err:
             quantum_jump_ensemble(spec, np.array(rho0), [0.0, 1.0], n_traj=4, seed=0, mode=mode)
         errors.append(str(err.value))
     assert errors[0] == errors[1]
