@@ -7,7 +7,6 @@ binomial closed form, and Zeno/anti-Zeno crossover detection.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +30,8 @@ from .dynamics import (
 )
 from .errors import OutOfRegimeError
 from .model import LatticeModel, _is_integer
+
+_WINDOW = 4096  # crossover_time's rows per window of powers, 32 kB per site
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,6 @@ class MeasuredTrajectory:
 
     @property
     def traces(self) -> np.ndarray:
-        if self.states is not None:
-            return np.array([s.trace for s in self.states])
         return self.populations.sum(axis=1)
 
 
@@ -215,8 +214,12 @@ def _after_by_powers(u: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.nd
 def _intervals(t, tau: float):
     """The number of whole intervals tau in each time t: fl(k tau) / tau can
     fall an ulp below k, and from k = 2^13 on that ulp exceeds an absolute
-    1e-12 slack, so the slack is relative."""
-    return np.floor(np.asarray(t) / tau * (1 + 1e-12)).astype(np.intp)
+    1e-12 slack, so the slack is relative.  From t / tau = 2^53 on the count
+    is no longer exact (and soon overflows an integer), so it raises."""
+    x = np.asarray(t) / tau
+    if np.any(x >= 2.0**53):
+        raise ValueError(f"t / tau = {float(np.max(x)):.3g} reaches 2^53: the interval count is not exact")
+    return np.floor(x * (1 + 1e-12)).astype(np.intp)
 
 
 def transition_matrix(h_eff, tau: float) -> TransitionMatrix:
@@ -233,8 +236,8 @@ def repeated_measurement_trajectory(
     """Alternate free evolution and the measurement channel for n_steps intervals.
 
     When every site is measured the state stays diagonal, so the trajectory is
-    the exact matrix iteration p(t_k) = T^k p(0); otherwise the full density
-    matrix is propagated.
+    the matrix iteration p(t_k) = T^k p(0), reached through dynamics._powers
+    and states is None; otherwise the full density matrix is propagated.
     """
     if not (_is_integer(n_steps) and n_steps >= 0):
         raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
@@ -242,22 +245,10 @@ def repeated_measurement_trajectory(
     tau = channel.interval
     times = np.arange(n_steps + 1) * tau
     if channel.measured_sites == frozenset(range(1, n + 1)):
-        traj = np.array(list(itertools.islice(_site_populations(model, tau), n_steps + 1)))
-        return MeasuredTrajectory(times=times, populations=traj)
+        t, p0 = transition_matrix(model._h_eff, tau).matrix, np.eye(n)[model.initial_site - 1]
+        return MeasuredTrajectory(times=times, populations=_powers(t, p0, np.arange(n_steps + 1)))
     stack = _measured_stack(model._h_eff, channel, pure_site_state(n, model.initial_site), times)
     return MeasuredTrajectory(times=times, populations=populations(stack), states=tuple(_density_matrices(stack)))
-
-
-def _site_populations(model: LatticeModel, tau: float):
-    """p(k tau) = T^k p(0) for k = 0, 1, 2, ... under measurement of every
-    site every tau, starting on the initial site: the state stays diagonal,
-    so each interval is one product with T."""
-    t = transition_matrix(model._h_eff, tau).matrix
-    p = np.zeros(model.n_sites)
-    p[model.initial_site - 1] = 1.0
-    while True:
-        yield p
-        p = t @ p
 
 
 def recursive_step(p, tau: float, v: float) -> np.ndarray:
@@ -294,12 +285,10 @@ def binomial_population(L: int, n: int, tau: float, v: float) -> float:
     if n < L:
         raise OutOfRegimeError(f"n = {n} < L = {L}")
     w = (tau * v) ** 2
-    if n * w >= 1:
-        raise OutOfRegimeError(f"n tau^2 v^2 = {n * w:.3g} >= 1; outside validity regime")
-    if n > 50:
-        log_c = math.lgamma(n + 1) - math.lgamma(L + 1) - math.lgamma(n - L + 1)
-        return math.exp(log_c + (n - L) * math.log1p(-2 * w) + L * math.log(w))
-    return float(math.comb(n, n - L) * (1 - 2 * w) ** (n - L) * w**L)
+    if not 0 < n * w < 1:  # at 0 the log-domain form has no log(w)
+        raise OutOfRegimeError(f"n tau^2 v^2 = {n * w:.3g} is not in (0, 1); outside validity regime")
+    log_c = math.lgamma(n + 1) - math.lgamma(L + 1) - math.lgamma(n - L + 1)
+    return math.exp(log_c + (n - L) * math.log1p(-2 * w) + L * math.log(w))
 
 
 def crossover_time(model: LatticeModel, tau: float, horizon: float) -> dict:
@@ -309,16 +298,16 @@ def crossover_time(model: LatticeModel, tau: float, horizon: float) -> dict:
     Returns a dict with t_c, n_c, p_bar (exact time average over
     T = max(100, 2000 / largest energy gap), or 200 for a resonant model) and,
     for chains, the leading-order p_bar alongside.  t_c is None when no
-    crossover occurs within the horizon.
+    crossover occurs within the horizon.  p(t_k) = T^k p(0) comes from
+    dynamics._powers in windows of _WINDOW rows, each starting from the last
+    row of the one before, up to the first window that crosses.
     """
     if not (math.isfinite(horizon) and horizon >= tau):
         raise ValueError("horizon must be finite and at least one interval")
     if np.any(model.trap_rates > 0) or model.decay_rate > 0:
         raise ValueError("crossover analysis requires kappa = Gamma = 0")
     n = model.n_sites
-    e = model.site_energies
-    gaps = np.abs(e[:, None] - e[None, :])
-    max_gap = float(gaps.max())
+    max_gap = float(np.ptp(model.site_energies))
     # well past 1/eps for any disordered model; generous for near-resonant ones
     t_avg = 200.0 if max_gap == 0 else max(100.0, 2000.0 / max_gap)
     p_bar = time_averaged_population(model, n, t_avg)
@@ -326,10 +315,15 @@ def crossover_time(model: LatticeModel, tau: float, horizon: float) -> dict:
         p_bar_leading = perturbative_average(model)
     except ValueError:
         p_bar_leading = None
-    steps = itertools.islice(_site_populations(model, tau), 1, int(_intervals(horizon, tau)) + 1)
-    for k, p in enumerate(steps, start=1):
-        if p[-1] > p_bar:
+    t, p = transition_matrix(model._h_eff, tau).matrix, np.eye(n)[model.initial_site - 1]
+    k_max = int(_intervals(horizon, tau))
+    for k0 in range(0, k_max, _WINDOW):
+        rows = _powers(t, p, np.arange(1, min(_WINDOW, k_max - k0) + 1))  # p(t_k) for k = k0 + 1, ...
+        crossed = np.flatnonzero(rows[:, -1] > p_bar)
+        if crossed.size:
+            k = k0 + int(crossed[0]) + 1
             return {"t_c": k * tau, "n_c": k, "p_bar": p_bar, "p_bar_leading": p_bar_leading}
+        p = rows[-1]
     return {"t_c": None, "n_c": None, "p_bar": p_bar, "p_bar_leading": p_bar_leading}
 
 

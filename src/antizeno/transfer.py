@@ -133,12 +133,17 @@ def _interval_integrals_eigen(f: _Factors, rows, tau):
     return (rows * e).view(float) @ f.q
 
 
-def _interval_integrals_quadrature(h, tau, panels=4, nodes=16):
-    """Composite Gauss-Legendre fallback for the per-interval integrals, on one propagator stack."""
-    x, wts = np.polynomial.legendre.leggauss(nodes)
-    width = tau / panels
-    s = (np.arange(panels)[:, None] * width + (x + 1) * width / 2).ravel()
-    return np.tensordot(np.tile(wts, panels) * (width / 2), np.abs(_propagators(h, s)) ** 2, axes=1)
+def _interval_integrals_quadrature(h, tau):
+    """Composite Gauss-Legendre fallback for the per-interval integrals: 16 nodes on each of
+    max(4, ceil(tau ||H_eff||_1)) panels, so no panel spans more than 2 radians of a frequency
+    of |U(s)|^2 (each is at most 2 ||H_eff||_1), summed from one propagator stack per 4 panels."""
+    x, wts = np.polynomial.legendre.leggauss(16)
+    panels = max(4, math.ceil(tau * np.linalg.norm(h, 1)))
+    width, a = tau / panels, np.zeros(h.shape)
+    for first in range(0, panels, 4):
+        s = (np.arange(first, min(first + 4, panels))[:, None] * width + (x + 1) * width / 2).ravel()
+        a += np.tensordot(np.resize(wts, s.size) * (width / 2), np.abs(_propagators(h, s)) ** 2, axes=1)
+    return a
 
 
 def _require_lossy(model):

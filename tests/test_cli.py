@@ -523,14 +523,22 @@ def test_out_that_is_a_file_exits_1(tmp_path, capsys):
     assert "engine error: " in capsys.readouterr().err
 
 
+def test_measured_concurrence_past_2_53_intervals_exits_1(tmp_path, capsys):
+    # t / tau = 1e20 wraps an int64 interval count; the run must fail, not write a row
+    dynamics = {"kind": "measurement", "tau": 0.1, "measured_sites": [2]}
+    config = {"scenario": "concurrence", "model": inline_three_site(), "pair": [1, 3], "times": [0.0, 1e19]}
+    assert run({**config, "dynamics": dynamics, "out": str(tmp_path)}) == 1
+    assert "engine error: t / tau = 1e+20 reaches 2^53" in capsys.readouterr().err
+
+
 def test_validate_reports_the_first_problem_only():
     diag = validate({"scenario": "figure2", "kappa": None, "n_points": "a"})
     assert diag == ["kappa must be a finite number >= 0, got None"]
 
 
 # -- fuzz: one key of a small valid config per scenario set to an odd JSON value --
-# The values stay small: crossover_time steps horizon / tau times in Python, so
-# a tau of 1e-6 would run for hours.
+# The values stay small: crossover_time takes about 25 ns per interval, in
+# windows of 4,096 powers, so a horizon / tau of 1e12 would run for hours.
 _ODD = st.sampled_from([None, True, False, -1, 0, 0.5, 2.5, 1e3, math.inf, -math.inf, math.nan, "", "1"])
 _JSON_VALUES = st.one_of(
     _ODD, st.lists(_ODD, max_size=3), st.dictionaries(st.sampled_from(["max", "n", "kind", "tau"]), _ODD, max_size=2)

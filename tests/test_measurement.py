@@ -24,6 +24,7 @@ from antizeno.measurement import (
     _after_by_powers,
     _after_by_steps,
     _by_powers,
+    _intervals,
     channel_masks,
     measured_states,
     trajectory_to_csv,
@@ -140,15 +141,20 @@ def test_trajectory_rejects_a_non_integer_step_count(three_site_degenerate, site
 
 
 def test_trajectory_fast_path_matches_density_path():
+    # reference: explicit evolve/measure loop on the density matrix.  Each of
+    # the k products with T that p(t_k) stands for, taken as powers or one
+    # interval at a time, adds about d u to populations <= 1, so the two
+    # paths differ by at most 2 d u k (the largest ratio here is 0.25)
     m = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
     ch = MeasurementChannel(frozenset([1, 2]), 0.1)
-    traj = repeated_measurement_trajectory(m, ch, 10)
-    # reference: explicit evolve/measure loop on the density matrix
+    n_steps, d = 2000, 2
+    traj = repeated_measurement_trajectory(m, ch, n_steps)
+    assert traj.states is None
     u = propagator(effective_hamiltonian(m), 0.1)
     rho = pure_site_state(2, 1)
-    for k in range(1, 11):
+    for k in range(1, n_steps + 1):
         rho = apply_channel(ch, evolve(u, rho))
-        assert np.max(np.abs(np.diag(rho.matrix).real - traj.populations[k])) < 1e-12
+        assert np.max(np.abs(np.diag(rho.matrix).real - traj.populations[k])) <= 2 * d * 2.0**-53 * k
 
 
 def test_measured_states_step_count_on_a_long_grid(two_site_disordered):
@@ -405,11 +411,9 @@ def test_binomial_population_values():
 
 
 def test_binomial_population_log_domain_consistent():
-    # the n > 50 log-domain branch continues the direct formula smoothly
-    import math
-
+    # the log-domain formula equals the direct C(n, n-L) form, from small n on
     tau, v, L = 0.02, 1.0, 2
-    for n in [51, 80, 200]:
+    for n in [2, 5, 51, 80, 200]:
         w = (tau * v) ** 2
         direct = math.comb(n, n - L) * (1 - 2 * w) ** (n - L) * w**L
         assert binomial_population(L, n, tau, v) == pytest.approx(direct, rel=1e-10)
@@ -420,6 +424,12 @@ def test_binomial_population_out_of_regime():
         binomial_population(3, 2, 0.1, 1.0)
     with pytest.raises(OutOfRegimeError):
         binomial_population(1, 200, 0.1, 1.0)  # n tau^2 v^2 = 2
+
+
+def test_binomial_population_without_hopping_is_out_of_regime():
+    # tau v = 0 leaves no log(w) for the log-domain form
+    with pytest.raises(OutOfRegimeError, match="not in \\(0, 1\\)"):
+        binomial_population(1, 5, 0.1, 0.0)
 
 
 def test_crossover_two_site():
@@ -439,6 +449,42 @@ def test_crossover_keeps_the_interval_that_ends_at_the_horizon():
     assert crossover_time(m, tau, horizon=200.0)["n_c"] == 54492
     out = crossover_time(m, tau, horizon=54492 * tau)
     assert out["n_c"] == 54492 and out["t_c"] == 54492 * tau
+
+
+def per_interval_crossover(model, tau, horizon, p_bar):
+    """The first k <= horizon / tau with (T^k p(0))_n > p_bar, one p <- T p per interval."""
+    t = transition_matrix(model._h_eff, tau).matrix
+    p = np.eye(model.n_sites)[model.initial_site - 1]
+    for k in range(1, int(horizon / tau * (1 + 1e-12)) + 1):
+        p = t @ p
+        if p[-1] > p_bar:
+            return k
+    return None
+
+
+@pytest.mark.parametrize(
+    "n, tau, horizon",
+    [(n, 0.05, 4000.0) for n in range(3, 8)]  # acceptance 09a's chains
+    + [(2, tau, 50.0) for tau in (0.05, 0.1, 0.3)]
+    + [(2, 0.0006000000000000001, 200.0)],  # 13 whole windows of powers and a partial one
+)
+def test_crossover_matches_the_per_interval_loop(n, tau, horizon):
+    m = build_chain(n, np.linspace(10.0, 0.0, n), v=1.0, trap_rate=0.0, decay_rate=0.0)
+    out = crossover_time(m, tau, horizon)
+    assert out["n_c"] == per_interval_crossover(m, tau, horizon, out["p_bar"])
+
+
+def test_interval_counts_from_2_53_raise(three_site_degenerate):
+    # from t / tau = 2^53 on the interval count is not exact, and at 1e20 it
+    # wraps an int64: each entry point must raise rather than return a state
+    with pytest.raises(ValueError, match="reaches 2\\^53"):
+        _intervals(2.0**53, 1.0)
+    channel = MeasurementChannel(frozenset({2}), 0.1)
+    with pytest.raises(ValueError, match="reaches 2\\^53"):
+        measured_states(effective_hamiltonian(three_site_degenerate), channel, pure_site_state(3, 2), [0.0, 1e19])
+    m = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
+    with pytest.raises(ValueError, match="reaches 2\\^53"):
+        crossover_time(m, 0.1, horizon=1e300)
 
 
 def test_crossover_no_hopping():

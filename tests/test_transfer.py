@@ -102,11 +102,12 @@ def test_interval_integrals_equal_the_einsum_and_quadrature_forms(n, lossless):
     # The product form sums the einsum's n^2 terms per entry as n(n+1)/2
     # conjugate pairs, in another order: with O(1) terms and entries at most
     # tau = 2 the roundoff is a few 1e-15 (3.6e-15 at most here).  The
-    # 4 x 16-node Gauss-Legendre rule resolves the frequencies
-    # |w_a - w_b| <= 11.5 of these chains far below 1e-10 (2.2e-14 at most
-    # here).  The factors are built once and serve every tau; no 0/0 may
-    # warn where delta_ab = 0.  The rows P give A itself (L = I); the loss
-    # rows L P give L A, zero where the chain is lossless.
+    # 16-node Gauss-Legendre rule on max(4, ceil(tau ||H_eff||_1)) panels
+    # (up to 24 here) resolves the frequencies |w_a - w_b| <= 11.5 of these
+    # chains far below 1e-10 (2.4e-14 at most here).  The factors are built
+    # once and serve every tau; no 0/0 may warn where delta_ab = 0.  The rows
+    # P give A itself (L = I); the loss rows L P give L A, zero where the
+    # chain is lossless.
     e = np.random.default_rng(n).uniform(0.0, 10.0, n)
     m = build_chain(n, e, v=1.0, trap_rate=0.0 if lossless else 0.5, decay_rate=0.0 if lossless else 0.001)
     h = effective_hamiltonian(m).matrix
@@ -129,11 +130,13 @@ def test_measured_takes_the_quadrature_path_at_a_defective_h():
     # the exceptional-point dimer at v = 1.5, kappa = 2v, Gamma = 0 has
     # cond(V) = 1.9e8, past eig_system's cutoff: U comes from expm and A from
     # quadrature.  With no decay every excitation is trapped, so eta = 1; the
-    # quadrature is exact to about 1e-14 at this |H| and the series adds the
-    # roundoff of (I - T)^-1, about 1e-13 at tau = 0.05 where 1 - rho(T) ~ 1e-2.
+    # quadrature takes max(4, ceil(4.5 tau)) panels, so it is exact to about
+    # 1e-14 at every tau (a fixed 4 panels read eta - 1 = -3.6e-8 at tau = 50
+    # and -0.063 at tau = 200), and the series adds the roundoff of
+    # (I - T)^-1, about 1e-13 at tau = 0.05 where 1 - rho(T) ~ 1e-2.
     m = build_chain(2, [0.0, 0.0], v=1.5, trap_rate=3.0, decay_rate=0.0)
     assert eig_system(m._h_eff.matrix)[2] is None
-    for tau in (0.05, 0.5, 2.0):
+    for tau in (0.05, 0.5, 2.0, 50.0, 200.0):
         r = efficiency_measured(m, tau)
         assert r.dissipated == 0.0 and abs(r.eta - 1.0) < 1e-10
 
