@@ -19,6 +19,13 @@ _COND_CUTOFF = 1e8
 # cond 9.0e7) to 2.001 (cond 63), t in [0, 5].  A 1e-10 error allows cond(V) up to
 # 1e-10 / (1.03 u) = 8.7e5; the cutoff keeps a margin of 8.7.  Seeded disorder models read < 15.
 _EIGEN_COND = 1e5
+# The Poisson integrals' rule (transfer._poisson_integrals).  Their eigen sums Re[(P . E) Q] cancel
+# terms of size cond(V)^2, and the renewal series amplifies what is left as the rate r grows past
+# the hopping rates (Zeno regime), as it does the Schur solve's error.  On dimers with eps = Gamma = 0,
+# v = 1 and kappa = 2 + 10^-1 ... 10^-7 (cond 6.4 to 6.3e3), where eta = 1 exactly, |eta - 1| read
+# k cond(V)^2 u with k <= 0.73 at r = 0, 1.9 at r = 1 and 39 at r = 10.  A 1e-10 error up to r = 10
+# allows cond(V) up to (1e-10 / (39 u))^(1/2) = 152; the cutoff keeps a margin of 2.3 in the error.
+_EIGEN_SUM_COND = 100.0
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 # Higham's theta_m (2005; the same in Al-Mohy and Higham 2009): the largest ||a||_1, or

@@ -212,14 +212,17 @@ def _after_by_powers(u: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.nd
 
 
 def _intervals(t, tau: float):
-    """The number of whole intervals tau in each time t: fl(k tau) / tau can
-    fall an ulp below k, and from k = 2^13 on that ulp exceeds an absolute
-    1e-12 slack, so the slack is relative.  From t / tau = 2^53 on the count
-    is no longer exact (and soon overflows an integer), so it raises."""
+    """The number of whole intervals tau in each time t.  A time t = fl(k tau)
+    divided by tau is k (1 + e1)(1 + e2) with |e1|, |e2| <= u = 2^-53, so it
+    can fall up to about 2u relative below k; scaling by 1 + 4u = 1 + 2^-51,
+    the first float past 1 + 2u, lifts it back to k (rounding to the float k
+    keeps it there), while a time 4u k or more below k tau still counts
+    k - 1.  From t / tau = 2^53 on the count is no longer exact (and soon
+    overflows an integer), so it raises."""
     x = np.asarray(t) / tau
     if np.any(x >= 2.0**53):
         raise ValueError(f"t / tau = {float(np.max(x)):.3g} reaches 2^53: the interval count is not exact")
-    return np.floor(x * (1 + 1e-12)).astype(np.intp)
+    return np.floor(x * (1 + 2.0**-51)).astype(np.intp)
 
 
 def transition_matrix(h_eff, tau: float) -> TransitionMatrix:

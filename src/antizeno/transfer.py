@@ -6,7 +6,10 @@ sum collapses to the geometric series w . (I - T)^-1 p(0), where w_j is the
 per-interval trapped weight and T the transition matrix.  Periodic measurement
 weights the interval [0, tau]; dephasing on all sites is the same channel at
 Poisson-timed events, with weight exp(-r s) on [0, inf); and free evolution is
-the Poisson case at r = 0, where T = 0.
+the Poisson case at r = 0, where T = 0.  Both laws share one eigen-sum kernel
+on H_eff = V diag(w) V^-1 (_interval_integrals_eigen); the Poisson case falls
+back to a Schur solve where V is ill-conditioned or a mode does not decay, and
+only that fallback and the per-tau solve of the measured series load scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _propagators, _write_csv, eig_system
+from .dynamics import _EIGEN_SUM_COND, _propagators, _write_csv, eig_system
 from .model import LatticeModel
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -61,10 +64,11 @@ class TauScan:
 
 
 class _Factors(NamedTuple):
-    """The tau-independent factors of the measured series for one model and its eigendecomposition.
+    """The factors of the eigen-sum kernel for one model and its eigendecomposition.
 
     The (a, b) and (b, a) terms of A are complex conjugates, so the pairs run over a <= b only (m = n(n+1)/2,
-    off-diagonal ones twice); per tau the weights L A take one (2 x 2m)(2m x n) product, A an (n x 2m)(2m x n) one.
+    off-diagonal ones twice).  An interval law enters only through its weights E_ab: the rows L P give the two
+    loss-weight rows L A in one (2 x 2m)(2m x n) product, the rows P all of A in one (n x 2m)(2m x n) product.
     """
 
     mjw: np.ndarray  # -i w
@@ -72,7 +76,8 @@ class _Factors(NamedTuple):
     min_abs_delta: float
     mjdelta: np.ndarray  # (m,) -i delta_ab, and -i where delta_ab = 0
     q: np.ndarray  # (2m, n) real: rows Re and -Im of Q[(a,b),j] = (2 - [a = b]) Vinv[a,j] conj Vinv[b,j]
-    lp: np.ndarray  # (2, m) complex: L P, the loss rows L of _model_terms times P[i,(a,b)] = V[i,a] conj V[i,b]
+    p: np.ndarray  # (n, m) complex, C order: P[i,(a,b)] = V[i,a] conj V[i,b]
+    lp: np.ndarray  # (2, m) complex: L P, the loss rows L of _model_terms times P
     eye: np.ndarray  # (n, n) identity
     start: np.ndarray  # (n,) the initial site's column of it, p(0)
 
@@ -91,8 +96,8 @@ def _series_factors(model, eig) -> _Factors:
 
     Memoized per thread on the identities of both (two models can share an
     equal H, for which eig_system returns the same read-only tuple, and differ
-    in L or p(0)), one entry: a scan runs one model at a time.  Q holds
-    n^2 (n+1)/2 complex values, 0.27 MB per thread at n = 32.
+    in L or p(0)), one entry: a scan runs one model at a time.  P and Q each
+    hold n^2 (n+1)/2 complex values, together 0.54 MB per thread at n = 32.
     """
     last = getattr(_MEMO, "last", None)
     if last is not None and last[0] is model and last[1] is eig:
@@ -104,6 +109,7 @@ def _series_factors(model, eig) -> _Factors:
     delta = w[ia] - w[ib].conj()
     abs_delta = np.abs(delta)
     q = np.where(ia == ib, 1.0, 2.0)[:, None] * vinv[ia] * vinv[ib].conj()
+    p = np.multiply(v[:, ia], v[:, ib].conj(), order="C")
     l, eye, start = _model_terms(model)
     factors = _Factors(
         mjw=-1j * w,
@@ -111,7 +117,8 @@ def _series_factors(model, eig) -> _Factors:
         min_abs_delta=float(abs_delta.min()),
         mjdelta=-1j * np.where(abs_delta == 0, 1.0, delta),
         q=np.stack([q.real, -q.imag], axis=1).reshape(-1, n),
-        lp=l @ (v[:, ia] * v[:, ib].conj()),
+        p=p,
+        lp=l @ p,
         eye=eye,
         start=start,
     )
@@ -119,18 +126,28 @@ def _series_factors(model, eig) -> _Factors:
     return factors
 
 
-def _interval_integrals_eigen(f: _Factors, rows, tau):
-    """R A for the (k, m) rows R P of a real (k, n) R, A[i,j] = int_0^tau |<i|U(s)|j>|^2 ds:
-    rows = P (C order) gives A itself and rows = f.lp the weights L A.
+def _interval_integrals_eigen(rows, e, q):
+    """R A for the (k, m) rows R P of a real (k, n) R and the rows q of
+    _Factors or some of its columns, where A[i,j] = int g(s) |<i|U(s)|j>|^2 ds
+    under an interval law g(s) whose weights are
+    E_ab = int g(s) exp(-i delta_ab s) ds: rows = P gives A itself and
+    rows = L P the weights L A.
 
-    With E_ab = int_0^tau exp(-i delta_ab s) ds, R A = Re[((R P) . E) Q] is one real
-    (k x 2m)(2m x n) product: (R P) . E viewed as reals interleaves its real and
-    imaginary parts, as the rows of q do.  E_ab = tau where |delta_ab| tau < 1e-10.
+    R A = Re[((R P) . E) Q] is one real (k x 2m)(2m x n) product: (R P) . E
+    viewed as reals interleaves its real and imaginary parts, as the rows of q
+    do.  Two laws call it: periodic measurement (_periodic_law) and
+    Poisson-timed events (_poisson_integrals).
     """
+    return (rows * e).view(float) @ q
+
+
+def _periodic_law(f: _Factors, tau):
+    """E_ab = int_0^tau exp(-i delta_ab s) ds = (exp(-i delta_ab tau) - 1) / (-i delta_ab),
+    and tau where |delta_ab| tau < 1e-10."""
     e = (np.exp(f.mjdelta * tau) - 1.0) / f.mjdelta
     if f.min_abs_delta * tau < 1e-10:
         e = np.where(f.abs_delta * tau < 1e-10, tau, e)
-    return (rows * e).view(float) @ f.q
+    return e
 
 
 def _interval_integrals_quadrature(h, tau):
@@ -154,6 +171,32 @@ def _require_lossy(model):
 def _poisson_integrals(model, rate):
     """A[i,j] = int_0^inf exp(-rate s) |<i|U(s)|j>|^2 ds for Poisson-timed events.
 
+    On the eigenbasis the interval law has E_ab = 1 / (rate - mjdelta_ab), and
+    A = Re[(P . E) Q] (_interval_integrals_eigen): all of A at rate > 0, only
+    the initial site's column at rate 0, where T = 0.  Two checks read from
+    the model send it to the Schur solve instead: cond(V) at or past
+    _EIGEN_SUM_COND, and a pair that does not decay, Re(0 - mjdelta_ab) =
+    -(Im w_a + Im w_b) <= 0 (a dark state, an isolated lossless site).  Some
+    pair fails exactly where some mode has Im w_a >= 0, checked to within the
+    eigenvalues' roundoff n cond(V) eps ||H_eff||_1.  Where every pair decays
+    no delta_ab is 0, so mjdelta holds no placeholder and every E_ab is finite.
+    """
+    h = model._h_eff.matrix
+    w, _, _, cond = eig = eig_system(h)
+    n = model.n_sites
+    if cond < _EIGEN_SUM_COND and w.imag.max() < -n * cond * np.finfo(float).eps * np.linalg.norm(h, 1):
+        f = _series_factors(model, eig)
+        j = slice(None) if rate > 0 else model.initial_site - 1
+        a = np.zeros((n, n))
+        a[:, j] = _interval_integrals_eigen(f.p, 1.0 / (rate - f.mjdelta), f.q[:, j])
+        return a
+    return _poisson_integrals_schur(model, rate)
+
+
+def _poisson_integrals_schur(model, rate):
+    """_poisson_integrals by a Lyapunov solve per column, exact to roundoff
+    also where H_eff is defective or a mode does not decay.
+
     Column j is the diagonal of the X that solves
     (-i H_eff - rate/2) X + X (-i H_eff - rate/2)^dag = -E_j: with one complex
     Schur form Z S Z^dag for all columns, S Y + Y S^dag = -Z^dag E_j Z is one
@@ -173,7 +216,20 @@ def _poisson_integrals(model, rate):
     return a
 
 
-def _series_result(t, weights, eye, start, tau, method) -> EfficiencyResult:
+def _gesv(a, b):
+    """a^-1 b by LAPACK's dgesv itself.  The Poisson series solves once per
+    model, with np.linalg.solve; the measured series solves once per tau,
+    where np.linalg.solve's wrapper adds 4.6 us (+20% of a tau at n = 2), so
+    it keeps scipy's dgesv until the tau scan is batched (ROADMAP items 2, 12)."""
+    import scipy.linalg
+
+    _, _, x, info = scipy.linalg.lapack.dgesv(a, b)
+    if info:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
+
+
+def _series_result(t, weights, eye, start, tau, method, solve=_gesv) -> EfficiencyResult:
     """eta = w . (I - T)^-1 p(0) from the transition matrix T and the (2, n)
     per-start-site trapped and dissipated weights L A, whose first row is w."""
     # rho(T) <= ||T||_1, the largest column sum of |T|: each column of T plus
@@ -183,28 +239,25 @@ def _series_result(t, weights, eye, start, tau, method) -> EfficiencyResult:
         radius = float(np.max(np.abs(np.linalg.eigvals(t))))
         if radius >= 1 - 1e-12:
             raise ValueError(f"series non-convergent: spectral radius {radius}")
-    import scipy.linalg
-
-    # gesv itself: np.linalg.solve's wrapper costs several times the solve at n = 2
-    _, _, x, info = scipy.linalg.lapack.dgesv(eye - t, start)
-    if info:
-        raise np.linalg.LinAlgError("Singular matrix")
-    trapped, dissipated = (weights @ x).tolist()
+    trapped, dissipated = (weights @ solve(eye - t, start)).tolist()
     return EfficiencyResult(eta=trapped, trapped=trapped, dissipated=dissipated, residual=0.0, tau=tau, method=method)
 
 
 def _poisson_efficiency(model, rate, method) -> EfficiencyResult:
-    """The series with channel events at Poisson rate (none at rate 0): T = rate A.
+    """The series with channel events at Poisson rate (none at rate 0): T = rate A,
+    with A from _poisson_integrals and one np.linalg.solve, so a model that passes
+    its two checks runs on numpy alone.
 
     The system empties completely, so residual is 0 and the sum rule
     trapped + dissipated = 1 can fail only if some mode never decays.  Such a
-    mode raises ValueError: at rate > 0 through the spectral radius of T, at
-    rate 0 through the sum rule if the initial state populates it.
+    mode takes the Schur solve and raises ValueError: at rate > 0 through the
+    spectral radius of T, at rate 0 through the sum rule if the initial state
+    populates it.
     """
     _require_lossy(model)
     a = _poisson_integrals(model, rate)
     l, eye, start = _model_terms(model)
-    res = _series_result(rate * a, l @ a, eye, start, 1.0 / rate if rate > 0 else None, method)
+    res = _series_result(rate * a, l @ a, eye, start, 1.0 / rate if rate > 0 else None, method, np.linalg.solve)
     if not abs(res.trapped + res.dissipated - 1.0) <= 1e-8:
         raise ValueError(f"non-decaying mode: trapped + dissipated = {res.trapped + res.dissipated:.12g}")
     return res
@@ -237,7 +290,7 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
     if vinv is not None:
         f = _series_factors(model, eig)
         u = (v * np.exp(f.mjw * tau)) @ vinv
-        weights, eye, start = _interval_integrals_eigen(f, f.lp, tau), f.eye, f.start
+        weights, eye, start = _interval_integrals_eigen(f.lp, _periodic_law(f, tau), f.q), f.eye, f.start
     else:
         l, eye, start = _model_terms(model)
         u = _propagators(h, [tau])[0]

@@ -454,13 +454,16 @@ import sys
 import numpy as np
 import antizeno.cli
 from antizeno import (
-    DephasingSpec, MeasurementChannel, build_chain, efficiency_dephasing, efficiency_measured,
-    integrate_master, quantum_jump_ensemble,
+    DephasingSpec, DisorderSpec, MeasurementChannel, build_chain, build_graph, efficiency_dephasing,
+    efficiency_measured, efficiency_no_measurement, integrate_master, quantum_jump_ensemble,
 )
 from antizeno.dynamics import propagator, pure_site_state
 from antizeno.entanglement import simulate_concurrence
 
-assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "import antizeno.cli loaded scipy"
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+assert not scipy_modules(), "import antizeno.cli loaded scipy"
 fig3 = build_chain(3, [1.0, 10.0, 1.0], v=1.0, trap_rate=0.0, decay_rate=0.0, initial_site=2)
 spec = DephasingSpec(fig3, 5.0, frozenset({2}))
 times = np.linspace(0.0, 20.0, 201)
@@ -474,24 +477,37 @@ assert simulate_concurrence(fig3, MeasurementChannel(frozenset({2}), 0.1), (1, 3
 ep = build_chain(2, [0.0, 0.0], v=1.0, trap_rate=2.0, decay_rate=0.0)
 nil = np.array([[1j, 1.0], [1.0, -1j]])
 assert np.max(np.abs(propagator(ep._h_eff, 1.5).matrix - np.exp(-1.5) * (np.eye(2) - 1.5j * nil))) < 1e-13
-assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "time evolution loaded scipy"
+assert not scipy_modules(), "time evolution loaded scipy"
 
-chain = build_chain(3, [0.0, 1.0, 2.0], v=1.0, trap_rate=0.5, decay_rate=0.001)
-assert 0.0 < efficiency_measured(chain, 0.5).eta < 1.0
-assert 0.0 < efficiency_dephasing(DephasingSpec(chain, 1.0, frozenset({1, 2, 3}))).eta < 1.0
+chain4 = build_chain(4, [10.0, 6.0, 3.0, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.001)
+chain32 = build_graph(DisorderSpec(32, "chain", 10.0, 1.0, 0.5, 0.001, seed=0))
+for m in (chain4, chain32):
+    assert 0.0 < efficiency_dephasing(DephasingSpec(m, 1.0, frozenset(range(1, m.n_sites + 1)))).eta < 1.0
+assert 0.0 < efficiency_no_measurement(build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.001)).eta < 1.0
+assert not scipy_modules(), "the Poisson efficiencies loaded scipy"
+
+if sys.argv[1] == "schur":  # the exceptional point's defective H_eff takes the Schur solve
+    assert abs(efficiency_dephasing(DephasingSpec(ep, 0.5, frozenset({1, 2}))).eta - 1.0) < 1e-12
+else:
+    chain = build_chain(3, [0.0, 1.0, 2.0], v=1.0, trap_rate=0.5, decay_rate=0.001)
+    assert 0.0 < efficiency_measured(chain, 0.5).eta < 1.0
 assert "scipy.linalg" in sys.modules
 """
 
 
 def test_scipy_is_loaded_only_by_the_kernels_that_call_it():
     # scipy.linalg costs 0.25-0.33 s of import (its array-API layer loads
-    # numpy.f2py, numpy.testing and numpy.ma), which the CLI import and time
-    # evolution do not need.  In one fresh interpreter: the import loads no
-    # scipy, nor do both jump-ensemble modes, unitary and measured
-    # concurrence, the dephased master equation and the exceptional-point
-    # propagator; then the two efficiency solves load scipy.linalg on first use
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_USE], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    # numpy.f2py, numpy.testing and numpy.ma) and raises peak memory by about
+    # 26 MB, which the CLI import, time evolution and the Poisson efficiencies
+    # do not need.  In one fresh interpreter: the import loads no scipy, nor do
+    # both jump-ensemble modes, unitary and measured concurrence, the dephased
+    # master equation, the exceptional-point propagator, efficiency_dephasing
+    # on a 4-site and a 32-site chain and efficiency_no_measurement on the
+    # Fig. 2 dimer; then the exceptional point's Schur solve or the measured
+    # series' per-tau dgesv, each in its own interpreter, loads scipy.linalg
+    for fallback in ("schur", "measured"):
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_USE, fallback], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_integer_model_file_is_not_read_from_stdin(tmp_path):

@@ -487,6 +487,19 @@ def test_interval_counts_from_2_53_raise(three_site_degenerate):
         crossover_time(m, 0.1, horizon=1e300)
 
 
+def test_interval_counts_near_whole_multiples():
+    # fl(k tau) / tau falls at most 2u below k, so the slack 1 + 4u counts k
+    # intervals in every t = fl(k tau); the relative 1e-12 slack it replaced
+    # counted one interval too many from t / tau = 1e12 on, and one too early
+    # just below a whole multiple
+    assert _intervals(1e12, 1.0) == 10**12
+    assert _intervals(3e12, 1.0) == 3 * 10**12
+    assert _intervals(1e6 - 1e-7, 1.0) == 10**6 - 1
+    ks = np.arange(2 * 10**5 + 1)
+    for tau in (0.1, 0.3, 0.0006000000000000001, 3.7):
+        assert np.array_equal(_intervals(ks * tau, tau), ks)
+
+
 def test_crossover_no_hopping():
     m = build_chain(2, [10.0, 0.0], v=0.0, trap_rate=0.0, decay_rate=0.0)
     out = crossover_time(m, 0.1, horizon=20.0)

@@ -24,6 +24,7 @@ from antizeno.transfer import (
     _interval_integrals_eigen,
     _interval_integrals_quadrature,
     _model_terms,
+    _periodic_law,
     _series_factors,
     scan_to_csv,
 )
@@ -120,10 +121,11 @@ def test_interval_integrals_equal_the_einsum_and_quadrature_forms(n, lossless):
             if lossless:  # real spectrum: the diagonal of E takes the small-delta branch
                 assert np.all(np.abs(w.imag) * 2 * tau < 1e-10)
                 assert f.min_abs_delta * tau < 1e-10
-            a = _interval_integrals_eigen(f, rows, tau)
+            e = _periodic_law(f, tau)
+            a = _interval_integrals_eigen(rows, e, f.q)
             assert np.max(np.abs(a - reference_interval_integrals(w, v, vinv, tau))) < 1e-13
             assert np.max(np.abs(a - _interval_integrals_quadrature(h, tau))) < 1e-10
-            assert np.max(np.abs(_interval_integrals_eigen(f, f.lp, tau) - loss @ a)) < 1e-13
+            assert np.max(np.abs(_interval_integrals_eigen(f.lp, e, f.q) - loss @ a)) < 1e-13
 
 
 def test_measured_takes_the_quadrature_path_at_a_defective_h():
@@ -256,7 +258,8 @@ def test_measured_series_vs_direct_summation(rng):
         eta = efficiency_measured(m, tau).eta
         h = effective_hamiltonian(m).matrix
         w, v_, vinv, _ = eig = eig_system(h)
-        a = _interval_integrals_eigen(_series_factors(m, eig), pair_rows(v_), tau)
+        f = _series_factors(m, eig)
+        a = _interval_integrals_eigen(pair_rows(v_), _periodic_law(f, tau), f.q)
         weights = 2.0 * m.trap_rates @ a
         t = np.abs((v_ * np.exp(-1j * w * tau)) @ vinv) ** 2
         p = np.zeros(n)
