@@ -11,8 +11,9 @@ import numpy as np
 from .errors import OutOfRegimeError
 from .model import EffectiveHamiltonian, LatticeModel, effective_hamiltonian
 
-# eig_system's Vinv rule; efficiency_measured's eigen kernel and the Poisson unraveling
-# keep it while perfbench's exceptional-point gate pins that kernel's eta (ROADMAP item 1).
+# eig_system's Vinv rule; past it efficiency_measured takes transfer's exact doubling.  Its
+# eigen kernel (eta 13.96 at the exceptional-point dimer, tau = 0.1) and the Poisson unraveling
+# keep 1e8 while perfbench's exceptional-point gate pins that eta (ROADMAP item 1).
 _COND_CUTOFF = 1e8
 # _propagators' rule.  V exp(-i w t) Vinv is off expm by k cond(V) u, u = 2^-53, with
 # k = 0.4-1.03 on dimers with eps = Gamma = 0 and kappa/v from 2 (the exceptional point,
@@ -21,7 +22,7 @@ _COND_CUTOFF = 1e8
 _EIGEN_COND = 1e5
 # The Poisson integrals' rule (transfer._poisson_integrals).  Their eigen sums Re[(P . E) Q] cancel
 # terms of size cond(V)^2, and the renewal series amplifies what is left as the rate r grows past
-# the hopping rates (Zeno regime), as it does the Schur solve's error.  On dimers with eps = Gamma = 0,
+# the hopping rates (Zeno regime), as it does any kernel's error.  On dimers with eps = Gamma = 0,
 # v = 1 and kappa = 2 + 10^-1 ... 10^-7 (cond 6.4 to 6.3e3), where eta = 1 exactly, |eta - 1| read
 # k cond(V)^2 u with k <= 0.73 at r = 0, 1.9 at r = 1 and 39 at r = 10.  A 1e-10 error up to r = 10
 # allows cond(V) up to (1e-10 / (39 u))^(1/2) = 152; the cutoff keeps a margin of 2.3 in the error.
@@ -143,7 +144,8 @@ def eig_system(h_eff):
     """Eigendecomposition (w, V, Vinv, cond) of a possibly non-normal matrix.
 
     Vinv is None when cond(V) >= 1e8 (or is not finite): the eigenbasis is
-    then too ill-conditioned to work in, and callers take a path without it.
+    then too ill-conditioned to work in, and callers take a path without it
+    (efficiency_measured the doubling of transfer._interval_integrals_doubling).
     The result is memoized on the bytes of H (the 16 most recent matrices), so
     a tau scan decomposes its H_eff once; w, V and Vinv are read-only.
     """
@@ -259,6 +261,13 @@ def _expm(a) -> np.ndarray:
     return r
 
 
+def _positive_finite(x, name="tau") -> float:
+    """x as a float; ValueError, naming it, unless it is positive and finite."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be positive and finite")
+    return float(x)
+
+
 def _time_grid(times) -> np.ndarray:
     """The requested output times as a float array, checked finite, sorted and nonnegative."""
     times = np.asarray(times, dtype=float)
@@ -360,8 +369,7 @@ def time_averaged_population(model: LatticeModel, site: int, T: float) -> float:
     p_site(t) = sum_ab c_a c_b cos((w_a - w_b) t), whose average over [0, T]
     is exact: c . sinc((w_a - w_b) T / pi) . c.
     """
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError("T must be positive and finite")
+    T = _positive_finite(T, "T")
     if not 1 <= site <= model.n_sites:
         raise ValueError(f"site {site} out of range")
     w, v = np.linalg.eigh(effective_hamiltonian(model).hermitian_part)

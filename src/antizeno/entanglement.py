@@ -17,6 +17,7 @@ import numpy as np
 from .dynamics import (
     DensityMatrix,
     _first_negative_eig,
+    _positive_finite,
     _time_grid,
     _write_csv,
     pure_site_state,
@@ -169,8 +170,8 @@ def measured_concurrence(eps: float, v: float, tau: float, t) -> float | np.ndar
     (1/2) {1 - |1 - 2 C(tau)|^(t/tau) cos(pi t/tau)} when 1 - 2 C(tau) < 0:
     a smooth curve through the grid values, not the concurrence of the state
     between two measurements."""
-    c_tau = float(analytic_concurrence(eps, v, tau))
-    base = 1.0 - 2.0 * c_tau
+    tau = _positive_finite(tau)
+    base = 1.0 - 2.0 * float(analytic_concurrence(eps, v, tau))
     x = np.asarray(t, dtype=float) / tau
     return 0.5 * (1.0 - np.abs(base) ** x * (np.cos(np.pi * x) if base < 0.0 else 1.0))
 

@@ -17,6 +17,7 @@ from .dynamics import (
     _conjugate,
     _density_matrices,
     _from_real,
+    _positive_finite,
     _powers,
     _propagators,
     _time_grid,
@@ -47,8 +48,7 @@ class MeasurementChannel:
             raise ValueError("measured site set must be nonempty")
         if any(i < 1 for i in s):
             raise ValueError("site indices are 1-based")
-        if not (np.isfinite(self.interval) and self.interval > 0):
-            raise ValueError("measurement interval must be positive and finite")
+        _positive_finite(self.interval, "measurement interval")
         object.__setattr__(self, "measured_sites", s)
 
 
@@ -227,9 +227,7 @@ def _intervals(t, tau: float):
 
 def transition_matrix(h_eff, tau: float) -> TransitionMatrix:
     """Site-to-site transfer probabilities over one measurement interval."""
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("tau must be positive and finite")
-    u = propagator(h_eff, tau)
+    u = propagator(h_eff, _positive_finite(tau))
     return TransitionMatrix(np.abs(u.matrix) ** 2, tau)
 
 

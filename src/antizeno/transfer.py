@@ -7,9 +7,10 @@ per-interval trapped weight and T the transition matrix.  Periodic measurement
 weights the interval [0, tau]; dephasing on all sites is the same channel at
 Poisson-timed events, with weight exp(-r s) on [0, inf); and free evolution is
 the Poisson case at r = 0, where T = 0.  Both laws share one eigen-sum kernel
-on H_eff = V diag(w) V^-1 (_interval_integrals_eigen); the Poisson case falls
-back to a Schur solve where V is ill-conditioned or a mode does not decay, and
-only that fallback and the per-tau solve of the measured series load scipy.
+on H_eff = V diag(w) V^-1 (_interval_integrals_eigen) and one exact fallback
+where V is ill-conditioned or a mode does not decay, a Gauss-Legendre panel
+doubled on numpy alone (_interval_integrals_doubling); only _gesv, the per-tau
+solve of the measured series, loads scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _EIGEN_SUM_COND, _propagators, _write_csv, eig_system
+from .dynamics import _EIGEN_SUM_COND, _expm, _positive_finite, _write_csv, eig_system
 from .model import LatticeModel
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -150,19 +151,6 @@ def _periodic_law(f: _Factors, tau):
     return e
 
 
-def _interval_integrals_quadrature(h, tau):
-    """Composite Gauss-Legendre fallback for the per-interval integrals: 16 nodes on each of
-    max(4, ceil(tau ||H_eff||_1)) panels, so no panel spans more than 2 radians of a frequency
-    of |U(s)|^2 (each is at most 2 ||H_eff||_1), summed from one propagator stack per 4 panels."""
-    x, wts = np.polynomial.legendre.leggauss(16)
-    panels = max(4, math.ceil(tau * np.linalg.norm(h, 1)))
-    width, a = tau / panels, np.zeros(h.shape)
-    for first in range(0, panels, 4):
-        s = (np.arange(first, min(first + 4, panels))[:, None] * width + (x + 1) * width / 2).ravel()
-        a += np.tensordot(np.resize(wts, s.size) * (width / 2), np.abs(_propagators(h, s)) ** 2, axes=1)
-    return a
-
-
 def _require_lossy(model):
     if not (model.decay_rate > 0 or np.any(model.trap_rates > 0)):
         raise ValueError("efficiency undefined: model has no trapping or decay channel")
@@ -173,47 +161,53 @@ def _poisson_integrals(model, rate):
 
     On the eigenbasis the interval law has E_ab = 1 / (rate - mjdelta_ab), and
     A = Re[(P . E) Q] (_interval_integrals_eigen): all of A at rate > 0, only
-    the initial site's column at rate 0, where T = 0.  Two checks read from
-    the model send it to the Schur solve instead: cond(V) at or past
-    _EIGEN_SUM_COND, and a pair that does not decay, Re(0 - mjdelta_ab) =
-    -(Im w_a + Im w_b) <= 0 (a dark state, an isolated lossless site).  Some
-    pair fails exactly where some mode has Im w_a >= 0, checked to within the
-    eigenvalues' roundoff n cond(V) eps ||H_eff||_1.  Where every pair decays
-    no delta_ab is 0, so mjdelta holds no placeholder and every E_ab is finite.
+    the initial site's column at rate 0, where T = 0.  _interval_integrals_doubling
+    takes cond(V) at or past _EIGEN_SUM_COND, and a pair that does not decay,
+    -(Im w_a + Im w_b) <= 0 (a dark state, an isolated lossless site), read to
+    within the eigenvalues' roundoff delta = n cond(V) eps ||H_eff||_1.  It runs
+    at most to ln(1/eps) / (2 delta), where a pair decaying at 2 delta has
+    fallen below eps: a slower mode stays undecayed, and the series raises.
     """
     h = model._h_eff.matrix
     w, _, _, cond = eig = eig_system(h)
     n = model.n_sites
-    if cond < _EIGEN_SUM_COND and w.imag.max() < -n * cond * np.finfo(float).eps * np.linalg.norm(h, 1):
-        f = _series_factors(model, eig)
-        j = slice(None) if rate > 0 else model.initial_site - 1
-        a = np.zeros((n, n))
-        a[:, j] = _interval_integrals_eigen(f.p, 1.0 / (rate - f.mjdelta), f.q[:, j])
-        return a
-    return _poisson_integrals_schur(model, rate)
-
-
-def _poisson_integrals_schur(model, rate):
-    """_poisson_integrals by a Lyapunov solve per column, exact to roundoff
-    also where H_eff is defective or a mode does not decay.
-
-    Column j is the diagonal of the X that solves
-    (-i H_eff - rate/2) X + X (-i H_eff - rate/2)^dag = -E_j: with one complex
-    Schur form Z S Z^dag for all columns, S Y + Y S^dag = -Z^dag E_j Z is one
-    triangular solve and diag X = diag(Z Y Z^dag).  At rate 0, T = 0, so only
-    the initial site's column is solved.
-    """
-    # scipy loads on first use (README, Installation): the numpy-only paths skip its import
-    import scipy.linalg
-
-    n = model.n_sites
-    h = model._h_eff.matrix
-    s, z = scipy.linalg.schur(-1j * h - 0.5 * rate * np.eye(n), output="complex")
+    j = slice(None) if rate > 0 else slice(model.initial_site - 1, model.initial_site)
     a = np.zeros((n, n))
-    for j in range(n) if rate > 0 else [model.initial_site - 1]:
-        y, scale, _ = scipy.linalg.lapack.ztrsyl(s, s, -np.outer(z[j].conj(), z[j]), tranb="C")
-        a[:, j] = np.real(((z @ y) * z.conj()).sum(axis=1)) / scale
+    delta = n * cond * np.finfo(float).eps * np.linalg.norm(h, 1)
+    if cond < _EIGEN_SUM_COND and w.imag.max() < -delta:
+        f = _series_factors(model, eig)
+        a[:, j] = _interval_integrals_eigen(f.p, 1.0 / (rate - f.mjdelta), f.q[:, j])
+    else:
+        a[:, j] = _interval_integrals_doubling(h, j, -math.log(np.finfo(float).eps) / (2 * delta), rate, stop=True)[0]
     return a
+
+
+def _interval_integrals_doubling(h, cols, tau, rate=0.0, stop=False):
+    """(A[:, cols], F(tau)), A[i,j] = int_0^tau exp(-rate s) |<i|U(s)|j>|^2 ds and F(t) = exp(M t),
+    M = -i H_eff - rate/2: exact to roundoff for any H_eff.
+
+    Column j is the diagonal of Q_j(tau) = int_0^tau F(s) |j><j| F(s)^dag ds: a 16-node
+    Gauss-Legendre rule on one stacked _expm over t0 = tau / 2^k, ||M t0||_1 <= 4, then k doublings
+    Q(2t) = Q(t) + F(t) Q(t) F(t)^dag, F(2t) = F(t)^2, all columns in two products.  The rule is
+    off by t0^33 (16!)^4 / (33 (32!)^3) sup ||(M . + . M^dag)^32 F |j><j| F^dag||_2 <= 2.5e-26 t0
+    (||F||_2 <= 1; ||M||_2 <= ||M||_1, H_eff is symmetric), far below u tr Q_j(t0) >= u t0 / 8.
+    With stop, tau is a horizon: it returns once a doubling adds under u of each column's trace,
+    which bounds every entry of that positive semidefinite increment.
+    """
+    n = h.shape[0]
+    m = -1j * h - 0.5 * rate * np.eye(n)
+    x, wts = np.polynomial.legendre.leggauss(16)  # numpy.polynomial loads on first use
+    k = max(0, math.frexp(np.linalg.norm(m, 1) * tau / 4)[1])
+    s = np.append(x + 1, 2.0) * (tau / 2.0 ** (k + 1))  # the nodes on [0, t0], then t0 = tau / 2^k
+    g = _expm(m * s[:, None, None])
+    y = g[:-1, :, cols] * np.sqrt(wts * (s[-1] / 2))[:, None, None]
+    q, f = np.einsum("sij,slj->ijl", y, y.conj(), optimize=True), g[-1]  # q[i,j,l] = Q_j[i,l]
+    for _ in range(k):
+        dq = ((f @ q.reshape(n, -1)).reshape(-1, n) @ f.conj().T).reshape(q.shape)
+        q, f = q + dq, f @ f
+        if stop and np.all(np.einsum("iji->j", dq).real <= 2.0**-53 * np.einsum("iji->j", q).real):
+            break
+    return np.einsum("iji->ij", q).real, f
 
 
 def _gesv(a, b):
@@ -245,12 +239,11 @@ def _series_result(t, weights, eye, start, tau, method, solve=_gesv) -> Efficien
 
 def _poisson_efficiency(model, rate, method) -> EfficiencyResult:
     """The series with channel events at Poisson rate (none at rate 0): T = rate A,
-    with A from _poisson_integrals and one np.linalg.solve, so a model that passes
-    its two checks runs on numpy alone.
+    with A from _poisson_integrals and one np.linalg.solve, on numpy alone.
 
     The system empties completely, so residual is 0 and the sum rule
     trapped + dissipated = 1 can fail only if some mode never decays.  Such a
-    mode takes the Schur solve and raises ValueError: at rate > 0 through the
+    mode takes the doubling and raises ValueError: at rate > 0 through the
     spectral radius of T, at rate 0 through the sum rule if the initial state
     populates it.
     """
@@ -281,21 +274,19 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
     eigendecomposition (_series_factors): a tau costs T = |V exp(-i w tau) Vinv|^2, E(tau),
     one (2 x 2m)(2m x n) product for the two weight rows (never A itself) and one solve.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("tau must be positive and finite")
+    tau = _positive_finite(tau)
     _require_lossy(model)
     h = model._h_eff.matrix
-    eig = eig_system(h)
-    _, v, vinv, _ = eig
+    _, v, vinv, _ = eig = eig_system(h)
     if vinv is not None:
         f = _series_factors(model, eig)
         u = (v * np.exp(f.mjw * tau)) @ vinv
         weights, eye, start = _interval_integrals_eigen(f.lp, _periodic_law(f, tau), f.q), f.eye, f.start
     else:
         l, eye, start = _model_terms(model)
-        u = _propagators(h, [tau])[0]
-        weights = l @ _interval_integrals_quadrature(h, tau)
-    return _series_result(np.abs(u) ** 2, weights, eye, start, float(tau), "series")
+        a, u = _interval_integrals_doubling(h, slice(None), tau)
+        weights = l @ a
+    return _series_result(np.abs(u) ** 2, weights, eye, start, tau, "series")
 
 
 def _checked_grid(tau_grid) -> np.ndarray:
@@ -333,14 +324,15 @@ def optimal_tau(model: LatticeModel, bracket=None) -> dict:
     Returns {"tau": tau*, "eta": eta*, "result": EfficiencyResult}.
     """
     eps = _model_disorder(model)
-    if eps <= 0:
-        raise ValueError("cannot pick a default bracket for a resonant model")
     if bracket is None:
+        if eps <= 0:
+            raise ValueError("cannot pick a default bracket for a resonant model")
         bracket = (0.1 / eps, 10.0 / eps)
     a, b = float(bracket[0]), float(bracket[1])
     if not (0 < a < b and math.isfinite(b)):
         raise ValueError("bracket must be positive and finite with a < b")
-    tol = 1e-3 / eps
+    # 1e-3/eps is 1e-4 of the default bracket's upper end 10/eps; at eps = 0, of the given one
+    tol = 1e-3 / eps if eps > 0 else 1e-4 * b
     eta = lambda t: efficiency_measured(model, t).eta
     eta_a, eta_b = eta(a), eta(b)
     c = b - _GOLDEN * (b - a)

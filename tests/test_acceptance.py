@@ -39,7 +39,8 @@ from antizeno import (
 )
 from antizeno.dynamics import eig_system, populations, pure_site_state
 from antizeno.model import effective_hamiltonian
-from antizeno.transfer import _interval_integrals_quadrature, asymptotic_deficit_no_measurement
+from antizeno.transfer import asymptotic_deficit_no_measurement
+from oracles import _interval_integrals_quadrature
 
 EPS_LIST = (5.0, 10.0, 15.0, 20.0)
 V, KAPPA, GAMMA = 1.0, 0.5, 0.001  # Figure-2 coupling, trap rate and decay rate

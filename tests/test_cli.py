@@ -484,13 +484,12 @@ chain32 = build_graph(DisorderSpec(32, "chain", 10.0, 1.0, 0.5, 0.001, seed=0))
 for m in (chain4, chain32):
     assert 0.0 < efficiency_dephasing(DephasingSpec(m, 1.0, frozenset(range(1, m.n_sites + 1)))).eta < 1.0
 assert 0.0 < efficiency_no_measurement(build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.001)).eta < 1.0
+# the exceptional point's defective H_eff takes the doubling fallback
+assert abs(efficiency_dephasing(DephasingSpec(ep, 0.5, frozenset({1, 2}))).eta - 1.0) < 1e-12
 assert not scipy_modules(), "the Poisson efficiencies loaded scipy"
 
-if sys.argv[1] == "schur":  # the exceptional point's defective H_eff takes the Schur solve
-    assert abs(efficiency_dephasing(DephasingSpec(ep, 0.5, frozenset({1, 2}))).eta - 1.0) < 1e-12
-else:
-    chain = build_chain(3, [0.0, 1.0, 2.0], v=1.0, trap_rate=0.5, decay_rate=0.001)
-    assert 0.0 < efficiency_measured(chain, 0.5).eta < 1.0
+chain = build_chain(3, [0.0, 1.0, 2.0], v=1.0, trap_rate=0.5, decay_rate=0.001)
+assert 0.0 < efficiency_measured(chain, 0.5).eta < 1.0
 assert "scipy.linalg" in sys.modules
 """
 
@@ -502,12 +501,11 @@ def test_scipy_is_loaded_only_by_the_kernels_that_call_it():
     # do not need.  In one fresh interpreter: the import loads no scipy, nor do
     # both jump-ensemble modes, unitary and measured concurrence, the dephased
     # master equation, the exceptional-point propagator, efficiency_dephasing
-    # on a 4-site and a 32-site chain and efficiency_no_measurement on the
-    # Fig. 2 dimer; then the exceptional point's Schur solve or the measured
-    # series' per-tau dgesv, each in its own interpreter, loads scipy.linalg
-    for fallback in ("schur", "measured"):
-        proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_USE, fallback], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+    # on a 4-site and a 32-site chain and at the exceptional point (the
+    # doubling fallback) and efficiency_no_measurement on the Fig. 2 dimer;
+    # then the measured series' per-tau dgesv loads scipy.linalg
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_USE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_integer_model_file_is_not_read_from_stdin(tmp_path):

@@ -210,6 +210,14 @@ def test_measured_concurrence_at_first_interval():
     )
 
 
+@pytest.mark.parametrize("tau", [-0.1, 0.0, np.nan, np.inf])
+def test_measured_concurrence_rejects_a_bad_tau(tau):
+    # tau = -0.1 used to return a negative "concurrence" (-0.2299 at t = 1),
+    # tau = 0 to divide by zero and tau = NaN to return NaN
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        measured_concurrence(9.0, 1.0, tau, 1.0)
+
+
 def test_measured_concurrence_long_time_limit():
     assert measured_concurrence(9.0, 1.0, 0.1, 1000.0) == pytest.approx(0.5, abs=1e-6)
 

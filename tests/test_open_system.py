@@ -23,6 +23,7 @@ from antizeno.dynamics import DensityMatrix, eig_system, evolve, populations, pu
 from antizeno.measurement import channel_masks
 from antizeno.model import LatticeModel, effective_hamiltonian
 from antizeno.open_system import _BLOCK, _draw_block, _liouvillian, _pure_initial, ensemble_to_csv
+from oracles import _poisson_integrals_schur
 
 
 def fig3_spec(two_gamma, sites=frozenset({2})):
@@ -682,36 +683,37 @@ def test_poisson_efficiency_at_the_exceptional_point(gamma):
 @pytest.mark.parametrize("topology", ["chain", "complete"])
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 32, 64])
 def test_poisson_integrals_on_the_eigenbasis_equal_the_schur_solve(topology, n, monkeypatch):
-    # the kept Schur solve is the reference.  A Lyapunov solve is accurate to
+    # the Schur solve (tests/oracles.py) is the reference.  A Lyapunov solve is accurate to
     # about u kappa_L relative, kappa_L = (||H_eff||_1 + r) / (r + d) with d
     # the slowest pair decay (2 Gamma here), so its own error sets the gap at
     # small r: up to 1e-11 relative at r = 0, where a 40-digit solution of 4
     # such models was 20-200 times closer to the eigen sums than to it.  Here
     # the gap read at most 7.7e-15 kappa_L relative, and 1.1e-14 absolute at
     # r = 2 and 50.  At r = 0 only the initial site's column is formed
-    def no_fallback(*args):
-        raise AssertionError("a seeded disorder model took the Schur solve")
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("a seeded disorder model took the doubling")
 
     m = build_graph(DisorderSpec(n, topology, 10.0, 1.0, 0.5, 0.001, seed=n))
     h = m._h_eff.matrix
     w = eig_system(h)[0]
-    schur = transfer._poisson_integrals_schur
-    monkeypatch.setattr(transfer, "_poisson_integrals_schur", no_fallback)
+    monkeypatch.setattr(transfer, "_interval_integrals_doubling", no_fallback)
     for rate in (0.0, 0.1, 2.0, 50.0):
-        a, ref = transfer._poisson_integrals(m, rate), schur(m, rate)
+        a, ref = transfer._poisson_integrals(m, rate), _poisson_integrals_schur(m, rate)
         kappa_l = (np.linalg.norm(h, 1) + rate) / (rate - 2.0 * w.imag.max())
         assert np.count_nonzero(np.any(a != 0.0, axis=0)) == (n if rate > 0 else 1)
         assert np.abs(a - ref).max() <= 1e-13 * kappa_l * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("kappa, path", [(2.0 + 1e-3, "eigen"), (2.0 + 1e-4, "schur")])
+@pytest.mark.parametrize("kappa, path", [(2.0 + 1e-3, "eigen"), (2.0 + 1e-4, "doubling")])
 def test_poisson_efficiency_near_the_exceptional_point(kappa, path, monkeypatch):
     # eps = Gamma = 0, v = 1: cond(V) is 63 at kappa = 2 + 1e-3, under the
     # eigen sums' cutoff of 100, and 200 at kappa = 2 + 1e-4, past it.  Both
     # sides meet the dense generator solve, and eta = 1
-    schur_calls = []
-    schur = transfer._poisson_integrals_schur
-    monkeypatch.setattr(transfer, "_poisson_integrals_schur", lambda *args: schur_calls.append(args) or schur(*args))
+    calls = []
+    doubling = transfer._interval_integrals_doubling
+    monkeypatch.setattr(
+        transfer, "_interval_integrals_doubling", lambda *args, **kwargs: calls.append(args) or doubling(*args, **kwargs)
+    )
     m = build_chain(2, [0.0, 0.0], v=1.0, trap_rate=kappa, decay_rate=0.0)
     assert (eig_system(m._h_eff.matrix)[3] < dynamics._EIGEN_SUM_COND) == (path == "eigen")
     for gamma in (0.0, 0.5, 5.0):
@@ -719,7 +721,7 @@ def test_poisson_efficiency_near_the_exceptional_point(kappa, path, monkeypatch)
         r = efficiency_dephasing(spec)
         assert abs(r.eta - reference_efficiency_dephasing(spec)[0]) <= 1e-10
         assert abs(r.eta - 1.0) <= 1e-10
-    assert len(schur_calls) == (3 if path == "schur" else 0)
+    assert len(calls) == (3 if path == "doubling" else 0)
 
 
 def test_efficiency_dephasing_large_chain():

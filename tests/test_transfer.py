@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from antizeno import (
     asymptotic_deficit_no_measurement,
@@ -17,17 +18,19 @@ from antizeno import (
     tau_scan,
 )
 from antizeno import transfer
-from antizeno.dynamics import _eig_system, eig_system
-from antizeno.model import LatticeModel, effective_hamiltonian
+from antizeno.dynamics import _eig_system, _propagators, eig_system
+from antizeno.model import DisorderSpec, LatticeModel, build_graph, effective_hamiltonian
 from antizeno.transfer import (
     TauScan,
+    _interval_integrals_doubling,
     _interval_integrals_eigen,
-    _interval_integrals_quadrature,
     _model_terms,
     _periodic_law,
     _series_factors,
+    _series_result,
     scan_to_csv,
 )
+from oracles import _interval_integrals_quadrature
 
 
 def fig2_model(eps):
@@ -128,19 +131,67 @@ def test_interval_integrals_equal_the_einsum_and_quadrature_forms(n, lossless):
             assert np.max(np.abs(_interval_integrals_eigen(f.lp, e, f.q) - loss @ a)) < 1e-13
 
 
-def test_measured_takes_the_quadrature_path_at_a_defective_h():
+@pytest.mark.parametrize("topology", ["chain", "complete"])
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 32, 64])
+def test_doubling_equals_the_eigen_kernel(topology, n):
+    # the seeded models of the Poisson eigen-sum test, where the eigen kernel
+    # is exact to roundoff.  Poisson law: within 1e-13 kappa_L of the largest
+    # entry (kappa_L as there; 1.5e-15 kappa_L at most here; the horizon 1e300
+    # leaves the end to the stop rule).  Periodic law:
+    # within 1e-13 absolute for tau <= 2 (2.8e-14 at most here, about the
+    # eigen kernel's own roundoff), and F(tau) meets scipy's expm to 1e-13
+    # (4.4e-15)
+    m = build_graph(DisorderSpec(n, topology, 10.0, 1.0, 0.5, 0.001, seed=n))
+    h = m._h_eff.matrix
+    w, v, _, _ = eig = eig_system(h)
+    f, rows = _series_factors(m, eig), pair_rows(v)
+    for rate in (0.0, 0.1, 2.0, 50.0):
+        ref = transfer._poisson_integrals(m, rate)
+        j = slice(None) if rate > 0 else slice(m.initial_site - 1, m.initial_site)
+        a = _interval_integrals_doubling(h, j, 1e300, rate, stop=True)[0]
+        kappa_l = (np.linalg.norm(h, 1) + rate) / (rate - 2.0 * w.imag.max())
+        assert np.abs(a - ref[:, j]).max() <= 1e-13 * kappa_l * np.abs(ref).max()
+    for tau in (0.01, 0.3, 2.0):
+        a, u = _interval_integrals_doubling(h, slice(None), tau)
+        assert np.abs(a - _interval_integrals_eigen(rows, _periodic_law(f, tau), f.q)).max() <= 1e-13
+        assert np.abs(u - scipy.linalg.expm(-1j * h * tau)).max() <= 1e-13
+
+
+def test_measured_takes_the_doubling_path_at_a_defective_h(monkeypatch):
     # the exceptional-point dimer at v = 1.5, kappa = 2v, Gamma = 0 has
-    # cond(V) = 1.9e8, past eig_system's cutoff: U comes from expm and A from
-    # quadrature.  With no decay every excitation is trapped, so eta = 1; the
-    # quadrature takes max(4, ceil(4.5 tau)) panels, so it is exact to about
-    # 1e-14 at every tau (a fixed 4 panels read eta - 1 = -3.6e-8 at tau = 50
-    # and -0.063 at tau = 200), and the series adds the roundoff of
-    # (I - T)^-1, about 1e-13 at tau = 0.05 where 1 - rho(T) ~ 1e-2.
+    # cond(V) = 1.9e8, past eig_system's cutoff: U and A come from the
+    # doubling.  With no decay every excitation is trapped, so eta = 1; the
+    # doubling is exact to about 1e-15 at every tau, and the series adds the
+    # roundoff of (I - T)^-1, about 1e-14 at tau = 0.05 where 1 - rho(T) ~ 1e-2
+    calls = []
+    doubling = transfer._interval_integrals_doubling
+    monkeypatch.setattr(transfer, "_interval_integrals_doubling", lambda *args: calls.append(args) or doubling(*args))
     m = build_chain(2, [0.0, 0.0], v=1.5, trap_rate=3.0, decay_rate=0.0)
     assert eig_system(m._h_eff.matrix)[2] is None
-    for tau in (0.05, 0.5, 2.0, 50.0, 200.0):
+    taus = (0.05, 0.5, 2.0, 50.0, 200.0)
+    for tau in taus:
         r = efficiency_measured(m, tau)
-        assert r.dissipated == 0.0 and abs(r.eta - 1.0) < 1e-10
+        assert r.dissipated == 0.0 and abs(r.eta - 1.0) <= 1e-12
+    assert len(calls) == len(taus)
+
+
+@pytest.mark.parametrize("tau", [0.1, 1.0])
+def test_doubling_at_the_dark_exceptional_point(tau):
+    # the resonant 3-site chain with kappa = 2 sqrt 2 on its middle site is an
+    # exceptional point (cond(V) = 7.2e7) with a dark mode, (|1> - |3>)/sqrt 2,
+    # that never reaches the trap.  Started on site 1, half the excitation
+    # lies in it, yet each measurement moves some of it out, so every
+    # excitation is trapped: eta = 1.  The eigen kernel, which
+    # efficiency_measured keeps here under eig_system's cutoff, reads 3.32 and
+    # 1.22; the doubling gets eta = 1 and F(tau) = U(tau) to roundoff
+    c = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    m = LatticeModel(np.zeros(3), c, np.array([0.0, 2.0 * np.sqrt(2.0), 0.0]), 0.0, 1)
+    h = m._h_eff.matrix
+    a, u = _interval_integrals_doubling(h, slice(None), tau)
+    l, eye, start = _model_terms(m)
+    r = _series_result(np.abs(u) ** 2, l @ a, eye, start, tau, "series")
+    assert r.dissipated == 0.0 and abs(r.eta - 1.0) <= 1e-12
+    assert np.abs(u - _propagators(h, [tau])[0]).max() <= 1e-13
 
 
 def test_measured_divergent_without_loss():
@@ -334,6 +385,20 @@ def test_optimal_tau_matches_asymptotic_at_eps20():
     m = fig2_model(20)
     out = optimal_tau(m)
     assert abs(out["eta"] - asymptotic_efficiency_max(m)) < 0.01
+
+
+def test_optimal_tau_on_a_resonant_model_takes_the_given_bracket():
+    # eps = 0 has no default bracket, but a given one serves: golden section
+    # stops at 1e-4 of its upper end and meets the maximum of a dense scan
+    m = build_chain(3, [0.0, 0.0, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.01)
+    with pytest.raises(ValueError, match="default bracket"):
+        optimal_tau(m)
+    taus = np.linspace(0.1, 5.0, 2001)
+    etas = tau_scan(m, taus).etas
+    out = optimal_tau(m, bracket=(0.1, 5.0))
+    assert abs(out["tau"] - taus[etas.argmax()]) <= 5e-4 + (taus[1] - taus[0])
+    assert etas.max() - 1e-9 <= out["eta"] == out["result"].eta
+    assert 0.1 < out["tau"] < 5.0 and 0.9 < out["eta"] < 1.0
 
 
 def test_optimal_tau_bad_bracket(two_site_disordered):
