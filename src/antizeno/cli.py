@@ -140,8 +140,8 @@ def _max_workers() -> int:
 
 
 def _dump_json(result, path) -> None:
-    with open(path, "w") as f:  # one write: json.dump with indent writes chunk by chunk
-        f.write(json.dumps(result, indent=2))
+    with open(path, "w") as f:  # one top-level key per line, one write; json's C encoder runs only without indent
+        f.write("{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in result.items()) + "\n}\n")
 
 
 def _execute(jobs, out_dir, workers) -> list:
@@ -373,13 +373,15 @@ def run(config) -> int:
     return 0
 
 
+_PARSER = argparse.ArgumentParser(prog="antizeno", description="Measurement-enhanced transport scenario runner")
+_PARSER.add_argument("--config", required=True, help="JSON configuration file")
+_PARSER.add_argument("--scenario", help="override the scenario in the config")
+_PARSER.add_argument("--seed", type=int, help="override the seed in the config")
+_PARSER.add_argument("--out", help="override the output directory")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="antizeno", description="Measurement-enhanced transport scenario runner")
-    parser.add_argument("--config", required=True, help="JSON configuration file")
-    parser.add_argument("--scenario", help="override the scenario in the config")
-    parser.add_argument("--seed", type=int, help="override the seed in the config")
-    parser.add_argument("--out", help="override the output directory")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.config) as f:
             config = json.load(f)

@@ -7,14 +7,14 @@ per-interval trapped weight and T the transition matrix.  Periodic measurement
 weights the interval [0, tau]; dephasing on all sites is the same channel at
 Poisson-timed events, with weight exp(-r s) on [0, inf); and free evolution is
 the Poisson case at r = 0, where T = 0.  Both laws share one eigen-sum kernel
-on H_eff = V diag(w) V^-1 (_interval_integrals_eigen) and one exact fallback
+on H_eff = V diag(w) V^-1 (_interval_integrals_eigen), one exact fallback
 where V is ill-conditioned or a mode does not decay, a Gauss-Legendre panel
-doubled on numpy alone (_interval_integrals_doubling); only _gesv, the per-tau
-solve of the measured series, loads scipy.
+doubled (_interval_integrals_doubling), and one np.linalg.solve per series.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -72,10 +72,10 @@ class _Factors(NamedTuple):
     loss-weight rows L A in one (2 x 2m)(2m x n) product, the rows P all of A in one (n x 2m)(2m x n) product.
     """
 
-    mjw: np.ndarray  # -i w
+    phases: np.ndarray  # (m + n,) mjdelta, then -i w: one exp per tau gives E(tau) and U(tau)
     abs_delta: np.ndarray  # (m,) |delta_ab|, delta_ab = w_a - conj w_b
     min_abs_delta: float
-    mjdelta: np.ndarray  # (m,) -i delta_ab, and -i where delta_ab = 0
+    mjdelta: np.ndarray  # (m,) view of phases: -i delta_ab, and -i where delta_ab = 0
     q: np.ndarray  # (2m, n) real: rows Re and -Im of Q[(a,b),j] = (2 - [a = b]) Vinv[a,j] conj Vinv[b,j]
     p: np.ndarray  # (n, m) complex, C order: P[i,(a,b)] = V[i,a] conj V[i,b]
     lp: np.ndarray  # (2, m) complex: L P, the loss rows L of _model_terms times P
@@ -84,6 +84,7 @@ class _Factors(NamedTuple):
 
 
 _MEMO = threading.local()  # per thread: the model and eig_system result last used, and their _Factors
+_gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(16))  # on first use: numpy.polynomial adds 0.8 MB
 
 
 def _model_terms(model):
@@ -105,19 +106,19 @@ def _series_factors(model, eig) -> _Factors:
         return last[2]
     _MEMO.last = None
     w, v, vinv, _ = eig
-    n = w.shape[0]
-    ia, ib = np.triu_indices(n)
+    ia, ib = _pairs(w.shape[0])
     delta = w[ia] - w[ib].conj()
     abs_delta = np.abs(delta)
     q = np.where(ia == ib, 1.0, 2.0)[:, None] * vinv[ia] * vinv[ib].conj()
     p = np.multiply(v[:, ia], v[:, ib].conj(), order="C")
     l, eye, start = _model_terms(model)
+    phases = -1j * np.concatenate((np.where(abs_delta == 0, 1.0, delta), w))
     factors = _Factors(
-        mjw=-1j * w,
+        phases=phases,
         abs_delta=abs_delta,
         min_abs_delta=float(abs_delta.min()),
-        mjdelta=-1j * np.where(abs_delta == 0, 1.0, delta),
-        q=np.stack([q.real, -q.imag], axis=1).reshape(-1, n),
+        mjdelta=phases[: ia.size],
+        q=np.stack([q.real, -q.imag], axis=1).reshape(-1, w.shape[0]),
         p=p,
         lp=l @ p,
         eye=eye,
@@ -125,6 +126,15 @@ def _series_factors(model, eig) -> _Factors:
     )
     _MEMO.last = (model, eig, factors)
     return factors
+
+
+@functools.lru_cache(maxsize=16)
+def _pairs(n):
+    """The pair indices (ia, ib) = np.triu_indices(n), read-only: 30 of the 56 us of _series_factors at n = 4."""
+    ia, ib = np.triu_indices(n)
+    ia.setflags(write=False)
+    ib.setflags(write=False)
+    return ia, ib
 
 
 def _interval_integrals_eigen(rows, e, q):
@@ -143,12 +153,13 @@ def _interval_integrals_eigen(rows, e, q):
 
 
 def _periodic_law(f: _Factors, tau):
-    """E_ab = int_0^tau exp(-i delta_ab s) ds = (exp(-i delta_ab tau) - 1) / (-i delta_ab),
-    and tau where |delta_ab| tau < 1e-10."""
-    e = (np.exp(f.mjdelta * tau) - 1.0) / f.mjdelta
+    """(E, exp(-i w tau)) from one exp of f.phases: E_ab = int_0^tau exp(-i delta_ab s) ds
+    = (exp(-i delta_ab tau) - 1) / (-i delta_ab), and tau where |delta_ab| tau < 1e-10."""
+    x, m = np.exp(f.phases * tau), f.mjdelta.shape[0]
+    e = (x[:m] - 1.0) / f.mjdelta
     if f.min_abs_delta * tau < 1e-10:
         e = np.where(f.abs_delta * tau < 1e-10, tau, e)
-    return e
+    return e, x[m:]
 
 
 def _require_lossy(model):
@@ -196,7 +207,7 @@ def _interval_integrals_doubling(h, cols, tau, rate=0.0, stop=False):
     """
     n = h.shape[0]
     m = -1j * h - 0.5 * rate * np.eye(n)
-    x, wts = np.polynomial.legendre.leggauss(16)  # numpy.polynomial loads on first use
+    x, wts = _gauss_legendre()
     k = max(0, math.frexp(np.linalg.norm(m, 1) * tau / 4)[1])
     s = np.append(x + 1, 2.0) * (tau / 2.0 ** (k + 1))  # the nodes on [0, t0], then t0 = tau / 2^k
     g = _expm(m * s[:, None, None])
@@ -210,22 +221,9 @@ def _interval_integrals_doubling(h, cols, tau, rate=0.0, stop=False):
     return np.einsum("iji->ij", q).real, f
 
 
-def _gesv(a, b):
-    """a^-1 b by LAPACK's dgesv itself.  The Poisson series solves once per
-    model, with np.linalg.solve; the measured series solves once per tau,
-    where np.linalg.solve's wrapper adds 4.6 us (+20% of a tau at n = 2), so
-    it keeps scipy's dgesv until the tau scan is batched (ROADMAP items 2, 12)."""
-    import scipy.linalg
-
-    _, _, x, info = scipy.linalg.lapack.dgesv(a, b)
-    if info:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return x
-
-
-def _series_result(t, weights, eye, start, tau, method, solve=_gesv) -> EfficiencyResult:
+def _series_result(t, weights, eye, start, tau, method) -> EfficiencyResult:
     """eta = w . (I - T)^-1 p(0) from the transition matrix T and the (2, n)
-    per-start-site trapped and dissipated weights L A, whose first row is w."""
+    per-start-site trapped and dissipated weights L A, whose first row is w, by one np.linalg.solve."""
     # rho(T) <= ||T||_1, the largest column sum of |T|: each column of T plus
     # its per-interval loss is 1, so eigvals is needed only where some site
     # loses (almost) nothing within an interval; a NaN also takes that path
@@ -233,13 +231,13 @@ def _series_result(t, weights, eye, start, tau, method, solve=_gesv) -> Efficien
         radius = float(np.max(np.abs(np.linalg.eigvals(t))))
         if radius >= 1 - 1e-12:
             raise ValueError(f"series non-convergent: spectral radius {radius}")
-    trapped, dissipated = (weights @ solve(eye - t, start)).tolist()
+    trapped, dissipated = (weights @ np.linalg.solve(eye - t, start)).tolist()
     return EfficiencyResult(eta=trapped, trapped=trapped, dissipated=dissipated, residual=0.0, tau=tau, method=method)
 
 
 def _poisson_efficiency(model, rate, method) -> EfficiencyResult:
     """The series with channel events at Poisson rate (none at rate 0): T = rate A,
-    with A from _poisson_integrals and one np.linalg.solve, on numpy alone.
+    with A from _poisson_integrals.
 
     The system empties completely, so residual is 0 and the sum rule
     trapped + dissipated = 1 can fail only if some mode never decays.  Such a
@@ -250,7 +248,7 @@ def _poisson_efficiency(model, rate, method) -> EfficiencyResult:
     _require_lossy(model)
     a = _poisson_integrals(model, rate)
     l, eye, start = _model_terms(model)
-    res = _series_result(rate * a, l @ a, eye, start, 1.0 / rate if rate > 0 else None, method, np.linalg.solve)
+    res = _series_result(rate * a, l @ a, eye, start, 1.0 / rate if rate > 0 else None, method)
     if not abs(res.trapped + res.dissipated - 1.0) <= 1e-8:
         raise ValueError(f"non-decaying mode: trapped + dissipated = {res.trapped + res.dissipated:.12g}")
     return res
@@ -271,7 +269,7 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
     summed in closed form as w . (I - T)^-1 p(0).
 
     H_eff is built once per model, and the tau-independent factors once per model and
-    eigendecomposition (_series_factors): a tau costs T = |V exp(-i w tau) Vinv|^2, E(tau),
+    eigendecomposition (_series_factors): a tau costs one exp for E(tau) and T = |V exp(-i w tau) Vinv|^2,
     one (2 x 2m)(2m x n) product for the two weight rows (never A itself) and one solve.
     """
     tau = _positive_finite(tau)
@@ -280,8 +278,9 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
     _, v, vinv, _ = eig = eig_system(h)
     if vinv is not None:
         f = _series_factors(model, eig)
-        u = (v * np.exp(f.mjw * tau)) @ vinv
-        weights, eye, start = _interval_integrals_eigen(f.lp, _periodic_law(f, tau), f.q), f.eye, f.start
+        e, modes = _periodic_law(f, tau)
+        u = (v * modes) @ vinv
+        weights, eye, start = _interval_integrals_eigen(f.lp, e, f.q), f.eye, f.start
     else:
         l, eye, start = _model_terms(model)
         a, u = _interval_integrals_doubling(h, slice(None), tau)
@@ -335,8 +334,7 @@ def optimal_tau(model: LatticeModel, bracket=None) -> dict:
     tol = 1e-3 / eps if eps > 0 else 1e-4 * b
     eta = lambda t: efficiency_measured(model, t).eta
     eta_a, eta_b = eta(a), eta(b)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     eta_c, eta_d = eta(c), eta(d)
     while b - a > tol:
         if eta_c > eta_d:

@@ -449,13 +449,13 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "o" / "manifest.json").exists()
 
 
-_SCIPY_ON_FIRST_USE = """
-import sys
+_NO_SCIPY = """
+import json, os, sys
 import numpy as np
 import antizeno.cli
 from antizeno import (
     DephasingSpec, DisorderSpec, MeasurementChannel, build_chain, build_graph, efficiency_dephasing,
-    efficiency_measured, efficiency_no_measurement, integrate_master, quantum_jump_ensemble,
+    efficiency_measured, efficiency_no_measurement, integrate_master, optimal_tau, quantum_jump_ensemble, tau_scan,
 )
 from antizeno.dynamics import propagator, pure_site_state
 from antizeno.entanglement import simulate_concurrence
@@ -483,28 +483,50 @@ chain4 = build_chain(4, [10.0, 6.0, 3.0, 0.0], v=1.0, trap_rate=0.5, decay_rate=
 chain32 = build_graph(DisorderSpec(32, "chain", 10.0, 1.0, 0.5, 0.001, seed=0))
 for m in (chain4, chain32):
     assert 0.0 < efficiency_dephasing(DephasingSpec(m, 1.0, frozenset(range(1, m.n_sites + 1)))).eta < 1.0
-assert 0.0 < efficiency_no_measurement(build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.001)).eta < 1.0
+dimer = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.5, decay_rate=0.001)
+assert 0.0 < efficiency_no_measurement(dimer).eta < 1.0
 # the exceptional point's defective H_eff takes the doubling fallback
 assert abs(efficiency_dephasing(DephasingSpec(ep, 0.5, frozenset({1, 2}))).eta - 1.0) < 1e-12
 assert not scipy_modules(), "the Poisson efficiencies loaded scipy"
 
 chain = build_chain(3, [0.0, 1.0, 2.0], v=1.0, trap_rate=0.5, decay_rate=0.001)
 assert 0.0 < efficiency_measured(chain, 0.5).eta < 1.0
-assert "scipy.linalg" in sys.modules
+etas = tau_scan(chain32, np.linspace(0.01, 2.0, 5)).etas
+assert np.all((0.0 < etas) & (etas < 1.0))
+assert 0.0 < optimal_tau(dimer)["eta"] < 1.0
+assert np.isfinite(efficiency_measured(ep, 0.1).eta)  # the roundoff-bound eigen path (ROADMAP item 1)
+assert not scipy_modules(), "the measured series loaded scipy"
+
+out = sys.argv[1]
+disorder = {"n_sites": 8, "topology": "chain", "mean_disorder": 10.0, "coupling_scale": 1.0,
+            "trap_rate": 0.5, "decay_rate": 0.001}
+configs = [
+    {"scenario": "figure2", "n_points": 20},
+    {"scenario": "efficiency-scan", "disorder": disorder, "tau_range": {"min": 0.01, "max": 2.0, "n": 10}},
+    {"scenario": "sweep", "disorder": disorder, "seeds": [0, 1], "tau_grid": [0.1, 0.5]},
+]
+for i, config in enumerate(configs):
+    path = os.path.join(out, f"run{i}.json")
+    with open(path, "w") as f:
+        json.dump(config, f)
+    assert antizeno.cli.main(["--config", path, "--out", os.path.join(out, str(i))]) == 0
+assert not scipy_modules(), "the CLI runs loaded scipy"
 """
 
 
-def test_scipy_is_loaded_only_by_the_kernels_that_call_it():
+def test_scipy_is_loaded_only_by_the_kernels_that_call_it(tmp_path):
     # scipy.linalg costs 0.25-0.33 s of import (its array-API layer loads
     # numpy.f2py, numpy.testing and numpy.ma) and raises peak memory by about
-    # 26 MB, which the CLI import, time evolution and the Poisson efficiencies
-    # do not need.  In one fresh interpreter: the import loads no scipy, nor do
-    # both jump-ensemble modes, unitary and measured concurrence, the dephased
-    # master equation, the exceptional-point propagator, efficiency_dephasing
-    # on a 4-site and a 32-site chain and at the exceptional point (the
-    # doubling fallback) and efficiency_no_measurement on the Fig. 2 dimer;
-    # then the measured series' per-tau dgesv loads scipy.linalg
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_USE], capture_output=True, text=True)
+    # 21 MB; the package runs on numpy alone.  In one fresh interpreter, no
+    # scipy module is loaded after the import, both jump-ensemble modes,
+    # unitary and measured concurrence, the dephased master equation, the
+    # exceptional-point propagator, efficiency_dephasing on a 4-site and a
+    # 32-site chain and at the exceptional point (the doubling fallback),
+    # efficiency_no_measurement on the Fig. 2 dimer, the measured series
+    # (efficiency_measured, tau_scan, optimal_tau and the exceptional-point
+    # efficiency_measured) and in-process cli.main on figure2, an
+    # efficiency-scan and a sweep
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

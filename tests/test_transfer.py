@@ -124,7 +124,7 @@ def test_interval_integrals_equal_the_einsum_and_quadrature_forms(n, lossless):
             if lossless:  # real spectrum: the diagonal of E takes the small-delta branch
                 assert np.all(np.abs(w.imag) * 2 * tau < 1e-10)
                 assert f.min_abs_delta * tau < 1e-10
-            e = _periodic_law(f, tau)
+            e = _periodic_law(f, tau)[0]
             a = _interval_integrals_eigen(rows, e, f.q)
             assert np.max(np.abs(a - reference_interval_integrals(w, v, vinv, tau))) < 1e-13
             assert np.max(np.abs(a - _interval_integrals_quadrature(h, tau))) < 1e-10
@@ -153,7 +153,7 @@ def test_doubling_equals_the_eigen_kernel(topology, n):
         assert np.abs(a - ref[:, j]).max() <= 1e-13 * kappa_l * np.abs(ref).max()
     for tau in (0.01, 0.3, 2.0):
         a, u = _interval_integrals_doubling(h, slice(None), tau)
-        assert np.abs(a - _interval_integrals_eigen(rows, _periodic_law(f, tau), f.q)).max() <= 1e-13
+        assert np.abs(a - _interval_integrals_eigen(rows, _periodic_law(f, tau)[0], f.q)).max() <= 1e-13
         assert np.abs(u - scipy.linalg.expm(-1j * h * tau)).max() <= 1e-13
 
 
@@ -255,6 +255,24 @@ def test_series_factor_memo():
     assert transfer._MEMO.last[0] is last and transfer._MEMO.last[1] is eig_system(last._h_eff.matrix)
 
 
+def test_one_exp_gives_both_phases_and_the_pairs_are_cached_read_only():
+    # _periodic_law's one exp of the stacked phases equals the two exps it
+    # replaced bit for bit, and the pair indices are np.triu_indices(n),
+    # shared by every model of that size and not writable
+    m = build_graph(DisorderSpec(8, "complete", 10.0, 1.0, 0.5, 0.001, seed=3))
+    eig = eig_system(m._h_eff.matrix)
+    f, w = _series_factors(m, eig), eig[0]
+    for tau in (1e-3, 0.37, 20.0):
+        e, modes = _periodic_law(f, tau)
+        assert np.array_equal(modes, np.exp(-1j * w * tau))
+        assert np.array_equal(e, (np.exp(f.mjdelta * tau) - 1.0) / f.mjdelta)
+    ia, ib = transfer._pairs(8)
+    assert transfer._pairs(8)[0] is ia
+    assert np.array_equal(ia, np.triu_indices(8)[0]) and np.array_equal(ib, np.triu_indices(8)[1])
+    with pytest.raises(ValueError):
+        ia[0] = 1
+
+
 def test_series_factor_memo_tells_apart_models_that_share_h():
     # the first two dimers have bit-identical H_eff (the same eig_system
     # result) but another split of the loss between kappa and Gamma; the
@@ -310,7 +328,7 @@ def test_measured_series_vs_direct_summation(rng):
         h = effective_hamiltonian(m).matrix
         w, v_, vinv, _ = eig = eig_system(h)
         f = _series_factors(m, eig)
-        a = _interval_integrals_eigen(pair_rows(v_), _periodic_law(f, tau), f.q)
+        a = _interval_integrals_eigen(pair_rows(v_), _periodic_law(f, tau)[0], f.q)
         weights = 2.0 * m.trap_rates @ a
         t = np.abs((v_ * np.exp(-1j * w * tau)) @ vinv) ** 2
         p = np.zeros(n)
