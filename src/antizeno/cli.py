@@ -65,6 +65,27 @@ def _bounded(convert, bound):
     return lambda x: y if (y := convert(x)) is not None and _COMPARE[op](y, float(limit)) else None
 
 
+def _finite_list(bound):
+    """A check for a nonempty list of finite numbers that meet bound: the list as floats, else None.
+
+    _nonempty_list(_bounded(_number, bound)) in one pass: one type test on every element (what
+    _number accepts: int or float, not bool), then one finite-and-bound test over the array."""
+    op, limit = bound.split() if bound else (None, None)
+
+    def check(x):
+        if not (isinstance(x, list) and x):
+            return None
+        if not all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in set(map(type, x))):
+            return None
+        try:
+            a = np.array(x, dtype=float)
+        except OverflowError:  # an int past the float range
+            return None
+        return a.tolist() if np.isfinite(a).all() and (op is None or _COMPARE[op](a, float(limit)).all()) else None
+
+    return check
+
+
 def _nonempty_list(convert):
     def check(x):
         items = [convert(e) for e in x] if isinstance(x, list) and x else [None]
@@ -104,7 +125,7 @@ class _Object:
 
     def numbers(self, key, default=_REQUIRED, bound=None):
         what = f"a nonempty list of finite numbers {bound or ''}".strip()
-        return self.read(key, default, _nonempty_list(_bounded(_number, bound)), what)
+        return self.read(key, default, _finite_list(bound), what)
 
     def integers(self, key, default=_REQUIRED, bound=None):
         what = f"a nonempty list of integers {bound or ''}".strip()

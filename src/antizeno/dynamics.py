@@ -177,8 +177,8 @@ def propagator(h_eff, t: float) -> Propagator:
 def _propagators(h_eff, times) -> np.ndarray:
     """exp(-i H_eff t) for each t of a 1-D array as an (m, n, n) stack, U(0) = I
     exactly and one member per distinct t.  Where cond(V) of H_eff = V diag(w) Vinv
-    is under _EIGEN_COND: one (m, n) x (n, n^2) product of exp(-i t w) with the
-    table V[i,j] Vinv[j,k]; else one stacked _expm, exact at an exceptional point."""
+    is under _EIGEN_COND: one (m, n) x (n, n^2) product of exp(-i t w) with
+    _mode_table; else one stacked _expm, exact at an exceptional point."""
     h = _h_matrix(h_eff)
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
@@ -187,10 +187,16 @@ def _propagators(h_eff, times) -> np.ndarray:
     if cond >= _EIGEN_COND:
         return _expm((-1j * h) * t[:, None, None])[at]
     n = w.shape[0]
-    table = (v.T[:, :, None] * vinv[:, None, :]).reshape(n, n * n)
-    u = (np.exp(np.multiply.outer(t, -1j * w)) @ table).reshape(-1, n, n)
+    u = (np.exp(np.multiply.outer(t, -1j * w)) @ _mode_table(v, vinv)).reshape(-1, n, n)
     u[t == 0] = np.eye(n)
     return u[at]
+
+
+def _mode_table(v, vinv) -> np.ndarray:
+    """The (n, n^2) table V[i,a] Vinv[a,j] of an eigendecomposition, mode a at row a and (i, j) at
+    column i n + j: exp(-i w t) @ table, reshaped to (n, n), is V exp(-i w t) Vinv = U(t)."""
+    n = v.shape[0]
+    return (v.T[:, :, None] * vinv[:, None, :]).reshape(n, n * n)
 
 
 def _expm(a) -> np.ndarray:

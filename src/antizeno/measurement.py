@@ -33,6 +33,7 @@ from .errors import OutOfRegimeError
 from .model import LatticeModel, _is_integer
 
 _WINDOW = 4096  # crossover_time's rows per window of powers, 32 kB per site
+_STEP_CHUNK = 2**14  # _step_matrix's complex entries per piece of its outer product, 256 kB
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,12 @@ def _by_powers(d: int, n: int, k: int) -> bool:
     The costs, in ns, were timed on a 2-CPU x86-64 container (numpy 2.4.6,
     OpenBLAS).  An interval of _after_by_steps is about 8 us of numpy
     dispatch plus two complex n x n products at 0.75 n^3 ns.  _after_by_powers
-    pays about 100 us of fixed work and 30 ns per entry of the step matrix it
-    builds, then numpy products at about 80 GFlop/s: ceil(log2 k) squarings
+    pays about 100 us of fixed work and 10 ns per entry of the step matrix
+    that _step_matrix builds (7-8 ns from d = 150 on, up to 17 ns near
+    d = 120), then numpy products at about 80 GFlop/s: ceil(log2 k) squarings
     of d^3 / 40 ns each and at most k rows of d^2 / 40 ns each."""
     steps = k * (8e3 + 0.75 * n**3)
-    powers = 1e5 + 30 * d**2 + (math.ceil(math.log2(max(k, 1))) * d**3 + k * d**2) / 40
+    powers = 1e5 + 10 * d**2 + (math.ceil(math.log2(max(k, 1))) * d**3 + k * d**2) / 40
     return powers <= steps
 
 
@@ -185,8 +187,9 @@ def _after_by_powers(u: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.nd
     (U (x) conj U) vec(rho) and rho = (y + y^T)/2 + i (y - y^T)/2 (the
     coordinates of open_system._master_stack),
     M[(a, b), (c, e)] = Re(U_ac conj U_be) + Im(U_ae conj U_bc).
-    The first interval maps rho into S_D (one conjugation and the mask); the
-    state after k >= 1 intervals is M^(k-1) of that, from dynamics._powers.
+    M comes from _step_matrix.  The first interval maps rho into S_D (one
+    conjugation and the mask); the state after k >= 1 intervals is M^(k-1) of
+    that, from dynamics._powers.
     Squaring reuses each rounding of M: an eigenvalue of M that should be 1
     (a kept trace, or a dark state's) is off by about u, so the states are off
     by about k u, as a scaling of the components that persist.  At k = 10^6
@@ -196,11 +199,9 @@ def _after_by_powers(u: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.nd
     trace exceeds rho's is scaled down to it."""
     n = rho.shape[0]
     a, b = np.nonzero(keep)
-    ua, ub = u[a], u[b]
-    step = (ua[:, a] * ub[:, b].conj()).real + (ua[:, b] * ub[:, a].conj()).imag
     first = _conjugate(u, rho)[a, b]
     later = np.count_nonzero(ks == 0)  # k = 0 is rho itself, which need not lie in S_D
-    rows = _powers(step, first.real + first.imag, ks[later:] - 1)
+    rows = _powers(_step_matrix(u, keep), first.real + first.imag, ks[later:] - 1)
     limit, trace = np.trace(rho).real, rows[:, a == b].sum(axis=1)
     rows *= np.divide(limit, trace, out=np.ones_like(trace), where=trace > limit)[:, None]
     y = np.zeros((ks.size - later, n, n))
@@ -209,6 +210,36 @@ def _after_by_powers(u: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.nd
     after[:later] = rho
     after[later:] = _from_real(y)
     return after
+
+
+def _step_matrix(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """_after_by_powers' real step matrix M[(a, b), (c, e)] = Re(U_ac conj U_be) + Im(U_ae conj U_bc)
+    over the entries (a, b) that keep marks, in np.nonzero(keep) order.
+
+    The sites F whose kept rows hold more than their diagonal span the block
+    F x F of M: with W = U[F, F] and the outer product Z[a,b,c,e] =
+    W_ac conj W_be, it is Re Z plus Im Z with its last two axes swapped.  Z
+    is formed a few rows a at a time, at most _STEP_CHUNK entries, which stay
+    in cache.  Only the rows and columns of the other kept diagonals (c, c)
+    are gathered.  Each complex product keeps its operands in the order
+    written: numpy's temporary elision swaps them, which rounds the
+    imaginary part another way, only where the second alone is an owning
+    temporary of 256 kB or more (an unnamed conjugate), and none here is."""
+    a, b = np.nonzero(keep)
+    free = keep.sum(axis=1) > 1
+    pb, pd = np.flatnonzero(free[a]), np.flatnonzero(~free[a])  # the block's positions, the other diagonals'
+    f, dd, uc = np.flatnonzero(free)[:, None], a[pd], u.conj()
+    k, step = f.shape[0], np.empty((a.size, a.size))
+    w, wc = u[f, f.T], uc[f, f.T]
+    rows = max(1, _STEP_CHUNK // max(k, 1) ** 3)
+    for i in range(0, k, rows):
+        z = w[i : i + rows, None, :, None] * wc[None, :, None, :]
+        step[pb[i * k : (i + rows) * k, None], pb] = (z.real + z.imag.swapaxes(2, 3)).reshape(-1, pb.size)
+    z = u[a[:, None], dd] * uc[b[:, None], dd]  # columns (c, c): both terms are U_ac conj U_bc
+    step[:, pd] = z.real + z.imag
+    ud, udc = u[dd], uc[dd]
+    step[pd] = (ud[:, a] * udc[:, b]).real + (ud[:, b] * udc[:, a]).imag
+    return step
 
 
 def _intervals(t, tau: float):

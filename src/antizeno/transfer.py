@@ -9,7 +9,9 @@ Poisson-timed events, with weight exp(-r s) on [0, inf); and free evolution is
 the Poisson case at r = 0, where T = 0.  Both laws share one eigen-sum kernel
 on H_eff = V diag(w) V^-1 (_interval_integrals_eigen), one exact fallback
 where V is ill-conditioned or a mode does not decay, a Gauss-Legendre panel
-doubled (_interval_integrals_doubling), and one np.linalg.solve per series.
+doubled (_interval_integrals_doubling), and one solve per series (_solve:
+LAPACK's gesv through numpy's gufunc, called only once rho(T) < 1 - 1e-12
+has shown I - T nonsingular).
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .dynamics import _EIGEN_SUM_COND, _expm, _positive_finite, _write_csv, eig_system
+from .dynamics import _EIGEN_SUM_COND, _expm, _mode_table, _positive_finite, _write_csv, eig_system
 from .model import LatticeModel
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
+_SUM_RULE_TOL = 1e-8  # the Poisson series' sum rule, and how far it moves trapped and dissipated into [0, 1]
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,7 @@ class _Factors(NamedTuple):
     lp: np.ndarray  # (2, m) complex: L P, the loss rows L of _model_terms times P
     eye: np.ndarray  # (n, n) identity
     start: np.ndarray  # (n,) the initial site's column of it, p(0)
+    table: np.ndarray | None  # (n, n^2) complex, dynamics._mode_table: U(tau) = exp(-i w tau) @ table; None for the Poisson law
 
 
 _MEMO = threading.local()  # per thread: the model and eig_system result last used, and their _Factors
@@ -93,16 +98,18 @@ def _model_terms(model):
     return np.array([2.0 * model.trap_rates, [2.0 * model.decay_rate] * n]), eye, eye[model.initial_site - 1]
 
 
-def _series_factors(model, eig) -> _Factors:
-    """The factors for a model and its eig_system result (w, V, Vinv, cond) whose Vinv is not None.
+def _series_factors(model, eig, periodic=False) -> _Factors:
+    """The factors for a model and its eig_system result (w, V, Vinv, cond) whose Vinv is not None,
+    with the mode table of U(tau) if periodic.
 
     Memoized per thread on the identities of both (two models can share an
     equal H, for which eig_system returns the same read-only tuple, and differ
     in L or p(0)), one entry: a scan runs one model at a time.  P and Q each
-    hold n^2 (n+1)/2 complex values, together 0.54 MB per thread at n = 32.
+    hold n^2 (n+1)/2 complex values, together 0.54 MB per thread at n = 32,
+    and the table n^3, 0.5 MB more.
     """
     last = getattr(_MEMO, "last", None)
-    if last is not None and last[0] is model and last[1] is eig:
+    if last is not None and last[0] is model and last[1] is eig and (last[2].table is not None or not periodic):
         return last[2]
     _MEMO.last = None
     w, v, vinv, _ = eig
@@ -123,6 +130,7 @@ def _series_factors(model, eig) -> _Factors:
         lp=l @ p,
         eye=eye,
         start=start,
+        table=_mode_table(v, vinv) if periodic else None,
     )
     _MEMO.last = (model, eig, factors)
     return factors
@@ -221,17 +229,30 @@ def _interval_integrals_doubling(h, cols, tau, rate=0.0, stop=False):
     return np.einsum("iji->ij", q).real, f
 
 
+def _solve(a, b) -> np.ndarray:
+    """np.linalg.solve(a, b), bit for bit, for a real (n, n) a that is known to be nonsingular and an (n,) b.
+
+    This is the gufunc that np.linalg.solve calls (LAPACK's dgesv), without the wrapper's type
+    resolution and errstate, which cost 4.6 of its 5.6 us at n = 2.  That errstate only turns a
+    singular a into LinAlgError; for a singular a this returns NaN under numpy's invalid-value warning.
+    """
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _series_result(t, weights, eye, start, tau, method) -> EfficiencyResult:
     """eta = w . (I - T)^-1 p(0) from the transition matrix T and the (2, n)
-    per-start-site trapped and dissipated weights L A, whose first row is w, by one np.linalg.solve."""
+    per-start-site trapped and dissipated weights L A, whose first row is w, by one _solve.
+
+    The solve runs only once rho(T) < 1 - 1e-12 is shown, so I - T is nonsingular, as _solve requires;
+    otherwise ValueError."""
     # rho(T) <= ||T||_1, the largest column sum of |T|: each column of T plus
     # its per-interval loss is 1, so eigvals is needed only where some site
     # loses (almost) nothing within an interval; a NaN also takes that path
-    if not np.abs(t).sum(axis=0).max() < 1 - 1e-12:
+    if not np.maximum.reduce(np.add.reduce(np.abs(t), 0)) < 1 - 1e-12:
         radius = float(np.max(np.abs(np.linalg.eigvals(t))))
         if radius >= 1 - 1e-12:
             raise ValueError(f"series non-convergent: spectral radius {radius}")
-    trapped, dissipated = (weights @ np.linalg.solve(eye - t, start)).tolist()
+    trapped, dissipated = (weights @ _solve(eye - t, start)).tolist()
     return EfficiencyResult(eta=trapped, trapped=trapped, dissipated=dissipated, residual=0.0, tau=tau, method=method)
 
 
@@ -243,15 +264,25 @@ def _poisson_efficiency(model, rate, method) -> EfficiencyResult:
     trapped + dissipated = 1 can fail only if some mode never decays.  Such a
     mode takes the doubling and raises ValueError: at rate > 0 through the
     spectral radius of T, at rate 0 through the sum rule if the initial state
-    populates it.
+    populates it.  Trapped and dissipated are moved into [0, 1] within the
+    roundoff the sum rule accepts, and raise past it.
     """
     _require_lossy(model)
     a = _poisson_integrals(model, rate)
     l, eye, start = _model_terms(model)
     res = _series_result(rate * a, l @ a, eye, start, 1.0 / rate if rate > 0 else None, method)
-    if not abs(res.trapped + res.dissipated - 1.0) <= 1e-8:
+    if not abs(res.trapped + res.dissipated - 1.0) <= _SUM_RULE_TOL:
         raise ValueError(f"non-decaying mode: trapped + dissipated = {res.trapped + res.dissipated:.12g}")
-    return res
+    # Exactly, trapped and dissipated are >= 0 and sum to 1, so one outside [0, 1] is off by at
+    # least its excursion.  The sum rule accepts a kernel and solve that are off by up to
+    # _SUM_RULE_TOL: the Poisson eigen sums reach k cond(V)^2 u, with k growing as rate^2 past the
+    # hopping rates (dynamics._EIGEN_SUM_COND), 1.4e-8 at rate 1e3 on a near-exceptional-point dimer.
+    # An excursion within that bound is such roundoff (4 and 9e-16 at the exceptional-point dimer,
+    # rates 0 and 1) and is clamped; one past it is an error the series does not accept.
+    trapped, dissipated = (min(max(x, 0.0), 1.0) for x in (res.trapped, res.dissipated))
+    if not max(abs(trapped - res.trapped), abs(dissipated - res.dissipated)) <= _SUM_RULE_TOL:
+        raise ValueError(f"trapped {res.trapped!r} or dissipated {res.dissipated!r} outside [0, 1] past roundoff")
+    return EfficiencyResult(eta=trapped, trapped=trapped, dissipated=dissipated, residual=0.0, tau=res.tau, method=method)
 
 
 def efficiency_no_measurement(model: LatticeModel) -> EfficiencyResult:
@@ -269,17 +300,18 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
     summed in closed form as w . (I - T)^-1 p(0).
 
     H_eff is built once per model, and the tau-independent factors once per model and
-    eigendecomposition (_series_factors): a tau costs one exp for E(tau) and T = |V exp(-i w tau) Vinv|^2,
-    one (2 x 2m)(2m x n) product for the two weight rows (never A itself) and one solve.
+    eigendecomposition (_series_factors): a tau costs one exp for E(tau) and exp(-i w tau), one
+    (n)(n x n^2) product of the latter with the mode table for U(tau) and T = |U(tau)|^2, one
+    (2 x 2m)(2m x n) product for the two weight rows (never A itself) and one solve.
     """
     tau = _positive_finite(tau)
     _require_lossy(model)
     h = model._h_eff.matrix
-    _, v, vinv, _ = eig = eig_system(h)
+    _, _, vinv, _ = eig = eig_system(h)
     if vinv is not None:
-        f = _series_factors(model, eig)
+        f = _series_factors(model, eig, periodic=True)
         e, modes = _periodic_law(f, tau)
-        u = (v * modes) @ vinv
+        u = (modes @ f.table).reshape(f.eye.shape)
         weights, eye, start = _interval_integrals_eigen(f.lp, e, f.q), f.eye, f.start
     else:
         l, eye, start = _model_terms(model)

@@ -193,6 +193,35 @@ def test_run_bad_config_exits_2(config, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "grid",
+    ["[0.1, true]", '[0.1, "0.2"]', "[0.1, null]", "[0.1, NaN]", "[0.1, Infinity]", "[0.1, -Infinity]", "[0.1, 1e400]", "[0.1, 1" + "0" * 400 + "]", "[[0.1, 0.2]]", "[]", "null"],
+    ids=["bool", "string", "null-element", "nan", "inf", "minus-inf", "1e400", "huge-int", "nested-list", "empty-list", "null"],
+)
+def test_tau_grid_checked_in_one_pass_keeps_each_message(grid, capsys, tmp_path):
+    # the JSON text as written, so NaN, Infinity and 1e400 reach the check as Python floats
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"scenario": "efficiency-scan", "model": {json.dumps(inline_two_site())}, "tau_grid": {grid}}}')
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    want = f"config error: tau_grid must be a nonempty list of finite numbers, got {json.loads(grid)!r}\n"
+    assert capsys.readouterr().err == want
+
+
+def test_number_lists_equal_the_per_element_check():
+    # what _Object.numbers accepts and returns (floats) is what _number and _bounded give element by element
+    lists = [[1, 0.5, 2**60 + 1], [0.0, -1.0, 2.5], [-0.0], [np.float64(0.5)], [np.int64(1)], [0.1, True], [1e308, -1e308]]
+    for bound in (None, "> 0", ">= 0", "<= 1", ">= 2"):
+        per_element = antizeno.cli._nonempty_list(antizeno.cli._bounded(antizeno.cli._number, bound))
+        for x in lists:
+            want, reader = per_element(x), antizeno.cli._Object({"x": x}, "")
+            if want is None:
+                with pytest.raises(antizeno.cli.ConfigError):
+                    reader.numbers("x", bound=bound)
+            else:
+                got = reader.numbers("x", bound=bound)
+                assert got == want and all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize(
     "config, outputs",
     [
         (

@@ -16,7 +16,7 @@ from antizeno import (
     repeated_measurement_trajectory,
     transition_matrix,
 )
-from antizeno import dynamics
+from antizeno import dynamics, measurement
 from antizeno.dynamics import _EIGEN_COND, DensityMatrix, eig_system, evolve, propagator, pure_site_state
 from antizeno.entanglement import measured_concurrence, simulate_concurrence
 from antizeno.measurement import (
@@ -25,6 +25,7 @@ from antizeno.measurement import (
     _after_by_steps,
     _by_powers,
     _intervals,
+    _step_matrix,
     channel_masks,
     measured_states,
     trajectory_to_csv,
@@ -309,6 +310,29 @@ def test_measurement_paths_agree_on_both_sides_of_the_rule():
         traj = repeated_measurement_trajectory(model, channel, k)
         assert np.array_equal(periodic.mean_populations, traj.populations)
         assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(periodic.mean_states, traj.states))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 16])
+def test_step_matrix_equals_the_gather_form_bit_for_bit(n):
+    # M[(a, b), (c, e)] = Re(U_ac conj U_be) + Im(U_ae conj U_bc), gathered entry
+    # by entry over the kept pairs, on random complex U and channels from one
+    # measured site to all of them, with chunks of the outer product down to
+    # one row.  The conjugates are named: an unnamed large one would be
+    # numpy's elided temporary, which swaps the product's operands and rounds
+    # Im another way (from d = 128 on, 256 kB)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for size in sorted({1, 2, n // 2, n - 1, n}):
+        _, keep = channel_masks(n, (rng.choice(n, size, replace=False) + 1).tolist())
+        a, b = np.nonzero(keep)
+        ua, ub = u[a], u[b]
+        ubc = ub.conj()
+        want = (ua[:, a] * ubc[:, b]).real + (ua[:, b] * ubc[:, a]).imag
+        assert np.array_equal(_step_matrix(u, keep), want)
+        for chunk in (1, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(measurement, "_STEP_CHUNK", chunk)
+                assert np.array_equal(_step_matrix(u, keep), want)
 
 
 def test_measured_concurrence_over_6300_intervals(three_site_degenerate):

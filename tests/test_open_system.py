@@ -680,6 +680,32 @@ def test_poisson_efficiency_at_the_exceptional_point(gamma):
         assert abs(r.trapped + r.dissipated + r.residual - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("gamma", [None, 0.0, 0.5])
+def test_poisson_efficiency_is_clamped_into_the_unit_interval_at_the_exceptional_point(gamma):
+    # the series read eta = 1.0000000000000004 without measurement and at gamma = 0,
+    # and 1.0000000000000009 at gamma = 0.5: a few ulps past 1, moved to 1
+    m = build_chain(2, [0.0, 0.0], v=1.0, trap_rate=2.0, decay_rate=0.0)
+    if gamma is None:
+        r = efficiency_no_measurement(m)
+    else:
+        r = efficiency_dephasing(DephasingSpec(model=m, gamma=gamma, dephased_sites=frozenset({1, 2}) if gamma else frozenset()))
+    assert (r.eta, r.trapped, r.dissipated, r.residual) == (1.0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("t, d, raises", [(1.0 + 5e-9, -5e-9, False), (1.0 + 2e-8, -2e-8, True), (-2e-8, 1.0 + 2e-8, True)])
+def test_poisson_efficiency_raises_past_the_roundoff_bound(t, d, raises, two_site_disordered, monkeypatch):
+    # a planted series result (trapped t, dissipated d) that keeps the sum rule but leaves
+    # [0, 1]: within the sum rule's 1e-8 it is clamped, past it the efficiency raises
+    planted = transfer.EfficiencyResult(eta=t, trapped=t, dissipated=d, residual=0.0, tau=None, method="lyapunov")
+    monkeypatch.setattr(transfer, "_series_result", lambda *args: planted)
+    if raises:
+        with pytest.raises(ValueError, match=r"outside \[0, 1\] past roundoff"):
+            efficiency_no_measurement(two_site_disordered)
+    else:
+        r = efficiency_no_measurement(two_site_disordered)
+        assert (r.eta, r.trapped, r.dissipated) == (1.0, 1.0, 0.0)
+
+
 @pytest.mark.parametrize("topology", ["chain", "complete"])
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 32, 64])
 def test_poisson_integrals_on_the_eigenbasis_equal_the_schur_solve(topology, n, monkeypatch):

@@ -18,7 +18,7 @@ from antizeno import (
     tau_scan,
 )
 from antizeno import transfer
-from antizeno.dynamics import _eig_system, _propagators, eig_system
+from antizeno.dynamics import _eig_system, _mode_table, _propagators, eig_system
 from antizeno.model import DisorderSpec, LatticeModel, build_graph, effective_hamiltonian
 from antizeno.transfer import (
     TauScan,
@@ -201,14 +201,91 @@ def test_measured_divergent_without_loss():
 
 
 @pytest.mark.parametrize("tau", [0.1, 1.0])
-def test_measured_divergent_with_an_isolated_lossless_site(tau):
+def test_measured_divergent_with_an_isolated_lossless_site(tau, monkeypatch):
     # site 3 has no coupling and no loss: column 3 of T sums to 1, so the
-    # column-sum bound cannot settle convergence and the spectral radius raises
+    # column-sum bound cannot settle convergence and the spectral radius
+    # raises, before the solve that needs I - T nonsingular runs
+    solves = []
+    monkeypatch.setattr(transfer, "_solve", lambda *args: solves.append(args))
     c = np.zeros((3, 3))
     c[0, 1] = c[1, 0] = 1.0
     m = LatticeModel(np.array([0.0, 1.0, 5.0]), c, np.array([0.0, 0.5, 0.0]), 0.0, 1)
     with pytest.raises(ValueError, match="non-convergent"):
         efficiency_measured(m, tau)
+    assert solves == []
+
+
+def test_series_guard_sends_a_nan_to_eigvals(monkeypatch):
+    # np.maximum.reduce propagates the NaN, so the column-sum bound does not
+    # hold and eigvals rejects T before any solve
+    solves = []
+    monkeypatch.setattr(transfer, "_solve", lambda *args: solves.append(args))
+    t = np.array([[0.1, np.nan], [0.2, 0.3]])
+    with pytest.raises(np.linalg.LinAlgError):
+        _series_result(t, np.ones((2, 2)), np.eye(2), np.eye(2)[0], 0.1, "series")
+    assert solves == []
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_solve_is_numpy_solve_bit_for_bit(n):
+    # _solve calls the gufunc behind np.linalg.solve, on the same arrays
+    rng = np.random.default_rng(n)
+    for a in (rng.standard_normal((n, n)), np.eye(n) - rng.uniform(0.0, 1.0 / n, (n, n))):
+        b = rng.standard_normal(n)
+        assert np.array_equal(transfer._solve(a, b), np.linalg.solve(a, b))
+
+
+def _old_way_series(m, tau):
+    """(eta, dissipated) as efficiency_measured formed them before the mode table:
+    U = (V exp(-i w tau)) Vinv, then np.linalg.solve, and the bound
+    2 n u cond(V) ||(I - T)^-1||_1 on the gap between the two forms."""
+    w, v, vinv, cond = eig = eig_system(m._h_eff.matrix)
+    f = _series_factors(m, eig)
+    e, modes = _periodic_law(f, tau)
+    t = np.abs((v * modes) @ vinv) ** 2
+    eta, dissipated = _interval_integrals_eigen(f.lp, e, f.q) @ np.linalg.solve(f.eye - t, f.start)
+    amplification = np.abs(np.linalg.inv(f.eye - t)).sum(axis=0).max()
+    return eta, dissipated, 2 * m.n_sites * 2.0**-53 * cond * amplification
+
+
+_OLD_WAY_MODELS = [build_graph(DisorderSpec(n, topology, 10.0, 1.0, 0.5, 0.001, seed=n)) for topology in ("chain", "complete") for n in (2, 3, 8, 16, 32)]
+_OLD_WAY_MODELS += [build_chain(2, [0.0, 0.0], v=1.0, trap_rate=2.0 + 10.0**-k, decay_rate=0.0) for k in range(3, 9)]
+
+
+@pytest.mark.parametrize("m", _OLD_WAY_MODELS, ids=[f"n{m.n_sites}-{i}" for i, m in enumerate(_OLD_WAY_MODELS)])
+def test_measured_equals_the_old_propagator_and_solve(m):
+    # The two forms of U(tau) = V exp(-i w tau) Vinv round differently: each entry
+    # sums n terms of size up to |V[i,a]| |Vinv[a,j]|, so they differ by about
+    # n u cond(V), T = |U|^2 by twice that, and (I - T)^-1 carries the gap into
+    # eta and dissipated times its 1-norm, which grows in the Zeno regime (small
+    # tau) to 8e4 on the 32-site chains.  Seeded chains and complete graphs
+    # (n = 2-32) and near-exceptional-point dimers (kappa = 2 + 1e-3 ... 1e-8,
+    # cond(V) up to 2e4) read at most 0.55 of that estimate over 25 taus in
+    # [0.005, 2]; the test allows twice it.  Both forms lie equally far from
+    # eta = 1 at those dimers, which have no decay
+    for tau in np.geomspace(0.005, 2.0, 12):
+        eta, dissipated, bound = _old_way_series(m, tau)
+        r = efficiency_measured(m, tau)
+        assert max(abs(r.eta - eta), abs(r.dissipated - dissipated)) <= 2 * bound
+
+
+def test_mode_table_keeps_propagators_bit_for_bit():
+    # _propagators forms U(t) from dynamics._mode_table as it formed it inline, and the
+    # periodic factors cache that same table; the Poisson factors build none
+    m = build_graph(DisorderSpec(8, "chain", 10.0, 1.0, 0.5, 0.001, seed=4))
+    h = m._h_eff.matrix
+    w, v, vinv, _ = eig = eig_system(h)
+    times = np.array([0.0, 0.3, 0.01, 2.0, 0.3])
+    t, at = np.unique(times, return_inverse=True)
+    table = (v.T[:, :, None] * vinv[:, None, :]).reshape(8, 64)
+    u = (np.exp(np.multiply.outer(t, -1j * w)) @ table).reshape(-1, 8, 8)
+    u[t == 0] = np.eye(8)
+    assert np.array_equal(_propagators(h, times), u[at])
+    transfer._MEMO.__dict__.clear()
+    assert _series_factors(m, eig).table is None
+    f = _series_factors(m, eig, periodic=True)
+    assert np.array_equal(f.table, table) and np.array_equal(_mode_table(v, vinv), table)
+    assert _series_factors(m, eig) is f and _series_factors(m, eig, periodic=True) is f
 
 
 def _fresh_result(m, tau):
