@@ -146,10 +146,24 @@ def eig_system(h_eff):
     Vinv is None when cond(V) >= 1e8 (or is not finite): the eigenbasis is
     then too ill-conditioned to work in, and callers take a path without it
     (efficiency_measured the doubling of transfer._interval_integrals_doubling).
-    The result is memoized on the bytes of H (the 16 most recent matrices), so
-    a tau scan decomposes its H_eff once; w, V and Vinv are read-only.
+    w, V and Vinv are read-only.  An EffectiveHamiltonian whose matrix is
+    read-only (as its constructor leaves it) keeps its result in the private
+    attribute _eig, so a tau scan neither copies nor hashes H after its first
+    tau.  Other matrices, and one made writable again (as unpickling does), are
+    memoized on the bytes of H (the 16 most recent matrices), which also gives
+    an EffectiveHamiltonian its first result.
     """
-    h = np.ascontiguousarray(_h_matrix(h_eff), dtype=complex)
+    if isinstance(h_eff, EffectiveHamiltonian) and not h_eff.matrix.flags.writeable:
+        eig = h_eff.__dict__.get("_eig")
+        if eig is None:  # setdefault: of two threads that decompose H at once, both keep the first result stored
+            eig = h_eff.__dict__.setdefault("_eig", _eig_memo(h_eff.matrix))
+        return eig
+    return _eig_memo(_h_matrix(h_eff))
+
+
+def _eig_memo(h) -> tuple:
+    """eig_system's byte-keyed memo."""
+    h = np.ascontiguousarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise np.linalg.LinAlgError(f"eig_system needs a square matrix, got shape {h.shape}")
     return _eig_system(h.shape[0], h.tobytes())
@@ -183,7 +197,7 @@ def _propagators(h_eff, times) -> np.ndarray:
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
     t, at = np.unique(np.asarray(times, dtype=float), return_inverse=True)
-    w, v, vinv, cond = eig_system(h)
+    w, v, vinv, cond = eig_system(h_eff)
     if cond >= _EIGEN_COND:
         return _expm((-1j * h) * t[:, None, None])[at]
     n = w.shape[0]

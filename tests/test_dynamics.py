@@ -1,3 +1,9 @@
+import dataclasses
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -119,6 +125,75 @@ def test_eig_system_memo(rng):
         eig_system(h + k * np.eye(6))
     info = _eig_system.cache_info()
     assert info.currsize <= info.maxsize == 16
+
+
+def _same_decomposition(x, y):
+    return all(np.array_equal(a, b) for a, b in zip(x[:3], y[:3])) and x[3] == y[3]
+
+
+def test_eig_system_keeps_an_effective_hamiltonians_decomposition(rng):
+    # a frozen EffectiveHamiltonian keeps its result: no byte key after its first call,
+    # and the same values as its matrix, an equal copy and a fresh decomposition give
+    m = build_chain(6, rng.uniform(0, 10, 6), v=1.0, trap_rate=0.5, decay_rate=0.01)
+    heff = effective_hamiltonian(m)
+    first = eig_system(heff)
+    assert eig_system(heff) is first and eig_system(heff.matrix) is first  # while the byte memo holds it
+    copy = effective_hamiltonian(m)
+    assert copy is not heff and _same_decomposition(eig_system(copy), first)
+    _eig_system.cache_clear()
+    assert eig_system(heff) is first and _eig_system.cache_info().currsize == 0
+    fresh = eig_system(heff.matrix)
+    assert fresh[1] is not first[1] and _same_decomposition(fresh, first)
+    assert _same_decomposition(eig_system(effective_hamiltonian(m)), first)
+    assert _same_decomposition(eig_system(dataclasses.replace(heff)), first)
+    w, v = np.linalg.eig(heff.matrix)
+    assert np.array_equal(first[0], w) and np.array_equal(first[1], v)
+    # the kept result is not a field: equality, repr and the fields' values are unchanged
+    assert [f.name for f in dataclasses.fields(heff)] == ["matrix", "hermitian_part"]
+    assert repr(heff) == repr(copy)
+
+
+def test_eig_system_decomposes_a_writable_array_changed_in_place(rng):
+    h = effective_hamiltonian(build_chain(5, rng.uniform(0, 10, 5), v=1.0, trap_rate=0.5, decay_rate=0.01)).matrix.copy()
+    first = eig_system(h)
+    h[0, 0] += 1.0
+    second = eig_system(h)
+    assert second[1] is not first[1] and np.array_equal(second[0], np.linalg.eig(h)[0])
+    # an unpickled EffectiveHamiltonian's matrix is writable again: it takes the byte memo, so a
+    # change in place is seen there too
+    heff = effective_hamiltonian(build_chain(5, rng.uniform(0, 10, 5), v=1.0, trap_rate=0.5, decay_rate=0.01))
+    kept = eig_system(heff)
+    thawed = pickle.loads(pickle.dumps(heff))
+    assert thawed.matrix.flags.writeable and _same_decomposition(eig_system(thawed), kept)
+    thawed.matrix[0, 0] += 1.0
+    assert np.array_equal(eig_system(thawed)[0], np.linalg.eig(thawed.matrix)[0])
+    assert not np.array_equal(eig_system(thawed)[0], kept[0])
+
+
+def test_eig_system_on_threads_alternating_two_models():
+    # four threads, switching every microsecond, alternate two fresh models from their first call
+    # on, over 20 rounds: every call returns its own model's one kept result, with a serial
+    # decomposition's values
+    barrier = threading.Barrier(4)
+
+    def alternate(models, start):
+        barrier.wait(timeout=60)
+        return [(i, eig_system(models[i]._h_eff)) for i in [(start + k) % 2 for k in range(50)]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for r in range(20):
+                models = [build_chain(8, np.linspace(e + r / 8, 0.0, 8), v=1.0, trap_rate=0.5, decay_rate=0.001) for e in (10.0, 12.0)]
+                runs = [fut.result(timeout=60) for fut in [pool.submit(alternate, models, s) for s in range(4)]]
+                want = [np.linalg.eig(effective_hamiltonian(m).matrix) for m in models]
+                for run in runs:
+                    for i, got in run:
+                        assert got is models[i]._h_eff.__dict__["_eig"]
+                        assert np.array_equal(got[0], want[i][0]) and np.array_equal(got[1], want[i][1])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_eig_system_rejects_what_it_cannot_decompose():

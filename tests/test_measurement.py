@@ -30,7 +30,7 @@ from antizeno.measurement import (
     measured_states,
     trajectory_to_csv,
 )
-from antizeno.model import effective_hamiltonian
+from antizeno.model import LatticeModel, effective_hamiltonian
 from antizeno.open_system import DephasingSpec, quantum_jump_ensemble
 
 
@@ -335,6 +335,18 @@ def test_step_matrix_equals_the_gather_form_bit_for_bit(n):
                 assert np.array_equal(_step_matrix(u, keep), want)
 
 
+def test_step_plan_is_cached_per_mask_and_read_only():
+    # an equal mask from another array reuses the plan, whose index arrays cannot be written
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    measurement._step_plan.cache_clear()
+    first = _step_matrix(u, channel_masks(6, [2, 5])[1])
+    again = _step_matrix(u, channel_masks(6, [5, 2])[1].copy())
+    assert np.array_equal(first, again) and measurement._step_plan.cache_info().hits == 1
+    d, *arrays = measurement._step_plan(6, channel_masks(6, [2, 5])[1].tobytes())
+    assert d == first.shape[0] == 4 * 4 + 2 and not any(x.flags.writeable for x in arrays)
+
+
 def test_measured_concurrence_over_6300_intervals(three_site_degenerate):
     # t = 630 on the Fig. 3 model at tau = 0.1: the state after k intervals is
     # M^(k-1) y1 for the d = 5 step matrix M.  Each of the k products that
@@ -528,6 +540,44 @@ def test_crossover_no_hopping():
     m = build_chain(2, [10.0, 0.0], v=0.0, trap_rate=0.0, decay_rate=0.0)
     out = crossover_time(m, 0.1, horizon=20.0)
     assert out["t_c"] is None and out["n_c"] is None
+
+
+def _counting_powers(monkeypatch):
+    calls = []
+    powers = measurement._powers
+    monkeypatch.setattr(measurement, "_powers", lambda *args: calls.append(args[2].size) or powers(*args))
+    return calls
+
+
+def test_crossover_that_never_comes_ends_early(resonant_dimer, monkeypatch):
+    # lossless and resonant, tau = 0.05: p_bar = 0.50106 while T^k p(0) rises to 1/2 from
+    # below.  Scanning all 2e10 intervals took about 10 minutes; after one window,
+    # mu = 1 - 2 sin^2(0.05) = 0.995 bounds the rows below p_bar, roundoff included
+    calls = _counting_powers(monkeypatch)
+    out = crossover_time(resonant_dimer, 0.05, horizon=1e9)
+    assert out["t_c"] is None and out["n_c"] is None and out["p_bar"] > 0.501
+    assert 1 <= len(calls) <= 2
+    assert measurement._mixing_rate(transition_matrix(resonant_dimer._h_eff, 0.05).matrix) == pytest.approx(1 - 2 * np.sin(0.05) ** 2, abs=1e-14)
+
+
+def test_crossover_scans_a_disconnected_model_to_the_horizon(monkeypatch):
+    # site 1 is cut off, and sites 2, 3 form the resonant dimer of the test above (p_bar > 1/2
+    # > 1/3): T has the eigenvalue 1 twice, mu = 1, and the rows do not tend to 1/3, so every
+    # window of the 12,000 intervals is scanned
+    m = LatticeModel([0.0, 0.0, 0.0], [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [0.0, 0.0, 0.0], 0.0, initial_site=2)
+    calls = _counting_powers(monkeypatch)
+    out = crossover_time(m, 0.05, horizon=600.0)
+    assert out["t_c"] is None and out["p_bar"] > 0.501
+    assert calls == [4096, 4096, 12000 - 2 * 4096]
+
+
+def test_crossover_still_crosses_after_many_windows(monkeypatch):
+    # the bound of _never_above holds the scan only where no row can cross: this run crosses
+    # in its 14th window, at the interval the per-interval loop finds
+    m = build_chain(2, [10.0, 0.0], v=1.0, trap_rate=0.0, decay_rate=0.0)
+    calls = _counting_powers(monkeypatch)
+    assert crossover_time(m, 0.0006000000000000001, horizon=1e6)["n_c"] == 54492
+    assert len(calls) == 14
 
 
 def test_crossover_validation():

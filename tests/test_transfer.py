@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import sys
 import threading
 import warnings
@@ -21,6 +23,7 @@ from antizeno import transfer
 from antizeno.dynamics import _eig_system, _mode_table, _propagators, eig_system
 from antizeno.model import DisorderSpec, LatticeModel, build_graph, effective_hamiltonian
 from antizeno.transfer import (
+    EfficiencyResult,
     TauScan,
     _interval_integrals_doubling,
     _interval_integrals_eigen,
@@ -450,6 +453,39 @@ def test_tau_scan_result_count_must_match_the_grid(two_site_disordered):
     results = tau_scan(two_site_disordered, [0.1, 0.2, 0.3]).results
     with pytest.raises(ValueError, match="2 results for 3 taus"):
         TauScan(taus=[0.1, 0.2, 0.3], results=results[:2], model=two_site_disordered)
+
+
+def test_series_results_equal_the_public_constructors():
+    # _result skips the frozen dataclass's __init__ and __post_init__; its objects are the
+    # public constructor's under ==, hash, repr, replace, copy and pickle, and stay frozen
+    fast = transfer._result(0.75, 0.2, 0.3, "series")
+    slow = EfficiencyResult(eta=0.75, trapped=0.75, dissipated=0.2, residual=0.0, tau=0.3, method="series")
+    assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+    assert dataclasses.replace(fast) == slow and dataclasses.astuple(fast) == dataclasses.astuple(slow)
+    assert copy.copy(fast) == slow and copy.deepcopy(fast) == slow
+    assert pickle.loads(pickle.dumps(fast)) == slow and pickle.loads(pickle.dumps(slow)) == fast
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.eta = 0.5
+    # the public constructor and replace still check eta against the trapped probability
+    with pytest.raises(ValueError, match="eta must equal the trapped probability"):
+        EfficiencyResult(eta=0.75, trapped=0.7, dissipated=0.2, residual=0.0, tau=0.3, method="series")
+    with pytest.raises(ValueError, match="eta must equal the trapped probability"):
+        dataclasses.replace(fast, eta=0.5)
+    # both laws return such objects
+    m = fig2_model(10)
+    for r in (efficiency_measured(m, 0.3), efficiency_no_measurement(m)):
+        assert r == EfficiencyResult(**dataclasses.asdict(r)) and repr(r) == repr(EfficiencyResult(**dataclasses.asdict(r)))
+
+
+def test_tau_scan_equals_the_checked_constructor(two_site_disordered):
+    # tau_scan builds its TauScan without re-checking its own grid; the fields equal the
+    # public constructor's, the grid stays a read-only float copy
+    grid = [0.05, 0.1, 0.4, 2.0]
+    scan = tau_scan(two_site_disordered, grid)
+    checked = TauScan(taus=grid, results=scan.results, model=two_site_disordered)
+    assert np.array_equal(scan.taus, checked.taus) and scan.taus.dtype == float and not scan.taus.flags.writeable
+    assert scan.results == checked.results and scan.model is checked.model
+    assert np.array_equal(scan.etas, [r.eta for r in scan.results]) and scan.etas.dtype == float
 
 
 @pytest.mark.parametrize("grid", [[[0.1, 0.2]], [0.1, np.nan], [0.1, np.inf]])
