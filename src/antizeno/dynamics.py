@@ -68,8 +68,11 @@ def density_stack(matrices) -> np.ndarray:
         raise ValueError(f"density matrix must be square, got shape {m.shape[1:]}")
     if not np.all(np.isfinite(m)):
         raise ValueError("density matrix has non-finite entries")
+    # a stack Hermitian to the bit, as the engine's are, passes on one comparison; else
     # |m - m^H| from the real and imaginary parts, which are views: no complex temporaries
-    if np.any(np.hypot(m.real - m.real.swapaxes(1, 2), m.imag + m.imag.swapaxes(1, 2)) > _HERM_TOL):
+    if not np.array_equal(m, m.conj().swapaxes(1, 2)) and np.any(
+        np.hypot(m.real - m.real.swapaxes(1, 2), m.imag + m.imag.swapaxes(1, 2)) > _HERM_TOL
+    ):
         raise ValueError("density matrix is not Hermitian")
     low = _first_negative_eig(m)
     if low is not None:
@@ -149,9 +152,10 @@ def eig_system(h_eff):
     w, V and Vinv are read-only.  An EffectiveHamiltonian whose matrix is
     read-only (as its constructor leaves it) keeps its result in the private
     attribute _eig, so a tau scan neither copies nor hashes H after its first
-    tau.  Other matrices, and one made writable again (as unpickling does), are
-    memoized on the bytes of H (the 16 most recent matrices), which also gives
-    an EffectiveHamiltonian its first result.
+    tau.  Other matrices, and one made writable again (by setflags; unpickling
+    leaves it read-only and drops _eig), are memoized on the bytes of H (the 16
+    most recent matrices), which also gives an EffectiveHamiltonian its first
+    result.
     """
     if isinstance(h_eff, EffectiveHamiltonian) and not h_eff.matrix.flags.writeable:
         eig = h_eff.__dict__.get("_eig")
@@ -188,29 +192,34 @@ def propagator(h_eff, t: float) -> Propagator:
     return Propagator(duration=float(t), matrix=_propagators(h_eff, [t])[0])
 
 
-def _propagators(h_eff, times) -> np.ndarray:
+def _propagators(h_eff, times, right=None) -> np.ndarray:
     """exp(-i H_eff t) for each t of a 1-D array as an (m, n, n) stack, U(0) = I
-    exactly and one member per distinct t.  Where cond(V) of H_eff = V diag(w) Vinv
-    is under _EIGEN_COND: one (m, n) x (n, n^2) product of exp(-i t w) with
-    _mode_table; else one stacked _expm, exact at an exceptional point."""
+    exactly and one member per distinct t; with an (n, k) right factor W, the
+    (m, n, k) stack U(t) W instead, U(0) W = W exactly, and no U is formed.
+    Where cond(V) of H_eff = V diag(w) Vinv is under _EIGEN_COND: one
+    (m, n) x (n, n k) product of exp(-i t w) with _mode_table(V, Vinv W), k = n
+    without W; else one stacked _expm, exact at an exceptional point, times W."""
     h = _h_matrix(h_eff)
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
     t, at = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     w, v, vinv, cond = eig_system(h_eff)
     if cond >= _EIGEN_COND:
-        return _expm((-1j * h) * t[:, None, None])[at]
+        u = _expm((-1j * h) * t[:, None, None])
+        return (u if right is None else u @ right)[at]
     n = w.shape[0]
-    u = (np.exp(np.multiply.outer(t, -1j * w)) @ _mode_table(v, vinv)).reshape(-1, n, n)
-    u[t == 0] = np.eye(n)
+    r = vinv if right is None else vinv @ right
+    u = (np.exp(np.multiply.outer(t, -1j * w)) @ _mode_table(v, r)).reshape(t.size, n, r.shape[1])
+    u[t == 0] = np.eye(n) if right is None else right
     return u[at]
 
 
-def _mode_table(v, vinv) -> np.ndarray:
-    """The (n, n^2) table V[i,a] Vinv[a,j] of an eigendecomposition, mode a at row a and (i, j) at
-    column i n + j: exp(-i w t) @ table, reshaped to (n, n), is V exp(-i w t) Vinv = U(t)."""
+def _mode_table(v, r) -> np.ndarray:
+    """The (n, n k) table V[i,a] R[a,j] of an eigendecomposition V and an (n, k) factor R, mode a
+    at row a and (i, j) at column i k + j: exp(-i w t) @ table, reshaped to (n, k), is
+    V exp(-i w t) R.  With R = Vinv that is U(t); with R = Vinv W, U(t) W."""
     n = v.shape[0]
-    return (v.T[:, :, None] * vinv[:, None, :]).reshape(n, n * n)
+    return (v.T[:, :, None] * r[:, None, :]).reshape(n, n * r.shape[1])
 
 
 def _expm(a) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,19 @@ def _frozen(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _set_fields(obj, state: dict) -> None:
+    """__setstate__ of the frozen classes below, which unpickling and copy call:
+    the fields of state, each array read-only again as the constructor leaves
+    it (numpy unpickles arrays writable).  Anything else the state carries is
+    dropped, above all the results kept on first use (a model's _h_eff, a
+    Hamiltonian's _eig): those are built anew, so none can outlive a change."""
+    for f in fields(obj):
+        value = state[f.name]
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -84,6 +97,9 @@ class LatticeModel:
         object.__setattr__(self, "decay_rate", float(self.decay_rate))
         object.__setattr__(self, "initial_site", int(self.initial_site))
 
+    def __setstate__(self, state):
+        _set_fields(self, state)
+
     def __eq__(self, other):
         """Value equality of the to_dict() mappings; hashing stays the dataclass's."""
         return isinstance(other, LatticeModel) and self.to_dict() == other.to_dict()
@@ -95,7 +111,8 @@ class LatticeModel:
     @functools.cached_property
     def _h_eff(self) -> "EffectiveHamiltonian":
         """effective_hamiltonian(self), built on first use and kept: the model
-        and its arrays are read-only, so it cannot go stale."""
+        and its arrays are read-only, also after unpickling or a copy
+        (_set_fields), so it cannot go stale."""
         return effective_hamiltonian(self)
 
     def to_dict(self) -> dict:
@@ -149,6 +166,9 @@ class EffectiveHamiltonian:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix, dtype=complex))
         object.__setattr__(self, "hermitian_part", _frozen(self.hermitian_part))
+
+    def __setstate__(self, state):
+        _set_fields(self, state)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ The generator is
 with Q = I - sum_{i in D} P_i.  The generator L is linear and time
 independent, so time series are exact: the vectorized state advances by the
 matrix exponential exp(L dt) (scaling and squaring) between requested times.
+At gamma = 0 (coherent evolution, the unitary case of entanglement's
+simulate_concurrence) no generator is built: with rho0 = W diag(lam) W^H of
+rank r, rho(t) = Psi(t) diag(lam) Psi(t)^H for the n x r factor
+Psi(t) = exp(-i H_eff t) W: about 2 n^2 r work per time where the
+propagator and the conjugation by it took 3 n^3 (the checks on each state,
+a Cholesky of n^3 / 3 among them, stay).
 The transfer efficiency does not need the generator: dephasing on every site
 is the measurement channel at Poisson-timed events, so it is the renewal
 series of repeated measurement with an exponential interval weight (transfer).
@@ -28,7 +34,6 @@ import numpy as np
 
 from .dynamics import (
     DensityMatrix,
-    _conjugate,
     _density_matrices,
     _expm,
     _from_real,
@@ -41,7 +46,7 @@ from .dynamics import (
     populations,
 )
 from .measurement import MeasurementChannel, _measured_stack, channel_masks
-from .model import LatticeModel, _is_integer, effective_hamiltonian
+from .model import LatticeModel, _is_integer
 from .transfer import EfficiencyResult, _poisson_efficiency
 
 
@@ -79,7 +84,7 @@ class EnsembleResult:
 
 def _liouvillian(spec: DephasingSpec) -> np.ndarray:
     """The generator as a matrix on row-major vec(rho)."""
-    h = effective_hamiltonian(spec.model).matrix
+    h = spec.model._h_eff.matrix
     n = spec.model.n_sites
     eye = np.eye(n)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
@@ -101,21 +106,40 @@ def integrate_master(spec: DephasingSpec, rho0, times):
     uniform grid takes one exponential and about log2(len(times)) squarings,
     and an irregular list one exponential per span.  Equal times share a
     state.  The state steps as the real vector Re rho + Im rho, and the states
-    are rebuilt from it in one (len(times), n, n) stack; at gamma = 0 the stack
-    is U rho0 U^dag, U = exp(-i H_eff t) from one stack of propagators.  Its
-    finiteness, population range and DensityMatrix checks run once.  Returns a
-    list of DensityMatrix, views of it, one per time; rho0 is checked as one.
+    are rebuilt from it in one (len(times), n, n) stack.  At gamma = 0 the
+    stack is Psi diag(lam) Psi^H, Psi(t) = exp(-i H_eff t) W from one stack of
+    propagators times the rank factor W of rho0 (see _master_stack), and no
+    n x n propagator is formed.  Its finiteness, population range and
+    DensityMatrix checks run once.  Returns a list of DensityMatrix, views of
+    it, one per time; rho0 is checked as one.
     """
     return _density_matrices(_master_stack(spec, rho0, times))
 
 
 def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
-    """integrate_master's states as one checked (len(times), n, n) stack."""
+    """integrate_master's states as one checked (len(times), n, n) stack.
+
+    At gamma = 0 rho0 is factored once, rho0 = W diag(lam) W^H by eigh, and
+    the eigenvalues within eigh's roundoff, |lam| <= n u max|lam|, are
+    dropped, so a site state has rank r = 1; the rest keep their sign
+    (DensityMatrix admits eigenvalues down to -1e-10).  The (len(times), n, r)
+    stack U(t) W comes from dynamics._propagators in one product with
+    _mode_table(V, Vinv W), or from the stacked _expm times W where the
+    eigenbasis is ill-conditioned.  The states are (x + x^H) / 2 for
+    x = U W diag(lam) (U W)^H, Hermitian to the bit, and take every check of
+    the gamma > 0 stack, although they are PSD by construction."""
     times = _time_grid(times)
     rm = _initial_state(spec, rho0).matrix
     n = rm.shape[0]
     if spec.gamma == 0:
-        out = _conjugate(_propagators(spec.model._h_eff, times), rm)
+        lam, w = np.linalg.eigh(rm)
+        kept = np.abs(lam) > n * 2.0**-53 * np.abs(lam).max(initial=0.0)
+        psi = _propagators(spec.model._h_eff, times, w[:, kept])  # U(t) W
+        # (x + x^H) / 2 for x = psi diag(lam) psi^H, Hermitian to the bit; the halving is
+        # exact, so it is taken into lam, and x^H is formed once, in C order
+        x = (psi * (lam[kept] / 2)) @ psi.conj().swapaxes(1, 2)
+        out = np.conjugate(x.swapaxes(1, 2), order="C")
+        out += x
     else:
         lv = _liouvillian(spec)
         # y = vec(Re rho + Im rho) fixes a Hermitian rho, rho = (y + y^T)/2 + i (y - y^T)/2, and L keeps

@@ -1,9 +1,11 @@
-"""Independent references for the interval integrals A[i,j] = int g(s) |<i|U(s)|j>|^2 ds.
+"""Independent references for the interval integrals A[i,j] = int g(s) |<i|U(s)|j>|^2 ds,
+and for the coherent (gamma = 0) master states.
 
 The engine forms A on the eigenbasis, with a doubled Gauss-Legendre panel where
 the eigenbasis fails.  The tests hold both to these two, which reach A by
 other routes: a composite quadrature for the periodic law and a Lyapunov solve
-for the Poisson law.
+for the Poisson law.  It forms the coherent states from a rank factor of rho0;
+the reference conjugates rho0 by each member of a full propagator stack.
 """
 
 import math
@@ -11,7 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from antizeno.dynamics import _propagators
+from antizeno.dynamics import _conjugate, _propagators
 
 
 def _interval_integrals_quadrature(h, tau):
@@ -45,3 +47,9 @@ def _poisson_integrals_schur(model, rate):
         y, scale, _ = scipy.linalg.lapack.ztrsyl(s, s, -np.outer(z[j].conj(), z[j]), tranb="C")
         a[:, j] = np.real(((z @ y) * z.conj()).sum(axis=1)) / scale
     return a
+
+
+def _coherent_states_by_conjugation(model, rho0, times):
+    """The gamma = 0 master states U(t) rho0 U(t)^dag, re-symmetrized, from one
+    (len(times), n, n) stack of propagators: n^3 work per time and state."""
+    return _conjugate(_propagators(model._h_eff, times), np.asarray(rho0, dtype=complex))

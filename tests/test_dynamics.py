@@ -159,12 +159,14 @@ def test_eig_system_decomposes_a_writable_array_changed_in_place(rng):
     h[0, 0] += 1.0
     second = eig_system(h)
     assert second[1] is not first[1] and np.array_equal(second[0], np.linalg.eig(h)[0])
-    # an unpickled EffectiveHamiltonian's matrix is writable again: it takes the byte memo, so a
-    # change in place is seen there too
+    # an EffectiveHamiltonian whose matrix is made writable again takes the byte memo, so a
+    # change in place is seen there too; unpickling leaves the matrix read-only, so it is thawed here
     heff = effective_hamiltonian(build_chain(5, rng.uniform(0, 10, 5), v=1.0, trap_rate=0.5, decay_rate=0.01))
     kept = eig_system(heff)
     thawed = pickle.loads(pickle.dumps(heff))
-    assert thawed.matrix.flags.writeable and _same_decomposition(eig_system(thawed), kept)
+    assert not thawed.matrix.flags.writeable
+    thawed.matrix.setflags(write=True)
+    assert _same_decomposition(eig_system(thawed), kept)
     thawed.matrix[0, 0] += 1.0
     assert np.array_equal(eig_system(thawed)[0], np.linalg.eig(thawed.matrix)[0])
     assert not np.array_equal(eig_system(thawed)[0], kept[0])
@@ -382,6 +384,19 @@ def test_density_stack_rejects_one_bad_member_with_the_density_matrix_message(ba
     assert str(stacked.value) == str(single.value)
     checked = density_stack(np.delete(stack, 2, axis=0))
     assert not checked.flags.writeable and np.array_equal(checked, np.delete(stack, 2, axis=0))
+
+
+@pytest.mark.parametrize("off, ok", [(0.0, True), (0.9e-12, True), (1.1e-12, False)])
+def test_density_stack_hermitian_tolerance(off, ok):
+    # a stack Hermitian to the bit passes on one comparison, one member off by less
+    # than 1e-12 still passes on |m - m^H|, and one off by more fails
+    stack = np.array([np.eye(3) / 3, pure_site_state(3, 2).matrix, np.full((3, 3), 0.25)], dtype=complex)
+    stack[2, 0, 1] += 1j * off
+    if ok:
+        assert np.array_equal(density_stack(stack.copy()), stack)
+    else:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            density_stack(stack)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 32])

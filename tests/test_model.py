@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from antizeno import (
     effective_hamiltonian,
 )
 from antizeno import model as model_module
+from antizeno.dynamics import eig_system
 
 
 def test_build_chain_two_site(two_site_disordered):
@@ -126,6 +129,30 @@ def test_cached_effective_hamiltonian(two_site_disordered):
     assert same._h_eff is not cached and np.array_equal(same._h_eff.matrix, cached.matrix)
     moved = dataclasses.replace(m, site_energies=[11.0, 0.0])
     assert moved._h_eff.matrix[0, 0] == 11.0 - 0.001j and cached.matrix[0, 0] == 10.0 - 0.001j
+
+
+@pytest.mark.parametrize("trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy])
+def test_copies_and_unpickled_models_stay_frozen(trip):
+    # numpy unpickles arrays writable, and the state carried the model's _h_eff and the
+    # Hamiltonian's _eig, so a write to a thawed site energy left every efficiency on a
+    # stale H_eff; a round trip now leaves every array read-only and carries no kept result
+    m = build_graph(DisorderSpec(6, "chain", 10.0, 1.0, 0.5, 0.001, seed=3))
+    h, eig = m._h_eff, eig_system(m._h_eff)
+    back = trip(m)
+    assert back == m and "_h_eff" not in vars(back)
+    for name in ("site_energies", "couplings", "trap_rates"):
+        assert not getattr(back, name).flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(back, name)[0] = 3.0
+    assert back.decay_rate == m.decay_rate and back.initial_site == m.initial_site
+    assert back._h_eff is not h and np.array_equal(back._h_eff.matrix, h.matrix)
+    assert np.array_equal(back._h_eff.hermitian_part, h.hermitian_part)
+    heff = trip(h)
+    assert "_eig" not in vars(heff) and not heff.matrix.flags.writeable and not heff.hermitian_part.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        heff.matrix[0, 0] = 3.0
+    for got in (eig_system(back._h_eff), eig_system(heff)):
+        assert all(np.array_equal(a, b) for a, b in zip(got[:3], eig[:3])) and got[3] == eig[3]
 
 
 def test_build_graph_deterministic():

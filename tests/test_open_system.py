@@ -23,7 +23,7 @@ from antizeno.dynamics import DensityMatrix, eig_system, evolve, populations, pu
 from antizeno.measurement import channel_masks
 from antizeno.model import LatticeModel, effective_hamiltonian
 from antizeno.open_system import _BLOCK, _draw_block, _liouvillian, _pure_initial, ensemble_to_csv
-from oracles import _poisson_integrals_schur
+from oracles import _coherent_states_by_conjugation, _poisson_integrals_schur
 
 
 def fig3_spec(two_gamma, sites=frozenset({2})):
@@ -431,8 +431,8 @@ def test_master_states_equal_a_fresh_exponential(case):
     # every output against exp(L t) vec(rho_0), one exponential per time, with
     # no stepping and no real coordinates.  A number is 2 gamma on the
     # Figure-3 grid; the n = 8 chain runs on the CLI evolve grid.  At gamma = 0
-    # the states are conjugations by a stack of propagators, checked on every
-    # 20th time of that grid (a 256 x 256 exponential per time at n = 16).
+    # the states come from one stack U(t) W of the rank factor rho0 = W diag(lam) W^H,
+    # checked on every 20th time of that grid (a 256 x 256 exponential per time at n = 16).
     if case == "chain-n8-evolve-grid":
         spec, times = chain_spec(), np.linspace(0.0, 10.0, 201)
     elif case in GAMMA0_CHAINS:
@@ -468,6 +468,91 @@ def test_master_states_equal_a_fresh_exponential(case):
     # the states are rebuilt from real coordinates (symmetrized at gamma = 0), so they are Hermitian to the bit
     assert np.array_equal(states, states.conj().swapaxes(1, 2))
     # equal times share one state, bit for bit
+    for i in np.flatnonzero(np.diff(times) == 0):
+        assert np.array_equal(states[i], states[i + 1])
+
+
+def _coherent_rho0(kind, n):
+    """A gamma = 0 initial state of the named rank on n sites: none (trace 0), a site
+    state, a random superposition, a rank-2 or full-rank mixture, or a rank-3 state
+    with one eigenvalue -1e-11, which DensityMatrix admits."""
+    if kind == "rank-0":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "site":
+        return pure_site_state(n, n // 2 + 1).matrix
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    lam = {"superposition": [1.0], "rank-2": [0.6, 0.4], "full": rng.dirichlet(np.ones(n)), "negative": [0.7, 0.3 + 1e-11, -1e-11]}[kind]
+    x = (q[:, : len(lam)] * lam) @ q[:, : len(lam)].conj().T
+    return (x + x.conj().T) / 2
+
+
+COHERENT_MODELS = {
+    **{f"chain-n{n}": ("chain", n) for n in (2, 3, 5, 12, 32)},
+    **{f"complete-n{n}": ("complete", n) for n in (3, 5, 12, 32)},
+    "exceptional-point-dimer": None,
+}
+COHERENT_RANKS = {"rank-0": 0, "site": 1, "superposition": 1, "rank-2": 2, "full": None, "negative": 3}
+# t = 0 twice, a repeated time inside and at the end
+COHERENT_TIMES = np.array([0.0, 0.0, 0.05, 0.3, 0.3, 1.0, 2.5, 5.0, 10.0, 10.0])
+
+
+@pytest.mark.parametrize(
+    "case, kind",
+    # a rank-3 state needs 3 sites
+    [(c, k) for c in COHERENT_MODELS for k in COHERENT_RANKS if k != "negative" or c not in ("chain-n2", "exceptional-point-dimer")],
+)
+def test_coherent_states_equal_the_conjugated_stack_and_expm(monkeypatch, case, kind):
+    # gamma = 0 states U(t) W diag(lam) (U(t) W)^H from the rank factor of rho0, against
+    # the conjugation of rho0 by a full propagator stack (oracles) and against
+    # scipy.linalg.expm(-i H_eff t) rho0 expm(...)^dag at each time.  The exceptional-point
+    # dimer (eps = Gamma = 0, kappa = 2v, cond(V) 9.0e7) takes the stacked _expm route.
+    if COHERENT_MODELS[case] is None:
+        m = build_chain(2, [0.0, 0.0], v=1.0, trap_rate=2.0, decay_rate=0.0)
+    else:
+        topology, n = COHERENT_MODELS[case]
+        m = build_graph(DisorderSpec(n, topology, 10.0, 1.0, 0.5, 0.001, seed=n))
+    n = m.n_sites
+    rho0, times = _coherent_rho0(kind, n), COHERENT_TIMES
+    calls = []
+    propagators = open_system._propagators
+    monkeypatch.setattr(open_system, "_propagators", lambda h, t, w: calls.append((w, propagators(h, t, w))) or calls[-1][1])
+    states = np.array([s.matrix for s in integrate_master(DephasingSpec(m, 0.0, frozenset()), rho0, times)])
+    # the factor keeps every eigenvalue eigh resolves from 0, with its sign: a site state has
+    # rank 1; U(0) W is W exactly
+    ((w, psi),) = calls
+    assert w.shape == (n, n if COHERENT_RANKS[kind] is None else COHERENT_RANKS[kind])
+    assert all(np.array_equal(p, w) for p in psi[times == 0])
+    h = m._h_eff.matrix
+    old = _coherent_states_by_conjugation(m, rho0, times)
+    fresh = np.empty_like(old)
+    for k, t in enumerate(times):
+        prop = scipy.linalg.expm(-1j * h * t)
+        x = prop @ rho0 @ prop.conj().T
+        fresh[k] = (x + x.conj().T) / 2
+    # Tolerance, to first order in u = 2^-53; an entry is at most the 2-norm, and U(t)
+    # is a contraction (the anti-Hermitian part of H_eff is <= 0), so a 2-norm error in
+    # rho0 or in U(t) reaches the states undamped, and rho0 has trace norm <= 1.
+    # eigh's backward error and the dropped eigenvalues (each <= n u max|lam|, on
+    # orthogonal directions) move rho0 by about n u.  On the eigenbasis route an entry
+    # of V exp(-i w t) Vinv W sums n modes of size up to cond(V), so it carries about
+    # n u cond(V), twice in the product; the conjugated stack carries the same and two
+    # n-term products of its own: |states - old| <= 2 u n (cond(V) + 1).  On the _expm
+    # route both take one stacked _expm, so cond(V) drops out.  expm is backward
+    # stable, exp(A + E) with ||E||_1 <= u ||A||_1, so its U is off by at most
+    # ||E||_2 <= sqrt(n) u ||H||_1 t, twice in the conjugation, and _expm's U as much:
+    # |states - fresh| <= 2 u (r sqrt(n) ||H||_1 t + n cond(V) + n), r = 1 on the
+    # eigenbasis route and 2 on the _expm route.  They read at most 0.55 and 0.70 of
+    # these bounds (7.8e-16 and 1.6e-14 on the 3-site chain's superposition; the
+    # largest difference from expm is 7.4e-14, on the 12-site complete graph).
+    cond = eig_system(m._h_eff)[3]
+    kappa, r = (cond, 1) if cond < dynamics._EIGEN_COND else (0.0, 2)
+    u = 2.0**-53
+    assert np.abs(states - old).max() <= 2 * u * n * (kappa + 1)
+    bound = 2 * u * (r * math.sqrt(n) * np.abs(h).sum(axis=0).max() * times + n * kappa + n)
+    assert np.all(np.abs(states - fresh).max(axis=(1, 2)) <= bound)
+    # Hermitian to the bit, and equal times share one state bit for bit
+    assert np.array_equal(states, states.conj().swapaxes(1, 2))
     for i in np.flatnonzero(np.diff(times) == 0):
         assert np.array_equal(states[i], states[i + 1])
 
