@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRegimeError
-from .model import EffectiveHamiltonian, LatticeModel, effective_hamiltonian
+from .model import EffectiveHamiltonian, LatticeModel
 
 # eig_system's Vinv rule; past it efficiency_measured takes transfer's exact doubling.  Its
 # eigen kernel (eta 13.96 at the exceptional-point dimer, tau = 0.1) and the Poisson unraveling
@@ -401,7 +401,7 @@ def time_averaged_population(model: LatticeModel, site: int, T: float) -> float:
     T = _positive_finite(T, "T")
     if not 1 <= site <= model.n_sites:
         raise ValueError(f"site {site} out of range")
-    w, v = np.linalg.eigh(effective_hamiltonian(model).hermitian_part)
+    w, v = np.linalg.eigh(model._h_eff.hermitian_part)
     c = v[site - 1, :] * v[model.initial_site - 1, :]
     return float(c @ np.sinc(np.subtract.outer(w, w) * (T / np.pi)) @ c)
 

@@ -7,7 +7,6 @@ binomial closed form, and Zeno/anti-Zeno crossover detection.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -91,7 +90,7 @@ def channel_masks(n: int, sites) -> tuple[np.ndarray, np.ndarray]:
     measured[i] marks site i + 1, keep[a, b] whether rho_ab survives."""
     measured = np.zeros(n, dtype=bool)
     for i in sites:
-        if i > n:
+        if not 1 <= i <= n:
             raise ValueError(f"measured site {i} out of range for {n} sites")
         measured[i - 1] = True
     keep = np.outer(~measured, ~measured)
@@ -139,10 +138,10 @@ def _measured_stack(h_eff, channel: MeasurementChannel, rho0, times) -> np.ndarr
     if u.shape[1:] != rho.shape:
         raise ValueError(f"dimension mismatch: U {u.shape[1:]} vs rho {rho.shape}")
     n = rho.shape[0]
-    _, keep = channel_masks(n, channel.measured_sites)
+    measured, keep = channel_masks(n, channel.measured_sites)
     ks, k_index = np.unique(k_target, return_inverse=True)
     by_powers = _by_powers(int(keep.sum()), n, int(ks.max(initial=0)))
-    after = (_after_by_powers if by_powers else _after_by_steps)(u[0], keep, rho, ks)
+    after = _after_by_powers(u[0], measured, keep, rho, ks) if by_powers else _after_by_steps(u[0], keep, rho, ks)
     out = after[k_index]
     out[off] = _conjugate(u[1:], out[off])
     return density_stack(out)
@@ -157,8 +156,8 @@ def _by_powers(d: int, n: int, k: int) -> bool:
     OpenBLAS).  An interval of _after_by_steps is about 8 us of numpy
     dispatch plus two complex n x n products at 0.75 n^3 ns.  _after_by_powers
     pays about 100 us of fixed work and 10 ns per entry of the step matrix
-    that _step_matrix builds (7-8 ns from d = 150 on, up to 17 ns near
-    d = 120), then numpy products at about 80 GFlop/s: ceil(log2 k) squarings
+    that _step_matrix builds (about 9 ns at d = 148-272, 3.5 ns at d = 962, up
+    to 14 ns near d = 100), then numpy products at about 80 GFlop/s: ceil(log2 k) squarings
     of d^3 / 40 ns each and at most k rows of d^2 / 40 ns each."""
     steps = k * (8e3 + 0.75 * n**3)
     powers = 1e5 + 10 * d**2 + (math.ceil(math.log2(max(k, 1))) * d**3 + k * d**2) / 40
@@ -179,8 +178,8 @@ def _after_by_steps(u: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.nda
     return after
 
 
-def _after_by_powers(u: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """_after_by_steps from powers of one real step matrix.
+def _after_by_powers(u: np.ndarray, measured: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """_after_by_steps from powers of one real step matrix, for the channel_masks pair (measured, keep).
 
     After a measurement the state lies in S_D, spanned by the d entries
     (a, b) that keep marks, and in the coordinates y = Re rho + Im rho of those
@@ -188,9 +187,9 @@ def _after_by_powers(u: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.nd
     (U (x) conj U) vec(rho) and rho = (y + y^T)/2 + i (y - y^T)/2 (the
     coordinates of open_system._master_stack),
     M[(a, b), (c, e)] = Re(U_ac conj U_be) + Im(U_ae conj U_bc).
-    M comes from _step_matrix.  The first interval maps rho into S_D (one
-    conjugation and the mask); the state after k >= 1 intervals is M^(k-1) of
-    that, from dynamics._powers.
+    M comes from _step_matrix, in its block order.  The first interval maps rho
+    into S_D (one conjugation and the mask); the state after k >= 1 intervals
+    is M^(k-1) of that, from dynamics._powers.
     Squaring reuses each rounding of M: an eigenvalue of M that should be 1
     (a kept trace, or a dark state's) is off by about u, so the states are off
     by about k u, as a scaling of the components that persist.  At k = 10^6
@@ -199,10 +198,13 @@ def _after_by_powers(u: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.nd
     1e-12 and 4e-15.  The channel never raises the trace, so a state whose
     trace exceeds rho's is scaled down to it."""
     n = rho.shape[0]
-    a, b = np.nonzero(keep)
+    a, b = keep.nonzero()
+    order = measured[a].argsort(kind="stable")  # a kept entry on a measured site is its diagonal
+    a, b = a[order], b[order]
     first = _conjugate(u, rho)[a, b]
     later = np.count_nonzero(ks == 0)  # k = 0 is rho itself, which need not lie in S_D
-    rows = _powers(_step_matrix(u, keep), first.real + first.imag, ks[later:] - 1)
+    step = _step_matrix(u, (~measured).nonzero()[0], measured.nonzero()[0])
+    rows = _powers(step, first.real + first.imag, ks[later:] - 1)
     limit, trace = np.trace(rho).real, rows[:, a == b].sum(axis=1)
     rows *= np.divide(limit, trace, out=np.ones_like(trace), where=trace > limit)[:, None]
     y = np.zeros((ks.size - later, n, n))
@@ -213,54 +215,32 @@ def _after_by_powers(u: np.ndarray, keep: np.ndarray, rho: np.ndarray, ks: np.nd
     return after
 
 
-def _step_matrix(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _step_matrix(u: np.ndarray, f: np.ndarray, m: np.ndarray) -> np.ndarray:
     """_after_by_powers' real step matrix M[(a, b), (c, e)] = Re(U_ac conj U_be) + Im(U_ae conj U_bc)
-    over the entries (a, b) that keep marks, in np.nonzero(keep) order.
+    for the sorted unmeasured sites f and measured sites m, over the pairs (a, b) of f, row-major,
+    then the diagonals (c, c) of m.
 
-    The sites F whose kept rows hold more than their diagonal span the block
-    F x F of M: with W = U[F, F] and the outer product Z[a,b,c,e] =
-    W_ac conj W_be, it is Re Z plus Im Z with its last two axes swapped.  Z
-    is formed a few rows a at a time, at most _STEP_CHUNK entries, which stay
-    in cache.  The rows and columns of the other kept diagonals (c, c) take
-    one product of two gathers, U_ca conj U_cb, U_cb conj U_ca (the rows'
-    two terms) and U_ac conj U_bc (the columns'), at the flat indices of
-    _step_plan.  Each complex product keeps its operands in the order
-    written: numpy's temporary elision swaps them, which rounds the
-    imaginary part another way, only where the second alone is an owning
-    temporary of 256 kB or more (an unnamed conjugate), and none here is."""
-    d, pb, pd, f, lhs, rhs = _step_plan(keep.shape[0], keep.tobytes())
-    k, step = f.shape[0], np.empty((d, d))
-    w = u[f, f.T]
-    wc = w.conj()
-    rows = max(1, _STEP_CHUNK // max(k, 1) ** 3)
+    With V the gather of U on the sites f then m, each block of M is a broadcast product of
+    blocks of V and of its conjugate.  On the block f x f, with the outer product Z[a,b,c,e] =
+    U_ac conj U_be, M is Re Z plus Im Z with its last two axes swapped; Z is formed a few rows a
+    at a time, at most _STEP_CHUNK entries, which stay in cache.  Both terms of a column (c, c)
+    are Z[a,b,c] = U_ac conj U_bc, so the block f x m is Re Z + Im Z; the block m x f is Re Z
+    plus Im Z with its last two axes swapped for Z[c,a,e] = U_ca conj U_ce, and the block m x m
+    is Re(U_ce conj U_ce).  A build takes 15 us at d = 5 and 3-14 ns an entry from d = 50 on."""
+    k, kk, fm = f.size, f.size**2, np.concatenate((f, m))
+    v = u.take(fm, 0).take(fm, 1)
+    vc = v.conj()
+    step = np.empty((kk + m.size,) * 2)
+    rows, block = max(1, _STEP_CHUNK // max(k, 1) ** 3), step[:kk, :kk]
     for i in range(0, k, rows):
-        z = w[i : i + rows, None, :, None] * wc[None, :, None, :]
-        step[pb[i * k : (i + rows) * k, None], pb] = (z.real + z.imag.swapaxes(2, 3)).reshape(-1, pb.size)
-    left, right = u.take(lhs), u.conj().take(rhs)
-    z = left * right
-    step[:, pd] = (z[2].real + z[2].imag).T  # columns (c, c): both terms are U_ac conj U_bc
-    step[pd] = z[0].real + z[1].imag
+        z = v[i : min(i + rows, k), None, :k, None] * vc[None, :k, None, :k]
+        block[i * k : (i + rows) * k] = (z.real + z.imag.swapaxes(2, 3)).reshape(-1, kk)
+    z = v[:k, None, k:] * vc[None, :k, k:]
+    step[:kk, kk:] = (z.real + z.imag).reshape(kk, m.size)
+    z = v[k:, :k, None] * vc[k:, None, :k]
+    step[kk:, :kk] = (z.real + z.imag.swapaxes(1, 2)).reshape(m.size, kk)
+    step[kk:, kk:] = (v[k:, k:] * vc[k:, k:]).real
     return step
-
-
-@functools.lru_cache(maxsize=8)
-def _step_plan(n: int, mask: bytes) -> tuple:
-    """_step_matrix's indices for the boolean (n, n) keep mask given as bytes, read-only:
-    (d, pb, pd, f, lhs, rhs), with pb and pd the positions of the block F x F and of the other
-    diagonals (c, c) in np.nonzero(keep) order, f the sites F as a column, and lhs and rhs the
-    (3, |pd|, d) flat indices into U of U_ca, U_cb, U_ac and of U_cb, U_ca, U_bc over the kept
-    (a, b).  A plan holds 6 |pd| d integers, as many as the gathers it drives hold values; with it
-    cached a d = 5 step matrix (the Fig. 3 model measured on site 2) takes about 14 us, not 30."""
-    keep = np.frombuffer(mask, dtype=bool).reshape(n, n)
-    a, b = np.nonzero(keep)
-    free = keep.sum(axis=1) > 1
-    pb, pd = np.flatnonzero(free[a]), np.flatnonzero(~free[a])
-    f, c = np.flatnonzero(free)[:, None], a[pd][:, None]
-    lhs = np.stack((c * n + a, c * n + b, a * n + c))
-    rhs = np.stack((lhs[1], lhs[0], b * n + c))
-    for x in (pb, pd, f, lhs, rhs):
-        x.setflags(write=False)
-    return a.size, pb, pd, f, lhs, rhs
 
 
 def _intervals(t, tau: float):

@@ -255,14 +255,14 @@ def _solve(a, b) -> np.ndarray:
     return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
-def _series_result(t, weights, eye, start, tau, method, signed=False) -> EfficiencyResult:
-    """eta = w . (I - T)^-1 p(0) from the transition matrix T and the (2, n)
-    per-start-site trapped and dissipated weights L A, whose first row is w, by one _solve.
+def _series_result(t, weights, eye, start, signed=False) -> list:
+    """[trapped, dissipated] = L A (I - T)^-1 p(0), of which trapped is eta, from the transition matrix T
+    and the (2, n) per-start-site trapped and dissipated weights L A, by one _solve.
 
     The solve runs only once rho(T) < 1 - 1e-12 is shown, so I - T is nonsingular, as _solve requires;
     otherwise ValueError.  signed says that T may hold negative roundoff (the Poisson T = rate A), so
     that its column-sum bound sums |T|; the periodic T = |U|^2 is nonnegative by construction and is
-    summed as it is.  The result comes from _result."""
+    summed as it is."""
     # rho(T) <= ||T||_1, the largest column sum of |T|: each column of T plus
     # its per-interval loss is 1, so eigvals is needed only where some site
     # loses (almost) nothing within an interval; a NaN also takes that path
@@ -270,8 +270,7 @@ def _series_result(t, weights, eye, start, tau, method, signed=False) -> Efficie
         radius = float(np.max(np.abs(np.linalg.eigvals(t))))
         if radius >= 1 - 1e-12:
             raise ValueError(f"series non-convergent: spectral radius {radius}")
-    trapped, dissipated = (weights @ _solve(eye - t, start)).tolist()
-    return _result(trapped, dissipated, tau, method)
+    return (weights @ _solve(eye - t, start)).tolist()
 
 
 def _poisson_efficiency(model, rate, method) -> EfficiencyResult:
@@ -288,19 +287,19 @@ def _poisson_efficiency(model, rate, method) -> EfficiencyResult:
     _require_lossy(model)
     a = _poisson_integrals(model, rate)
     l, eye, start = _model_terms(model)
-    res = _series_result(rate * a, l @ a, eye, start, 1.0 / rate if rate > 0 else None, method, signed=True)
-    if not abs(res.trapped + res.dissipated - 1.0) <= _SUM_RULE_TOL:
-        raise ValueError(f"non-decaying mode: trapped + dissipated = {res.trapped + res.dissipated:.12g}")
+    t, d = _series_result(rate * a, l @ a, eye, start, signed=True)
+    if not abs(t + d - 1.0) <= _SUM_RULE_TOL:
+        raise ValueError(f"non-decaying mode: trapped + dissipated = {t + d:.12g}")
     # Exactly, trapped and dissipated are >= 0 and sum to 1, so one outside [0, 1] is off by at
     # least its excursion.  The sum rule accepts a kernel and solve that are off by up to
     # _SUM_RULE_TOL: the Poisson eigen sums reach k cond(V)^2 u, with k growing as rate^2 past the
     # hopping rates (dynamics._EIGEN_SUM_COND), 1.4e-8 at rate 1e3 on a near-exceptional-point dimer.
     # An excursion within that bound is such roundoff (4 and 9e-16 at the exceptional-point dimer,
     # rates 0 and 1) and is clamped; one past it is an error the series does not accept.
-    trapped, dissipated = (min(max(x, 0.0), 1.0) for x in (res.trapped, res.dissipated))
-    if not max(abs(trapped - res.trapped), abs(dissipated - res.dissipated)) <= _SUM_RULE_TOL:
-        raise ValueError(f"trapped {res.trapped!r} or dissipated {res.dissipated!r} outside [0, 1] past roundoff")
-    return _result(trapped, dissipated, res.tau, method)
+    trapped, dissipated = (min(max(x, 0.0), 1.0) for x in (t, d))
+    if not max(abs(trapped - t), abs(dissipated - d)) <= _SUM_RULE_TOL:
+        raise ValueError(f"trapped {t!r} or dissipated {d!r} outside [0, 1] past roundoff")
+    return _result(trapped, dissipated, 1.0 / rate if rate > 0 else None, method)
 
 
 def efficiency_no_measurement(model: LatticeModel) -> EfficiencyResult:
@@ -334,7 +333,8 @@ def efficiency_measured(model: LatticeModel, tau: float) -> EfficiencyResult:
         l, eye, start = _model_terms(model)
         a, u = _interval_integrals_doubling(model._h_eff.matrix, slice(None), tau)
         weights = l @ a
-    return _series_result(np.abs(u) ** 2, weights, eye, start, tau, "series")
+    trapped, dissipated = _series_result(np.abs(u) ** 2, weights, eye, start)
+    return _result(trapped, dissipated, tau, "series")
 
 
 def _checked_grid(tau_grid) -> np.ndarray:

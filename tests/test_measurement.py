@@ -294,7 +294,7 @@ def test_measurement_paths_agree_on_both_sides_of_the_rule():
     sites, gamma = frozenset({1, 3, 5, 7}), 5.0
     tau = 1.0 / (2.0 * gamma)
     channel = MeasurementChannel(sites, tau)
-    _, keep = channel_masks(8, sites)
+    measured, keep = channel_masks(8, sites)
     k_star = next(k for k in range(1, 10**4) if _by_powers(20, 8, k))
     assert int(keep.sum()) == 20 and k_star > 2
     u = propagator(model._h_eff, tau).matrix
@@ -304,7 +304,7 @@ def test_measurement_paths_agree_on_both_sides_of_the_rule():
         assert _by_powers(20, 8, k) == (k == k_star)
         ks = np.arange(k + 1)
         steps = _after_by_steps(u, keep, rho0.matrix, ks)
-        powers = _after_by_powers(u, keep, rho0.matrix, ks)
+        powers = _after_by_powers(u, measured, keep, rho0.matrix, ks)
         assert np.max(np.abs(steps - powers)) <= 1e-13
         periodic = quantum_jump_ensemble(spec, rho0, np.arange(k + 1) * tau, n_traj=1, seed=0, mode="periodic")
         traj = repeated_measurement_trajectory(model, channel, k)
@@ -312,39 +312,64 @@ def test_measurement_paths_agree_on_both_sides_of_the_rule():
         assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(periodic.mean_states, traj.states))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 16])
+@pytest.mark.parametrize("site", [0, -1, 4])
+def test_channel_masks_reject_sites_outside_one_to_n(site):
+    # a site below 1 would otherwise wrap around to the far end of the mask
+    with pytest.raises(ValueError, match=f"measured site {site} out of range for 3 sites"):
+        channel_masks(3, [site])
+
+
+@pytest.mark.parametrize(
+    "n, sites",
+    [(16, {1}), (6, {1, 2, 3, 4, 5}), (6, {1, 2, 3, 4, 5, 6})],
+    ids=["d226", "one-unmeasured-site", "every-site-measured"],
+)
+def test_powers_agree_with_steps_on_both_sides_of_the_rule(n, sites):
+    # d = 15^2 + 1 = 226, |F| = 1 (d = 6, the pair block is one diagonal) and |F| = 0
+    # (d = n, no pair block), each at the rule's last k by steps and first by powers
+    rng = np.random.default_rng(n)
+    model = build_chain(n, rng.uniform(0.0, 3.0, n), v=1.0, trap_rate=0.5, decay_rate=0.001)
+    measured, keep = channel_masks(n, sites)
+    d = int(keep.sum())
+    k_star = next(k for k in range(1, 10**4) if _by_powers(d, n, k))
+    assert d == (n - len(sites)) ** 2 + len(sites) and k_star > 2
+    u = propagator(model._h_eff, 0.1).matrix
+    rho0 = pure_site_state(n, 1).matrix
+    for k in (k_star - 1, k_star):
+        assert _by_powers(d, n, k) == (k == k_star)
+        ks = np.arange(k + 1)
+        steps = _after_by_steps(u, keep, rho0, ks)
+        powers = _after_by_powers(u, measured, keep, rho0, ks)
+        # an interval of steps is U r U^dag, whose entries each sum 2n complex
+        # products, about 4 n u off on entries of size <= 1; the lossy U is a
+        # contraction and the channel a projection, so neither amplifies it: 4 n u k.
+        # The powers are off by about d u k, as in the 6,300-interval test below
+        assert np.max(np.abs(steps - powers)) <= (d + 4 * n) * 2.0**-53 * k
+
+
+@pytest.mark.parametrize("n", range(3, 17))
 def test_step_matrix_equals_the_gather_form_bit_for_bit(n):
     # M[(a, b), (c, e)] = Re(U_ac conj U_be) + Im(U_ae conj U_bc), gathered entry
-    # by entry over the kept pairs, on random complex U and channels from one
-    # measured site to all of them, with chunks of the outer product down to
-    # one row.  The conjugates are named: an unnamed large one would be
-    # numpy's elided temporary, which swaps the product's operands and rounds
-    # Im another way (from d = 128 on, 256 kB)
+    # by entry over the kept pairs in block order (the pairs of unmeasured sites,
+    # row-major, then the measured diagonals), on random complex U and channels
+    # from one measured site to all of them, with chunks of the outer product
+    # down to one row.  That order is np.nonzero(keep)'s up to a permutation
     rng = np.random.default_rng(n)
     u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     for size in sorted({1, 2, n // 2, n - 1, n}):
-        _, keep = channel_masks(n, (rng.choice(n, size, replace=False) + 1).tolist())
-        a, b = np.nonzero(keep)
+        measured, keep = channel_masks(n, (rng.choice(n, size, replace=False) + 1).tolist())
+        f, m = np.flatnonzero(~measured), np.flatnonzero(measured)
+        pairs = [(x, y) for x in f for y in f] + [(c, c) for c in m]
+        assert sorted(pairs) == list(zip(*np.nonzero(keep)))
+        a, b = np.array(pairs).T
         ua, ub = u[a], u[b]
         ubc = ub.conj()
         want = (ua[:, a] * ubc[:, b]).real + (ua[:, b] * ubc[:, a]).imag
-        assert np.array_equal(_step_matrix(u, keep), want)
+        assert np.array_equal(_step_matrix(u, f, m), want)
         for chunk in (1, 64):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(measurement, "_STEP_CHUNK", chunk)
-                assert np.array_equal(_step_matrix(u, keep), want)
-
-
-def test_step_plan_is_cached_per_mask_and_read_only():
-    # an equal mask from another array reuses the plan, whose index arrays cannot be written
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    measurement._step_plan.cache_clear()
-    first = _step_matrix(u, channel_masks(6, [2, 5])[1])
-    again = _step_matrix(u, channel_masks(6, [5, 2])[1].copy())
-    assert np.array_equal(first, again) and measurement._step_plan.cache_info().hits == 1
-    d, *arrays = measurement._step_plan(6, channel_masks(6, [2, 5])[1].tobytes())
-    assert d == first.shape[0] == 4 * 4 + 2 and not any(x.flags.writeable for x in arrays)
+                assert np.array_equal(_step_matrix(u, f, m), want)
 
 
 def test_measured_concurrence_over_6300_intervals(three_site_degenerate):

@@ -192,8 +192,8 @@ def test_doubling_at_the_dark_exceptional_point(tau):
     h = m._h_eff.matrix
     a, u = _interval_integrals_doubling(h, slice(None), tau)
     l, eye, start = _model_terms(m)
-    r = _series_result(np.abs(u) ** 2, l @ a, eye, start, tau, "series")
-    assert r.dissipated == 0.0 and abs(r.eta - 1.0) <= 1e-12
+    trapped, dissipated = _series_result(np.abs(u) ** 2, l @ a, eye, start)
+    assert dissipated == 0.0 and abs(trapped - 1.0) <= 1e-12
     assert np.abs(u - _propagators(h, [tau])[0]).max() <= 1e-13
 
 
@@ -225,7 +225,7 @@ def test_series_guard_sends_a_nan_to_eigvals(monkeypatch):
     monkeypatch.setattr(transfer, "_solve", lambda *args: solves.append(args))
     t = np.array([[0.1, np.nan], [0.2, 0.3]])
     with pytest.raises(np.linalg.LinAlgError):
-        _series_result(t, np.ones((2, 2)), np.eye(2), np.eye(2)[0], 0.1, "series")
+        _series_result(t, np.ones((2, 2)), np.eye(2), np.eye(2)[0])
     assert solves == []
 
 
