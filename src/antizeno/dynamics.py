@@ -28,6 +28,7 @@ _EIGEN_COND = 1e5
 # allows cond(V) up to (1e-10 / (39 u))^(1/2) = 152; the cutoff keeps a margin of 2.3 in the error.
 _EIGEN_SUM_COND = 100.0
 _HERM_TOL = 1e-12
+_CHUNK_BYTES = 2**18  # the bytes of a chunk of a state stack that a check or a build handles at a time
 _EIG_FLOOR = -1e-10
 # Higham's theta_m (2005; the same in Al-Mohy and Higham 2009): the largest ||a||_1, or
 # eta, at which the degree-m Pade approximant has backward error at most 2^-53;
@@ -45,7 +46,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", density_stack(np.array(self.matrix, dtype=complex)[None])[0])
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        object.__setattr__(self, "matrix", density_stack(m[None])[0])
 
     @property
     def n_sites(self) -> int:
@@ -57,23 +61,24 @@ class DensityMatrix:
 
 
 def density_stack(matrices) -> np.ndarray:
-    """An (m, n, n) stack of density matrices as a read-only complex array,
-    after DensityMatrix's checks on every member at once: square, finite,
-    Hermitian to 1e-12, eigenvalues >= -1e-10 (one batched Cholesky, see
-    _first_negative_eig) and trace in [0, 1].  Raises ValueError with
-    DensityMatrix's message for the first failing check.  A complex ndarray
-    is checked and frozen in place, not copied."""
+    """An (m, n, n) stack of density matrices as a read-only complex array, after
+    DensityMatrix's checks on every member: finite and trace in [0, 1] on the whole stack,
+    Hermitian to 1e-12 and eigenvalues >= -1e-10 (_first_negative_eig) over its _chunks, which
+    adds at most three chunks to its memory.  Raises ValueError with DensityMatrix's message
+    for the first failing check (and member).  A complex ndarray is checked and frozen in
+    place, not copied."""
     m = np.asarray(matrices, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValueError(f"density matrix must be square, got shape {m.shape[1:]}")
+        raise ValueError(f"density_stack needs an (m, n, n) stack, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("density matrix has non-finite entries")
-    # a stack Hermitian to the bit, as the engine's are, passes on one comparison; else
-    # |m - m^H| from the real and imaginary parts, which are views: no complex temporaries
-    if not np.array_equal(m, m.conj().swapaxes(1, 2)) and np.any(
-        np.hypot(m.real - m.real.swapaxes(1, 2), m.imag + m.imag.swapaxes(1, 2)) > _HERM_TOL
-    ):
-        raise ValueError("density matrix is not Hermitian")
+    # a chunk Hermitian to the bit, as the engine's are, passes on one comparison; else
+    # |c - c^H| from the real and imaginary parts, which are views: no complex temporaries
+    for c in (m[s] for s in _chunks(m)):
+        if not np.array_equal(c, c.conj().swapaxes(1, 2)) and np.any(
+            np.hypot(c.real - c.real.swapaxes(1, 2), c.imag + c.imag.swapaxes(1, 2)) > _HERM_TOL
+        ):
+            raise ValueError("density matrix is not Hermitian")
     low = _first_negative_eig(m)
     if low is not None:
         raise ValueError(f"density matrix not positive semidefinite (min eig {low:.3e})")
@@ -85,23 +90,32 @@ def density_stack(matrices) -> np.ndarray:
     return m
 
 
+def _chunks(stack: np.ndarray) -> list:
+    """Slices of consecutive members of the stack, of at most _CHUNK_BYTES each or one member."""
+    step = max(1, _CHUNK_BYTES // max(stack[:1].nbytes, 1))
+    return [slice(i, i + step) for i in range(0, stack.shape[0], step)]
+
+
 def _first_negative_eig(m: np.ndarray) -> float | None:
     """The lowest eigenvalue of the first member of the Hermitian (k, n, n)
     stack m whose spectrum dips below -1e-10, or None if no member's does.
 
-    One batched Cholesky of m + 1e-10 I passes a stack that has no such
-    member.  Cholesky reads the lower triangle, as eigvalsh does, and its
-    verdict is the eigenvalue floor's to within its backward error (about
-    n u ||m||, near 1e-15); only if it fails does a batched eigvalsh decide.
+    A batched Cholesky of c + 1e-10 I, for each of the _chunks c of m in order,
+    passes a chunk that has no such member.  Cholesky reads the lower triangle,
+    as eigvalsh does, and its verdict is the eigenvalue floor's to within its
+    backward error (about n u ||m||, near 1e-15); a batched eigvalsh decides
+    on a chunk it rejects.
     """
-    try:
-        np.linalg.cholesky(m - _EIG_FLOOR * np.eye(m.shape[-1]))
-        return None
-    except np.linalg.LinAlgError:
-        pass
-    low = np.linalg.eigvalsh(m)[:, 0]
-    bad = np.flatnonzero(low < _EIG_FLOOR)
-    return float(low[bad[0]]) if bad.size else None
+    shift = _EIG_FLOOR * np.eye(m.shape[-1])
+    for s in _chunks(m):
+        try:
+            np.linalg.cholesky(m[s] - shift)
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(m[s])[:, 0]
+            bad = np.flatnonzero(low < _EIG_FLOOR)
+            if bad.size:
+                return float(low[bad[0]])
+    return None
 
 
 def _density_matrices(stack: np.ndarray) -> list:
@@ -305,11 +319,18 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
-def _from_real(y: np.ndarray) -> np.ndarray:
-    """The (m, n, n) Hermitian stack rho = (y + y^T)/2 + i (y - y^T)/2 of the
-    real stack y = Re rho + Im rho, Hermitian to the bit."""
-    yt = y.swapaxes(1, 2)
-    return (y + yt) / 2 + 1j * ((y - yt) / 2)
+def _from_real(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (m, n, n) Hermitian stack rho = (y + y^T)/2 + i (y - y^T)/2 of the real stack
+    y = Re rho + Im rho, Hermitian to the bit, written with no temporaries into the real and
+    imaginary parts of out (a complex array or a view of one, such as a slice of a larger
+    stack) or of a new array."""
+    out = np.empty(y.shape, dtype=complex) if out is None else out
+    yt, re, im = y.swapaxes(1, 2), out.real, out.imag
+    np.add(y, yt, out=re)
+    re /= 2
+    np.subtract(y, yt, out=im)
+    im /= 2
+    return out
 
 
 def _powers(step: np.ndarray, y0: np.ndarray, ks) -> np.ndarray:
@@ -352,7 +373,7 @@ def _powers(step: np.ndarray, y0: np.ndarray, ks) -> np.ndarray:
         done, j = 1, 0
         while done < count:
             m = min(done, count - done)
-            rows[done : done + m] = rows[:m] @ power(j)
+            np.matmul(rows[:m], power(j), out=rows[done : done + m])
             done, j = done + m, j + 1
         if count != i1 - i0:
             out[i0:i1] = rows[ks[i0:i1] - lo]

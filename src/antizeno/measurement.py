@@ -125,9 +125,10 @@ def _measured_stack(h_eff, channel: MeasurementChannel, rho0, times) -> np.ndarr
     """measured_states as one checked (len(times), n, n) stack.
 
     Each output reads the state just after its last measurement, k intervals
-    in, from _after_by_powers or _after_by_steps; _by_powers picks one from
-    d, n and the largest k alone.  The outputs off the measurement grid then
-    take their remainder propagators in one batched conjugation."""
+    in, from the stack of _after_by_powers or _after_by_steps (_by_powers picks
+    one from d, n and the largest k alone), which is the output stack itself
+    where every output has its own k.  The outputs off the measurement grid
+    then take their remainder propagators in one batched conjugation."""
     times = _time_grid(times)
     tau = channel.interval
     rho = (rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)).matrix
@@ -142,7 +143,7 @@ def _measured_stack(h_eff, channel: MeasurementChannel, rho0, times) -> np.ndarr
     ks, k_index = np.unique(k_target, return_inverse=True)
     by_powers = _by_powers(int(keep.sum()), n, int(ks.max(initial=0)))
     after = _after_by_powers(u[0], measured, keep, rho, ks) if by_powers else _after_by_steps(u[0], keep, rho, ks)
-    out = after[k_index]
+    out = after if ks.size == times.size else after[k_index]  # distinct interval counts: after is the stack
     out[off] = _conjugate(u[1:], out[off])
     return density_stack(out)
 
@@ -158,9 +159,12 @@ def _by_powers(d: int, n: int, k: int) -> bool:
     pays about 100 us of fixed work and 10 ns per entry of the step matrix
     that _step_matrix builds (about 9 ns at d = 148-272, 3.5 ns at d = 962, up
     to 14 ns near d = 100), then numpy products at about 80 GFlop/s: ceil(log2 k) squarings
-    of d^3 / 40 ns each and at most k rows of d^2 / 40 ns each."""
+    of d^3 / 40 ns each and at most k rows of d^2 / 40 ns each, then 15 ns for each of the k n^2
+    output entries (7-12 ns, 18-30 ns once the arrays pass about 30 MB and each call faults
+    in new pages).  At the switch point the powers take 0.95-1.36 times the steps'
+    time at n = 14-24 (d = 170-530), 1.5-1.9 times without that last term."""
     steps = k * (8e3 + 0.75 * n**3)
-    powers = 1e5 + 10 * d**2 + (math.ceil(math.log2(max(k, 1))) * d**3 + k * d**2) / 40
+    powers = 1e5 + 10 * d**2 + (math.ceil(math.log2(max(k, 1))) * d**3 + k * d**2) / 40 + 15 * k * n**2
     return powers <= steps
 
 
@@ -196,7 +200,7 @@ def _after_by_powers(u: np.ndarray, measured: np.ndarray, keep: np.ndarray, rho:
     the trace rose by 1.7e-10 on a lossless 3-site chain and by 1.2e-10 on a
     lossy one from a dark state, where one step per interval stays within
     1e-12 and 4e-15.  The channel never raises the trace, so a state whose
-    trace exceeds rho's is scaled down to it."""
+    trace exceeds rho's is scaled down to it.  _from_real writes the states into the stack."""
     n = rho.shape[0]
     a, b = keep.nonzero()
     order = measured[a].argsort(kind="stable")  # a kept entry on a measured site is its diagonal
@@ -209,9 +213,10 @@ def _after_by_powers(u: np.ndarray, measured: np.ndarray, keep: np.ndarray, rho:
     rows *= np.divide(limit, trace, out=np.ones_like(trace), where=trace > limit)[:, None]
     y = np.zeros((ks.size - later, n, n))
     y[:, a, b] = rows
+    del rows  # before the stack is allocated, so that y and the stack are the peak
     after = np.empty((ks.size, n, n), dtype=complex)
     after[:later] = rho
-    after[later:] = _from_real(y)
+    _from_real(y, after[later:])
     return after
 
 

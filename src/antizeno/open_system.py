@@ -34,6 +34,7 @@ import numpy as np
 
 from .dynamics import (
     DensityMatrix,
+    _chunks,
     _density_matrices,
     _expm,
     _from_real,
@@ -126,8 +127,9 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
     stack U(t) W comes from dynamics._propagators in one product with
     _mode_table(V, Vinv W), or from the stacked _expm times W where the
     eigenbasis is ill-conditioned.  The states are (x + x^H) / 2 for
-    x = U W diag(lam) (U W)^H, Hermitian to the bit, and take every check of
-    the gamma > 0 stack, although they are PSD by construction."""
+    x = U W diag(lam) (U W)^H, Hermitian to the bit, formed a chunk of times at a time into the
+    stack, and take every check of the gamma > 0 stack, although they are PSD by
+    construction.  At gamma > 0 _from_real rebuilds the stack from ys, whose rows distinct times view."""
     times = _time_grid(times)
     rm = _initial_state(spec, rho0).matrix
     n = rm.shape[0]
@@ -136,10 +138,12 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
         kept = np.abs(lam) > n * 2.0**-53 * np.abs(lam).max(initial=0.0)
         psi = _propagators(spec.model._h_eff, times, w[:, kept])  # U(t) W
         # (x + x^H) / 2 for x = psi diag(lam) psi^H, Hermitian to the bit; the halving is
-        # exact, so it is taken into lam, and x^H is formed once, in C order
-        x = (psi * (lam[kept] / 2)) @ psi.conj().swapaxes(1, 2)
-        out = np.conjugate(x.swapaxes(1, 2), order="C")
-        out += x
+        # exact, so it is taken into lam, and x is formed a chunk of times at a time
+        half, out = lam[kept] / 2, np.empty((times.size, n, n), dtype=complex)
+        for c in _chunks(out):
+            x = (psi[c] * half) @ psi[c].conj().swapaxes(1, 2)
+            np.conjugate(x.swapaxes(1, 2), out=out[c])
+            out[c] += x
     else:
         lv = _liouvillian(spec)
         # y = vec(Re rho + Im rho) fixes a Hermitian rho, rho = (y + y^T)/2 + i (y - y^T)/2, and L keeps
@@ -160,8 +164,8 @@ def _master_stack(spec: DephasingSpec, rho0, times) -> np.ndarray:
                 count += 1 + int(np.append(on, False).argmin())
             ys[s : s + count] = _powers(_expm(lr * h), ys[s], range(count))
             s += count - 1
-        ys = ys[row[1:]].reshape(-1, n, n)
-        out = _from_real(ys)
+        ys = ys[td.size - times.size :] if np.all(np.diff(row[1:]) == 1) else ys[row[1:]]
+        out = _from_real(ys.reshape(-1, n, n))
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite state during integration")
     pops = populations(out)

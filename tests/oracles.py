@@ -1,11 +1,13 @@
 """Independent references for the interval integrals A[i,j] = int g(s) |<i|U(s)|j>|^2 ds,
-and for the coherent (gamma = 0) master states.
+for the coherent (gamma = 0) master states, and for the Hermitian rebuild of a state stack
+from its real coordinates.
 
 The engine forms A on the eigenbasis, with a doubled Gauss-Legendre panel where
 the eigenbasis fails.  The tests hold both to these two, which reach A by
 other routes: a composite quadrature for the periodic law and a Lyapunov solve
 for the Poisson law.  It forms the coherent states from a rank factor of rho0;
-the reference conjugates rho0 by each member of a full propagator stack.
+the reference conjugates rho0 by each member of a full propagator stack.  It writes
+the rebuilt stack in place; the reference is the expression with temporaries.
 """
 
 import math
@@ -53,3 +55,9 @@ def _coherent_states_by_conjugation(model, rho0, times):
     """The gamma = 0 master states U(t) rho0 U(t)^dag, re-symmetrized, from one
     (len(times), n, n) stack of propagators: n^3 work per time and state."""
     return _conjugate(_propagators(model._h_eff, times), np.asarray(rho0, dtype=complex))
+
+
+def _from_real_expression(y):
+    """rho = (y + y^T)/2 + i (y - y^T)/2 for a real (m, n, n) stack y, as one expression."""
+    yt = y.swapaxes(1, 2)
+    return (y + yt) / 2 + 1j * ((y - yt) / 2)

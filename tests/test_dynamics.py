@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -25,10 +26,11 @@ from antizeno import (
     time_averaged_population,
 )
 from antizeno import dynamics
-from antizeno.dynamics import _eig_system, _expm, density_stack, eig_system
+from antizeno.dynamics import _eig_system, _expm, _from_real, density_stack, eig_system
 from antizeno.entanglement import TwoQubitState
 from antizeno.measurement import measured_states
 from antizeno.model import effective_hamiltonian
+from oracles import _from_real_expression
 
 
 def rabi_p2(eps, v, t):
@@ -428,6 +430,87 @@ def test_psd_floor_is_the_eigenvalue_floor_in_both_checkers(n, monkeypatch):
                 with pytest.raises(ValueError, match=message):
                     check(stack.copy())
                 assert len(calls) == 1
+
+
+CHUNK_BAD = {  # 2 x 2 members that fail one check each
+    "non-finite": np.array([[0.5, np.nan], [np.nan, 0.5]]),
+    "not-hermitian": np.array([[0.5, 0.4], [0.1, 0.5]]),
+    "negative-eigenvalue": np.array([[1.0, 0.9], [0.9, 0.0]]),
+    "trace-1.5": np.array([[1.5, 0.0], [0.0, 0.0]]),
+}
+
+
+def ten_good_members():
+    """Ten 2 x 2 members that pass every check, each different."""
+    return np.array([np.diag([1.0 - p, p]) + 0.1j * p * np.array([[0, 1], [-1, 0]]) for p in np.linspace(0.1, 0.5, 10)])
+
+
+@pytest.mark.parametrize("at", [3, 9], ids=["just-past-a-boundary", "in-the-last-chunk"])
+@pytest.mark.parametrize("bad", list(CHUNK_BAD.values()), ids=list(CHUNK_BAD))
+def test_chunked_checks_give_the_one_chunk_message(bad, at, monkeypatch):
+    # with a budget of three 2 x 2 members (3 x 64 bytes) the chunks are members
+    # [0, 3), [3, 6), [6, 9) and [9, 10); the bad member just past the first boundary,
+    # or alone in the last chunk, gives the message of the whole stack as one chunk
+    # (the default budget) and of DensityMatrix
+    stack = ten_good_members()
+    stack[at] = bad
+    with pytest.raises(ValueError) as single:
+        DensityMatrix(bad)
+    with pytest.raises(ValueError) as whole:
+        density_stack(stack.copy())
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 3 * 64)
+    assert dynamics._chunks(stack) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12)]
+    with pytest.raises(ValueError) as chunked:
+        density_stack(stack.copy())
+    assert str(chunked.value) == str(whole.value) == str(single.value)
+    assert np.array_equal(density_stack(np.delete(stack, at, axis=0)), np.delete(stack, at, axis=0))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({4: 0.2, 7: 0.5}, "min eig -2.000e-01"),  # the first failing chunk's
+        ({6: 0.3, 7: 0.5}, "min eig -3.000e-01"),  # the first failing member of its chunk
+        ({2: 0.5, 3: 0.2}, "min eig -5.000e-01"),  # across a boundary
+        ({1: 0.5, 9: "not-hermitian"}, "not Hermitian"),  # the Hermitian check runs on every chunk first
+    ],
+)
+def test_chunked_checks_report_the_first_failing_member(bad, message, monkeypatch):
+    # diag(1 + e, -e) has trace 1 and lowest eigenvalue -e
+    stack = ten_good_members()
+    for at, e in bad.items():
+        stack[at] = CHUNK_BAD[e] if isinstance(e, str) else np.diag([1.0 + e, -e])
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 3 * 64)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        density_stack(stack)
+
+
+def test_density_stack_names_the_shape_it_was_given():
+    # a square matrix that is not a stack; DensityMatrix checks its own matrix first
+    for shape in [(3, 3), (2, 2, 3), (3,)]:
+        with pytest.raises(ValueError, match=re.escape(f"density_stack needs an (m, n, n) stack, got shape {shape}")):
+            density_stack(np.ones(shape))
+    for shape in [(3,), (2, 3), (1, 2, 2)]:
+        with pytest.raises(ValueError, match=re.escape(f"density matrix must be square, got shape {shape}")):
+            DensityMatrix(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (5, 3, 3), (40, 16, 16)])
+def test_from_real_equals_the_expression(shape):
+    # a random real stack with zeros of both signs, rebuilt into a new array and into
+    # a slice of a larger one (as _after_by_powers writes after[later:]); == lets the
+    # sign of a zero differ and nothing else
+    rng = np.random.default_rng(shape[0])
+    y = rng.standard_normal(shape)
+    y[rng.random(shape) < 0.25] = 0.0
+    y[rng.random(shape) < 0.25] = -0.0
+    y.flat[:2] = 0.0, -0.0
+    ref = _from_real_expression(y)
+    assert np.array_equal(_from_real(y), ref)
+    after = np.full((shape[0] + 2,) + shape[1:], 7.0 + 7.0j)
+    view = after[2:]
+    assert _from_real(y, view) is view
+    assert np.array_equal(after[2:], ref) and np.all(after[:2] == 7.0 + 7.0j)
 
 
 def test_populations_basic():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from antizeno import (
 )
 from antizeno import dynamics, open_system, transfer
 from antizeno.dynamics import DensityMatrix, eig_system, evolve, populations, pure_site_state
-from antizeno.measurement import channel_masks
+from antizeno.measurement import _measured_stack, channel_masks
 from antizeno.model import LatticeModel, effective_hamiltonian
 from antizeno.open_system import _BLOCK, _draw_block, _liouvillian, _pure_initial, ensemble_to_csv
 from oracles import _coherent_states_by_conjugation, _poisson_integrals_schur
@@ -964,3 +965,44 @@ def test_ensemble_csv_format(tmp_path):
         ensemble_to_csv(result, path)
         per_line_ensemble_csv(result, tmp_path / "per-line.csv")
         assert path.read_bytes() == (tmp_path / "per-line.csv").read_bytes()
+
+
+def _chain16_measured_on_site_1():
+    m = build_graph(DisorderSpec(16, "chain", 10.0, 1.0, 0.5, 0.001, seed=0))
+    return _measured_stack(m._h_eff, MeasurementChannel(frozenset({1}), 1.0), pure_site_state(16, 1), np.arange(871.0))
+
+
+def _periodic_chain8():
+    m = build_graph(DisorderSpec(8, "chain", 10.0, 1.0, 0.5, 0.001, seed=3))
+    res = quantum_jump_ensemble(DephasingSpec(m, 5.0, frozenset({1, 3, 5, 7})), pure_site_state(8, 1), np.arange(1001) * 0.1, 1, 0, mode="periodic")
+    return res.mean_states[0].matrix.base
+
+
+def _master(n, gamma):
+    m = build_graph(DisorderSpec(n, "chain", 10.0, 1.0, 0.5, 0.001, seed=0))
+    sites = frozenset(range(1, n + 1)) if gamma else frozenset()
+    return lambda: open_system._master_stack(DephasingSpec(m, gamma, sites), pure_site_state(n, 1), np.linspace(0.0, 10.0, 201))
+
+
+@pytest.mark.parametrize(
+    "series",
+    [_master(64, 0.0), _master(8, 1.0), _chain16_measured_on_site_1, _periodic_chain8],
+    ids=["coherent-n64-201-times", "dephased-n8-201-times", "measured-n16-870-intervals", "periodic-n8-1001-times"],
+)
+def test_a_series_peaks_at_its_stack_and_its_real_coordinates(series):
+    # the traced allocation peak of a checked (T, n, n) stack of B bytes is at most
+    # 1.6 B + 1 MB: the stack (B), written in place; the real coordinates y = Re rho +
+    # Im rho it is rebuilt from on the dephased and measured paths (B / 2); and one
+    # chunk of 256 kB each of the Hermitian check's conjugate, the Cholesky's shifted
+    # copy and its factor (0.75 MB), or at gamma = 0 of x (their finiteness masks are
+    # B / 16).  The measured path's power table, S and its 9 squares at d = 226 (4.1 MB),
+    # is freed before y and the stack exist; with the powers' rows (k d doubles, 1.6 MB)
+    # it reads 5.7 MB, under the bound of 6.7 MB for B = 3.6 MB.
+    stack_bytes = series().nbytes  # a first run also builds the models' eigendecompositions
+    tracemalloc.start()
+    try:
+        series()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * stack_bytes + 2**20
